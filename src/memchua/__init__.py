@@ -5,10 +5,9 @@ from .analysis import (AnalysisConfig, Extremum, Label, LyapunovResult, Side,
                        largest_lyapunov, local_extrema, perturb, sweep,
                        write_bifurcation_csv)
 from .circuit import (CircuitParams, EquilibriumPoint, StabilityVerdict,
-                      StateVector, classify_stability, cubic_roots,
-                      eigenvalues_at, existence_condition, find_equilibria,
-                      jacobian, jacobian_trace, nonlinear_current,
-                      nonlinear_slope, vector_field)
+                      StateVector, classify_stability, existence_condition,
+                      find_equilibria, jacobian, jacobian_trace,
+                      nonlinear_current, nonlinear_slope, vector_field)
 from .design import (DesignCheck, DesignReport, DesignSpec, design_circuit,
                      design_g, design_gn, design_reactive)
 from .device import (REFERENCE_COEFFICIENTS, DevicePoly, DeviceState,
@@ -20,7 +19,7 @@ from .device import (REFERENCE_COEFFICIENTS, DevicePoly, DeviceState,
 from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
 from .integrate import (Event, IntegrationConfig, Trajectory, integrate,
-                        integrate_adaptive, step_rk4, write_events_csv,
+                        integrate_adaptive, write_events_csv,
                         write_trajectory_csv)
 from .kernels import USE_NUMBA
 

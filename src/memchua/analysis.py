@@ -357,7 +357,8 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     recomputes the components per point. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
     worker count. Per-point design failures are recorded as inconclusive
-    without stopping the sweep.
+    without stopping the sweep; in "fixed" mode a reference design that
+    fails its checks raises DesignError before any point runs.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -366,8 +367,12 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     if mode not in ("fixed", "redesign"):
         raise ValueError(f"unknown sweep mode {mode!r}")
 
-    ref_r = reference_r if reference_r is not None else table.states[-1].r_prog
-    ref_params = design_circuit(state_at(table, ref_r), spec).params
+    ref_params = None
+    if mode == "fixed":
+        ref_r = (reference_r if reference_r is not None
+                 else table.states[-1].r_prog)
+        ref_params = design_circuit(state_at(table, ref_r),
+                                    spec).require_ok().params
 
     rs = np.geomspace(r_lo, r_hi, n_points)
     tasks = [(float(r), table, spec, icfg, acfg, mode, sigma,

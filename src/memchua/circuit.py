@@ -8,9 +8,8 @@ the origin they are real roots of the deflated quartic
 
     q(v) = p5 v^4 + p4 v^3 + p3 v^2 + p2 v + (p1 + g - g_n).
 
-Eigenvalues of the 3x3 Jacobian come from its closed-form characteristic
-cubic solved by a trigonometric/Cardano branch with a Newton polish, so no
-general eigensolver is needed for this fixed tiny size.
+The quartic's roots come from np.roots and the spectra from
+np.linalg.eigvals of the 3x3 Jacobian.
 """
 
 import math
@@ -112,71 +111,6 @@ def jacobian_trace(params: CircuitParams, v1: float) -> float:
     return (-params.g - nonlinear_slope(params, v1)) / params.c1 \
         - params.g / params.c2
 
-def cubic_roots(b: float, c: float, d: float) -> np.ndarray:
-    """Three complex roots of the monic cubic x^3 + b x^2 + c x + d.
-
-    Scaled depressed-cubic solution (trigonometric branch for three real
-    roots, cancellation-safe Cardano otherwise) followed by two complex
-    Newton polish iterations on the original cubic.
-    """
-    s = max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
-    if s == 0.0:
-        return np.zeros(3, dtype=complex)
-    bs = b / s
-    cs = c / (s * s)
-    ds = d / (s * s * s)
-
-    p = cs - bs * bs / 3.0
-    q = 2.0 * bs ** 3 / 27.0 - bs * cs / 3.0 + ds
-    shift = -bs / 3.0
-
-    if p == 0.0 and q == 0.0:
-        ts = [0.0 + 0.0j] * 3
-    elif p == 0.0:
-        r0 = math.copysign(abs(q) ** (1.0 / 3.0), -q)
-        rot = complex(-0.5, math.sqrt(3.0) / 2.0)
-        ts = [complex(r0), r0 * rot, r0 * rot.conjugate()]
-    else:
-        disc = -4.0 * p ** 3 - 27.0 * q * q
-        if disc >= 0.0 and p < 0.0:
-            m = 2.0 * math.sqrt(-p / 3.0)
-            arg = 3.0 * q / (p * m)
-            arg = min(1.0, max(-1.0, arg))
-            theta = math.acos(arg) / 3.0
-            ts = [complex(m * math.cos(theta - 2.0 * math.pi * k / 3.0))
-                  for k in range(3)]
-        else:
-            dd = math.sqrt(max(q * q / 4.0 + p ** 3 / 27.0, 0.0))
-            if q <= 0.0:
-                u = (-q / 2.0 + dd) ** (1.0 / 3.0)
-            else:
-                u = -((q / 2.0 + dd) ** (1.0 / 3.0))
-            v = -p / (3.0 * u)
-            t1 = u + v
-            half = complex(-t1 / 2.0, math.sqrt(3.0) / 2.0 * (u - v))
-            ts = [complex(t1), half, half.conjugate()]
-
-    roots = np.array([s * (t + shift) for t in ts], dtype=complex)
-    for _ in range(2):
-        f = ((roots + b) * roots + c) * roots + d
-        fp = (3.0 * roots + 2.0 * b) * roots + c
-        ok = np.abs(fp) > 0
-        roots = np.where(ok, roots - f / np.where(ok, fp, 1.0), roots)
-    return roots
-
-def eigenvalues_at(params: CircuitParams, v1: float) -> np.ndarray:
-    """Jacobian eigenvalues at an equilibrium voltage, via the closed cubic."""
-    a = (-params.g - nonlinear_slope(params, v1)) / params.c1
-    bb = params.g / params.c1
-    cc = params.g / params.c2
-    dd = -params.g / params.c2
-    ee = 1.0 / params.c2
-    ff = -1.0 / params.l
-    tr = a + dd
-    m = a * dd - bb * cc - ee * ff
-    det = -a * ee * ff
-    return cubic_roots(-tr, m, -det)
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     unstable: bool
@@ -217,8 +151,6 @@ def classify_stability(eq_or_eigs) -> StabilityVerdict:
     return StabilityVerdict(unstable=unstable, saddle_focus=saddle_focus,
                             max_real_part=float(np.max(eigs.real)))
 
-_SCAN_POINTS = 4096
-_BISECT_WIDTH = 1e-14
 _ORIGIN_MERGE = 1e-9
 _RESIDUAL_TOL = 1e-12
 
@@ -228,46 +160,19 @@ def _equilibrium_residual(params, v):
 def find_equilibria(params: CircuitParams) -> list:
     """All equilibria on the padded device window, origin always included.
 
-    Off-origin candidates come from a sign-change scan of the deflated
-    quartic over the window padded by 10% of its width, refined by bisection
-    to 1e-14 V and polished with Newton on the full residual. Roots within
-    1e-9 V of zero merge into the origin point; roots outside the unpadded
-    window are kept but flagged via in_window=False.
+    Off-origin candidates are the real roots of the deflated quartic inside
+    the window padded by 10% of its width, polished with Newton on the full
+    residual. Roots within 1e-9 V of zero merge into the origin point; roots
+    outside the unpadded window are kept but flagged via in_window=False.
+    An identically zero quartic (a linear network) yields the origin alone.
     """
     d = params.device
-    q0 = d.p1 + params.g - params.g_n
-
-    def q(v):
-        return ((((d.p5 * v + d.p4) * v + d.p3) * v + d.p2) * v + q0)
-
     width = d.v_max - d.v_min
     lo = d.v_min - 0.1 * width
     hi = d.v_max + 0.1 * width
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    qv = q(grid)
-
-    roots = []
-    for k in range(_SCAN_POINTS - 1):
-        qa, qb = qv[k], qv[k + 1]
-        if qa == 0.0:
-            roots.append(grid[k])
-            continue
-        if qa * qb < 0.0:
-            a, b = grid[k], grid[k + 1]
-            fa = qa
-            while b - a > _BISECT_WIDTH:
-                mid = 0.5 * (a + b)
-                fm = q(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if qv[-1] == 0.0:
-        roots.append(grid[-1])
+    quartic = [d.p5, d.p4, d.p3, d.p2, d.p1 + params.g - params.g_n]
+    roots = [float(z.real) for z in np.roots(quartic)
+             if z.imag == 0.0 and lo <= z.real <= hi]
 
     polished = []
     for v in roots:
@@ -287,7 +192,7 @@ def find_equilibria(params: CircuitParams) -> list:
 
     def make_point(v, label):
         v = float(v)
-        eigs = eigenvalues_at(params, v)
+        eigs = np.linalg.eigvals(jacobian(params, (v, 0.0, 0.0)))
         return EquilibriumPoint(
             state=StateVector(v, 0.0, -params.g * v),
             label=label,

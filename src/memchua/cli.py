@@ -187,19 +187,21 @@ def load_config(path) -> RunConfig:
         raise InputFormatError(f"bad config value: {exc}") from exc
 
 
-def _resolve_params(rc: RunConfig):
-    """Circuit parameters from explicit components or the design chain."""
+def _resolve_params(rc: RunConfig) -> CircuitParams:
+    """Circuit parameters from explicit components or the design chain.
+
+    A design that fails its validation checks raises DesignError.
+    """
     if rc.components:
         comp = rc.components
         try:
             return CircuitParams(
                 c1=float(comp["c1"]), c2=float(comp["c2"]), l=float(comp["l"]),
                 g=1.0 / float(comp["r"]), g_n=1.0 / float(comp["r_n"]),
-                device=rc.state.poly), None
+                device=rc.state.poly)
         except (TypeError, ValueError, KeyError) as exc:
             raise InputFormatError(f"bad components block: {exc}") from exc
-    report = design_circuit(rc.state, rc.spec)
-    return report.params, report
+    return design_circuit(rc.state, rc.spec).require_ok().params
 
 
 def _out_dir(args, rc) -> Path:
@@ -271,10 +273,7 @@ def cmd_design(args) -> int:
     report = design_circuit(rc.state, rc.spec)
     out = _out_dir(args, rc)
     _write_json(out / "design_report.json", _report_dict(report))
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failing())
-        print(f"design check failed: {names}", file=sys.stderr)
-        return EXIT_DESIGN
+    report.require_ok()
     print(f"design ok: R={report.r:.1f} ohm, R_N={report.r_n:.1f} ohm, "
           f"L={report.params.l:.4f} H, C2={report.params.c2:.3e} F")
     return EXIT_OK
@@ -282,7 +281,7 @@ def cmd_design(args) -> int:
 
 def cmd_equilibria(args) -> int:
     rc = load_config(args.config)
-    params, _ = _resolve_params(rc)
+    params = _resolve_params(rc)
     eqs = find_equilibria(params)
     out = _out_dir(args, rc)
     _write_json(out / "equilibria.json", [
@@ -301,7 +300,7 @@ def cmd_equilibria(args) -> int:
 
 def cmd_simulate(args) -> int:
     rc = load_config(args.config)
-    params, _ = _resolve_params(rc)
+    params = _resolve_params(rc)
     out = _out_dir(args, rc)
 
     stiff = None

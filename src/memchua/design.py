@@ -59,6 +59,13 @@ class DesignReport:
     def failing(self):
         return [c for c in self.checks if not c.passed]
 
+    def require_ok(self) -> "DesignReport":
+        """This report, or DesignError naming every failed check."""
+        if not self.ok:
+            raise DesignError(", ".join(c.name for c in self.failing()),
+                              "the design fails its validation checks")
+        return self
+
 
 def design_g(poly: DevicePoly, spec: DesignSpec) -> float:
     """Load conductance from the equilibrium placement rule.

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .circuit import CircuitParams, vector_field
+from .circuit import CircuitParams
 from .errors import IntegrationError
 
 _KIND_NAMES = {
@@ -50,6 +50,8 @@ class IntegrationConfig:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if not (0.0 <= self.t_transient < self.t_end):
             raise ValueError(
                 f"need 0 <= t_transient < t_end, got {self.t_transient}, {self.t_end}")
@@ -122,21 +124,6 @@ def _build(times, states, ev_t, ev_k, ev_v, status) -> Trajectory:
     events = tuple(Event(float(t), _KIND_NAMES[int(k)], float(v))
                    for t, k, v in zip(ev_t, ev_k, ev_v))
     return Trajectory(times=times, states=states, events=events, status=status)
-
-
-def step_rk4(params: CircuitParams, state, dt: float):
-    """One classical RK4 step; raises IntegrationError on non-finite output."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y = np.asarray(state, dtype=float)
-    k1 = vector_field(params, y)
-    k2 = vector_field(params, y + 0.5 * dt * k1)
-    k3 = vector_field(params, y + 0.5 * dt * k2)
-    k4 = vector_field(params, y + dt * k3)
-    out = y + dt * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-    if not np.isfinite(out).all():
-        raise IntegrationError(f"state diverged within a single step of {dt} s")
-    return out
 
 
 def integrate(params: CircuitParams, init, cfg: IntegrationConfig) -> Trajectory:

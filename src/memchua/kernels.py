@@ -1,12 +1,11 @@
 """Hot integration kernels.
 
 Everything here is written as scalar-unrolled loops over the three circuit
-state variables so that numba can compile it to tight machine code. When
-numba is unavailable, or when the environment variable ``MEMCHUA_NUMBA`` is
-set to ``0``/``false``/``off``/``no``, the same functions run as plain
-Python over numpy storage (correct but much slower). The undecorated
-implementations stay importable via ``PURE_KERNELS`` so the benchmark can
-time both paths in one process.
+state variables so that numba can compile it to tight machine code. numba is
+optional (the ``fast`` extra); when it does not import, the same functions
+run as plain Python over numpy storage (correct but much slower). The
+undecorated implementations stay importable via ``PURE_KERNELS`` as the
+reference that the parity tests compare the selected path against.
 
 Kernels return flat numpy arrays plus integer status/event codes; the
 wrapper layer in :mod:`memchua.integrate` and :mod:`memchua.analysis` turns
@@ -14,20 +13,15 @@ those into the public result types.
 """
 
 import math
-import os
 
 import numpy as np
 
 try:
     import numba
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency normally
-    numba = None
-    _HAVE_NUMBA = False
-
-_FLAG = os.environ.get("MEMCHUA_NUMBA", "1").strip().lower()
-USE_NUMBA = _HAVE_NUMBA and _FLAG not in ("0", "false", "off", "no")
+    USE_NUMBA = True
+except ImportError:
+    USE_NUMBA = False
 
 # integration outcome codes
 STATUS_OK = 0

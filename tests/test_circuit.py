@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import memchua as m
 
@@ -112,35 +114,6 @@ class TestJacobian:
             assert np.allclose(fd[~nz], 0.0, atol=1e-5 * np.abs(jac).max())
 
 
-class TestCubicRoots:
-    def test_matches_numpy_eigvals_on_circuit_jacobians(self, designed):
-        rng = np.random.default_rng(3)
-        from dataclasses import replace
-        for _ in range(200):
-            p = replace(designed.params,
-                        g=designed.params.g * rng.uniform(0.1, 10),
-                        g_n=designed.params.g_n * rng.uniform(0.0, 10),
-                        c1=1e-8 * rng.uniform(0.1, 10),
-                        l=0.41 * rng.uniform(0.1, 10))
-            v1 = rng.uniform(-1.5, 2.5)
-            mine = np.sort_complex(m.eigenvalues_at(p, v1))
-            ref = np.sort_complex(np.linalg.eigvals(m.jacobian(p, (v1, 0, 0))))
-            radius = np.abs(ref).max()
-            assert np.abs(mine - ref).max() < 1e-6 * radius
-
-    def test_exact_roots_recovered(self):
-        # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-        roots = np.sort_complex(m.cubic_roots(-6.0, 11.0, -6.0))
-        assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_complex_pair(self):
-        # (x+1)(x^2+4) = x^3 + x^2 + 4x + 4
-        roots = sorted(m.cubic_roots(1.0, 4.0, 4.0), key=lambda z: z.imag)
-        assert roots[1] == pytest.approx(-1.0 + 0j, abs=1e-12)
-        assert roots[0] == pytest.approx(-2j, abs=1e-12)
-        assert roots[2] == pytest.approx(2j, abs=1e-12)
-
-
 class TestFindEquilibria:
     def test_designed_circuit_roots(self, designed):
         eqs = m.find_equilibria(designed.params)
@@ -179,6 +152,10 @@ class TestFindEquilibria:
         assert abs(eqs["P+"].state.v1) != pytest.approx(
             abs(eqs["P-"].state.v1), rel=1e-3)
 
+    def test_lossless_lc_has_only_the_origin(self, lc_params):
+        """An identically zero deflated quartic has no off-origin roots."""
+        assert [e.label for e in m.find_equilibria(lc_params)] == ["P0"]
+
     def test_odd_cubic_mirror_symmetry(self):
         g = 1e-4
         params = odd_cubic_params(g, g_n=g + 8.1e-6)
@@ -192,7 +169,7 @@ class TestStability:
         for eq in m.find_equilibria(designed.params):
             verdict = m.classify_stability(eq)
             assert verdict.unstable, eq.label
-            # cross-check the closed-form spectrum against numpy's solver
+            # the reported spectrum belongs to the Jacobian at the point
             ref = np.sort_complex(np.linalg.eigvals(
                 m.jacobian(designed.params, eq.state)))
             mine = np.sort_complex(np.array(eq.eigenvalues))
@@ -212,9 +189,42 @@ class TestStability:
         a0 = p.g / (p.c1 * p.c2 * p.l)
         ref = np.roots([1.0, a2, a1, a0])
         assert ref.real.max() < 0
-        eigs = m.eigenvalues_at(p, 0.0)
+        eqs = m.find_equilibria(p)
+        assert [e.label for e in eqs] == ["P0"]
+        eigs = np.array(eqs[0].eigenvalues)
         assert np.abs(np.sort_complex(eigs) - np.sort_complex(ref)).max() \
             < 1e-9 * np.abs(ref).max()
         verdict = m.classify_stability(eigs)
         assert not verdict.unstable
         assert verdict.max_real_part < 0
+
+
+class TestEquilibriumProperties:
+    """Invariants of find_equilibria over designed circuits whose device
+    coefficients are the reference ones times random lognormal factors."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(sigma=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_roots_residuals_and_spectra(self, ref_state, spec, sigma, seed):
+        poly = m.perturb(ref_state.poly, sigma, seed)
+        try:
+            report = m.design_circuit(
+                m.DeviceState(ref_state.r_prog, ref_state.v_set_mag,
+                              ref_state.v_stop, poly), spec)
+        except m.DesignError:
+            assume(False)
+        p = report.params
+        for eq in m.find_equilibria(p):
+            v = eq.state.v1
+            assert eq.residual <= 1e-12
+            if eq.label != "P0":
+                oracle = bisect_equilibrium(p, v - 1e-3, v + 1e-3)
+                assert abs(v - oracle) <= 1e-12
+            # sum and product of the spectrum against trace and determinant,
+            # relative to the eigenvalue magnitudes (the origin's trace is
+            # zero by design)
+            eigs = np.array(eq.eigenvalues)
+            jac = m.jacobian(p, eq.state)
+            mags = np.abs(eigs)
+            assert abs(eigs.sum() - np.trace(jac)) <= 1e-9 * mags.sum()
+            assert abs(eigs.prod() - np.linalg.det(jac)) <= 1e-9 * mags.prod()

@@ -19,6 +19,9 @@ def write_config(path, **overrides):
 
 SHORT_INTEGRATION = {"t_end": 0.05, "t_transient": 0.01}
 
+# alpha = 1 sizes a circuit whose equilibria are not all unstable
+FAILED_DESIGN = {"alpha": 1.0}
+
 
 class TestFit:
     def make_iv(self, tmp_path, n=50):
@@ -105,6 +108,12 @@ class TestDesign:
         cfg = write_config(tmp_path / "c.yaml", schema=99)
         assert cli.main(["design", "--config", cfg]) == 2
 
+    def test_failed_check_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", design=FAILED_DESIGN)
+        rc = cli.main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "all-unstable" in capsys.readouterr().err
+
     def test_env_var_supplies_config(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.yaml", design={"v_eq": 1.5})
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, cfg)
@@ -120,6 +129,14 @@ class TestEquilibria:
         labels = {e["label"] for e in eqs}
         assert labels == {"P0", "P+", "P-"}
         assert all(e["stable"] is False for e in eqs)
+
+    def test_failed_reference_design_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", design=FAILED_DESIGN)
+        out = tmp_path / "out"
+        rc = cli.main(["equilibria", "--config", cfg, "--out", str(out)])
+        assert rc == 4
+        assert "all-unstable" in capsys.readouterr().err
+        assert not (out / "equilibria.json").exists()
 
 
 class TestSimulate:
@@ -159,6 +176,24 @@ class TestSimulate:
         events = (out / "events.csv").read_text().splitlines()
         assert len(events) >= 2
         assert (out / "trajectory.csv").exists()
+
+    def test_failed_reference_design_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", design=FAILED_DESIGN,
+                           integration=SHORT_INTEGRATION)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+        assert rc == 4
+        assert "all-unstable" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_infinite_horizon_is_parse_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml",
+                           integration={"t_end": float("inf")})
+        assert ".inf" in (tmp_path / "c.yaml").read_text()
+        rc = cli.main(["simulate", "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "t_end must be finite" in capsys.readouterr().err
 
     def test_adaptive_method_runs(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml",
@@ -226,3 +261,12 @@ class TestSweep:
         assert len(summary) == SMALL_SWEEP["n_points"]
         rs = [p["r_prog_ohm"] for p in summary]
         assert rs == sorted(rs)
+
+    def test_failed_reference_design_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", design=FAILED_DESIGN,
+                           integration=SHORT_INTEGRATION, sweep=SMALL_SWEEP)
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 4
+        assert "all-unstable" in capsys.readouterr().err
+        assert not (out / "bifurcation.csv").exists()

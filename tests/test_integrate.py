@@ -11,18 +11,6 @@ from memchua.errors import IntegrationError
 from conftest import lc_period
 
 
-class TestStepRk4:
-    def test_equilibrium_is_fixed_point_of_one_step(self, designed):
-        eqs = {e.label: e for e in m.find_equilibria(designed.params)}
-        p0 = np.asarray(eqs["P0"].state)
-        for dt in (1e-7, 1e-6, 1e-4):
-            assert np.array_equal(m.step_rk4(designed.params, p0, dt), p0)
-
-    def test_rejects_nonpositive_dt(self, designed):
-        with pytest.raises(ValueError):
-            m.step_rk4(designed.params, (0, 0, 0), 0.0)
-
-
 class TestLcBenchmark:
     def test_one_period_returns_to_start(self, lc_params):
         T = lc_period(lc_params)
@@ -78,6 +66,16 @@ class TestIntegrate:
         cfg = m.IntegrationConfig(t_end=0.02, t_transient=0.0)
         traj = m.integrate(designed.params, eqs["P0"].state, cfg)
         assert np.abs(traj.v1).max() < 1e-9
+
+    def test_p0_start_stays_exactly_at_p0(self, designed):
+        eqs = {e.label: e for e in m.find_equilibria(designed.params)}
+        p0 = np.asarray(eqs["P0"].state)
+        for dt in (1e-7, 1e-6, 1e-4):
+            cfg = m.IntegrationConfig(dt=dt, t_end=100 * dt, t_transient=0.0,
+                                      record_stride=1)
+            traj = m.integrate(designed.params, p0, cfg)
+            assert np.all(traj.states == p0)
+            assert traj.events == ()
 
     def test_runaway_emits_soa_and_abort_truncates(self, designed):
         runaway = replace(designed.params, g_n=designed.params.g_n * 10)
@@ -137,6 +135,10 @@ class TestIntegrate:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             m.IntegrationConfig(dt=-1e-6)
+        with pytest.raises(ValueError):
+            m.IntegrationConfig(dt=0.0)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            m.IntegrationConfig(t_end=math.inf)
         with pytest.raises(ValueError):
             m.IntegrationConfig(t_transient=1.0, t_end=0.5)
         with pytest.raises(ValueError):
