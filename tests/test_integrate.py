@@ -11,6 +11,15 @@ from memchua.errors import IntegrationError
 from conftest import lc_period
 
 
+class TestStepRk4:
+    def test_rejects_nonpositive_dt(self, designed):
+        # a fixed RK4 step of zero or negative length never reaches integrate
+        for dt in (0.0, -1e-6):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                m.integrate(designed.params, (0, 0, 0),
+                            m.IntegrationConfig(dt=dt))
+
+
 class TestLcBenchmark:
     def test_one_period_returns_to_start(self, lc_params):
         T = lc_period(lc_params)
