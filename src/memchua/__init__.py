@@ -3,7 +3,7 @@
 from .analysis import (AnalysisConfig, Extremum, Label, LyapunovResult, Side,
                        SweepPoint, TrajectoryClass, classify, cluster_count,
                        largest_lyapunov, local_extrema, perturb, sweep,
-                       write_bifurcation_csv)
+                       trajectory_and_lyapunov, write_bifurcation_csv)
 from .circuit import (CircuitParams, EquilibriumPoint, StabilityVerdict,
                       StateVector, classify_stability, existence_condition,
                       find_equilibria, jacobian, jacobian_trace,

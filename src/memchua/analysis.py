@@ -14,7 +14,7 @@ import csv
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .circuit import CircuitParams, find_equilibria
 from .design import DesignSpec, design_circuit
 from .device import DevicePoly, DeviceState, StateTable, state_at
 from .errors import DesignError, LyapunovError
-from .integrate import IntegrationConfig, Trajectory, _divergence_bounds, \
-    _steps_for, integrate
+from .integrate import IntegrationConfig, Trajectory, _build, _rk4_args, \
+    _steps_for
 
 class Label:
     FIXED_POINT = "fixed_point"
@@ -166,7 +166,8 @@ def _distances(states, eq_state, w):
 
 def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
              lambda1: Optional[float] = None,
-             time_unit: Optional[float] = None) -> TrajectoryClass:
+             time_unit: Optional[float] = None,
+             extrema=None) -> TrajectoryClass:
     """Sort a (transient-free) trajectory into the five-way taxonomy.
 
     Decision order: diverged; fixed point (terminal state inside
@@ -178,7 +179,9 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     When lambda1 is None the exponent condition is skipped (only the
     cluster count decides periodicity); when given, time_unit must be
     given too. Trajectories with fewer than min_samples samples, or too
-    few extrema to characterize, come back inconclusive.
+    few extrema to characterize, come back inconclusive. `extrema`, when
+    given, must be local_extrema(traj.times, traj.v1); it saves computing
+    them again.
     """
     if lambda1 is not None and time_unit is None:
         raise ValueError("time_unit is required when lambda1 is given")
@@ -220,7 +223,8 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     else:
         side = Side.NONE
 
-    extrema = local_extrema(traj.times, traj.v1)
+    if extrema is None:
+        extrema = local_extrema(traj.times, traj.v1)
     values = np.array([e.value for e in extrema])
     if values.size < 2:
         return TrajectoryClass(Label.INCONCLUSIVE, side, lambda1, int(values.size))
@@ -244,6 +248,34 @@ class LyapunovResult:
     n_intervals: int
     d0: float
 
+def _shadow_args(params: CircuitParams, cfg: IntegrationConfig, d0: float,
+                 renorm_interval: Optional[float]) -> tuple:
+    """Trailing (shadow) arguments of kernels.rk4_trajectory."""
+    if d0 <= 0:
+        raise ValueError("d0 must be positive")
+    tau = float(renorm_interval) if renorm_interval else params.time_unit
+    renorm_every = max(1, _steps_for(tau, cfg.dt))
+    return True, renorm_every, _steps_for(cfg.t_transient, cfg.dt), d0
+
+
+def _lyapunov_result(params: CircuitParams, cfg: IntegrationConfig,
+                     shadow: tuple, out: tuple) -> LyapunovResult:
+    """The exponent from the shadow half of a kernels.rk4_trajectory call."""
+    acc, ni, status = out[6:9]
+    if status == kernels.STATUS_DIVERGED:
+        raise LyapunovError("reference trajectory diverged; no exponent")
+    if status == kernels.STATUS_SHADOW_FAIL:
+        raise LyapunovError("shadow separation collapsed or became non-finite")
+    if ni == 0:
+        raise LyapunovError(
+            "no complete renormalization interval after the transient; "
+            "extend t_end or shrink the renormalization interval")
+    _, renorm_every, _, d0 = shadow
+    lam = acc / (ni * renorm_every * cfg.dt)
+    return LyapunovResult(lambda1=lam, dimensionless=lam * params.time_unit,
+                          time_unit=params.time_unit, n_intervals=ni, d0=d0)
+
+
 def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
                      d0: float = 1e-8,
                      renorm_interval: Optional[float] = None) -> LyapunovResult:
@@ -253,30 +285,33 @@ def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
     every renorm_interval (default: the circuit time unit R*C2); the mean
     log stretch per interval after t_transient is the exponent estimate.
     """
-    if d0 <= 0:
-        raise ValueError("d0 must be positive")
-    tau = float(renorm_interval) if renorm_interval else params.time_unit
-    renorm_every = max(1, _steps_for(tau, cfg.dt))
-    n_steps = _steps_for(cfg.t_end, cfg.dt)
-    transient_steps = _steps_for(cfg.t_transient, cfg.dt)
-    v_div, i_div = _divergence_bounds(params)
-    init = np.asarray(init, dtype=float)
+    shadow = _shadow_args(params, cfg, d0, renorm_interval)
+    out = kernels.rk4_trajectory(
+        *_rk4_args(params, init, cfg, record=False), *shadow)
+    return _lyapunov_result(params, cfg, shadow, out)
 
-    acc, ni, status = kernels.benettin_lyapunov(
-        *params.kernel_args, float(init[0]), float(init[1]), float(init[2]),
-        cfg.dt, n_steps, renorm_every, transient_steps, d0, v_div, i_div)
 
-    if status == kernels.STATUS_DIVERGED:
-        raise LyapunovError("reference trajectory diverged; no exponent")
-    if status == kernels.STATUS_SHADOW_FAIL:
-        raise LyapunovError("shadow separation collapsed or became non-finite")
-    if ni == 0:
-        raise LyapunovError(
-            "no complete renormalization interval after the transient; "
-            "extend t_end or shrink the renormalization interval")
-    lam = acc / (ni * renorm_every * cfg.dt)
-    return LyapunovResult(lambda1=lam, dimensionless=lam * params.time_unit,
-                          time_unit=params.time_unit, n_intervals=ni, d0=d0)
+def trajectory_and_lyapunov(
+        params: CircuitParams, init, cfg: IntegrationConfig,
+        d0: float = 1e-8, renorm_interval: Optional[float] = None,
+) -> Tuple[Trajectory, Optional[LyapunovResult]]:
+    """integrate() and largest_lyapunov() from one RK4 pass.
+
+    The recorded trajectory is the reference half of the exponent
+    estimator, so one kernel call yields both, bit-identical to the two
+    separate calls. The exponent is None when it could not be estimated
+    (the reference diverged, the shadow collapsed, or no interval
+    completed after the transient).
+    """
+    shadow = _shadow_args(params, cfg, d0, renorm_interval)
+    out = kernels.rk4_trajectory(*_rk4_args(params, init, cfg), *shadow)
+    traj = _build(*out[:6], out[9])
+    try:
+        lyap = _lyapunov_result(params, cfg, shadow, out)
+    except LyapunovError:
+        lyap = None
+    return traj, lyap
+
 
 def perturb(poly: DevicePoly, sigma: float, seed) -> DevicePoly:
     """Cycle-to-cycle variability model: each coefficient multiplied by an
@@ -297,6 +332,7 @@ class SweepPoint:
     verdict: TrajectoryClass
     seed: int
     soa: bool                    # any window crossing occurred
+    reason: Optional[str] = None  # why the verdict is inconclusive
 
     @property
     def span(self) -> float:
@@ -314,36 +350,29 @@ def _sweep_point(args):
         params = replace(ref_params, device=poly)
     else:
         try:
-            report = design_circuit(
-                DeviceState(r, state.v_set_mag, state.v_stop, poly), spec)
-        except DesignError:
+            params = design_circuit(
+                DeviceState(r, state.v_set_mag, state.v_stop, poly),
+                spec).require_ok().params
+        except DesignError as exc:
             return SweepPoint(r, np.empty(0),
                               TrajectoryClass(Label.INCONCLUSIVE, Side.NONE,
-                                              None, 0), seed_k, False)
-        if not report.ok:
-            return SweepPoint(r, np.empty(0),
-                              TrajectoryClass(Label.INCONCLUSIVE, Side.NONE,
-                                              None, 0), seed_k, False)
-        params = report.params
+                                              None, 0), seed_k, False,
+                              reason=f"design failure: {exc}")
 
-    traj = integrate(params, init, icfg)
+    traj, lyap = trajectory_and_lyapunov(params, init, icfg, d0=d0)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
-    equilibria = find_equilibria(params)
-
-    lam = None
-    if not traj.diverged:
-        try:
-            lam = largest_lyapunov(params, init, icfg, d0=d0).lambda1
-        except LyapunovError:
-            lam = None
-
-    verdict = classify(traj, equilibria, acfg, lambda1=lam,
-                       time_unit=params.time_unit)
-    if len(traj.times) >= 3:
-        values = np.array([e.value for e in local_extrema(traj.times, traj.v1)])
-    else:
-        values = np.empty(0)
-    return SweepPoint(r, values, verdict, seed_k, soa)
+    extrema = (local_extrema(traj.times, traj.v1) if len(traj.times) >= 3
+               else [])
+    verdict = classify(traj, find_equilibria(params), acfg,
+                       lambda1=lyap.lambda1 if lyap else None,
+                       time_unit=params.time_unit, extrema=extrema)
+    values = np.array([e.value for e in extrema]) if extrema else np.empty(0)
+    reason = None
+    if verdict.label == Label.INCONCLUSIVE:
+        reason = ("record stopped at the first window crossing "
+                  "(soa_policy abort)" if traj.aborted_on_soa
+                  else "too few samples or extrema to classify")
+    return SweepPoint(r, values, verdict, seed_k, soa, reason)
 
 def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
           acfg: AnalysisConfig, r_lo: float, r_hi: float, n_points: int,
@@ -356,9 +385,10 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     (the bench experiment: only the device is reprogrammed); "redesign"
     recomputes the components per point. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
-    worker count. Per-point design failures are recorded as inconclusive
-    without stopping the sweep; in "fixed" mode a reference design that
-    fails its checks raises DesignError before any point runs.
+    worker count. Per-point design failures are recorded as inconclusive,
+    with the failure on SweepPoint.reason, without stopping the sweep; in
+    "fixed" mode a reference design that fails its checks raises
+    DesignError before any point runs.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")

@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from .analysis import (AnalysisConfig, classify, largest_lyapunov, sweep,
-                       write_bifurcation_csv)
+                       trajectory_and_lyapunov, write_bifurcation_csv)
 from .circuit import CircuitParams, find_equilibria
 from .design import DesignSpec, design_circuit
 from .device import (DevicePoly, DeviceState, StateTable, fit_poly,
@@ -28,7 +28,7 @@ from .device import (DevicePoly, DeviceState, StateTable, fit_poly,
                      resistance_at_low_bias, save_state_table, state_at)
 from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
-from .integrate import (IntegrationConfig, integrate, integrate_adaptive,
+from .integrate import (IntegrationConfig, integrate_adaptive,
                         write_events_csv, write_trajectory_csv)
 
 EXIT_OK = 0
@@ -304,6 +304,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, rc)
 
     stiff = None
+    lam = None
     if rc.method == "rk45":
         try:
             traj = integrate_adaptive(params, rc.initial_state, rc.integration)
@@ -312,19 +313,21 @@ def cmd_simulate(args) -> int:
             if traj is None:
                 raise
             stiff = str(exc)
+        if not traj.diverged and stiff is None:
+            try:
+                lam = largest_lyapunov(params, rc.initial_state,
+                                       rc.integration, d0=rc.lyap_d0)
+            except LyapunovError:
+                lam = None
     else:
-        traj = integrate(params, rc.initial_state, rc.integration)
+        traj, lam = trajectory_and_lyapunov(params, rc.initial_state,
+                                            rc.integration, d0=rc.lyap_d0)
 
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_events_csv(out / "events.csv", traj)
-
-    lam = None
-    if not traj.diverged and stiff is None:
-        try:
-            lam = largest_lyapunov(params, rc.initial_state, rc.integration,
-                                   d0=rc.lyap_d0)
-        except LyapunovError:
-            lam = None
+    if traj.events_dropped:
+        print(f"warning: {traj.events_dropped} events past the event buffer "
+              "cap are missing from events.csv", file=sys.stderr)
 
     verdict = classify(traj, find_equilibria(params), rc.analysis,
                        lambda1=lam.lambda1 if lam else None,
@@ -383,6 +386,9 @@ def cmd_sweep(args) -> int:
     counts = {}
     for p in points:
         counts[p.verdict.label] = counts.get(p.verdict.label, 0) + 1
+        if p.reason:
+            print(f"sweep point r_prog={p.r_prog!r} ohm inconclusive: "
+                  f"{p.reason}", file=sys.stderr)
     print(f"sweep: {len(points)} points, verdicts {counts}")
     return EXIT_OK if ok_points else EXIT_RUNTIME
 

@@ -12,7 +12,7 @@ follow the single-reference 1/R scaling law.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +36,9 @@ class DevicePoly:
 
     p1 is a conductance (S); p2..p5 carry A/V^2 .. A/V^5. The window is
     [v_min, v_max] with v_min < 0 < v_max; evaluation outside the window is
-    permitted (window enforcement is the integrator's job).
+    permitted (window enforcement is the integrator's job). Every field is
+    stored as a Python float: numpy scalars would reach the pure-Python
+    kernels and slow each of their operations several-fold.
     """
 
     p1: float
@@ -48,6 +50,8 @@ class DevicePoly:
     v_max: float
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         vals = (self.p1, self.p2, self.p3, self.p4, self.p5,
                 self.v_min, self.v_max)
         if not all(math.isfinite(x) for x in vals):

@@ -27,6 +27,10 @@ _KIND_NAMES = {
 
 DIVERGENCE_FACTOR = 1e3
 
+# cap on the sample rows a fixed-step run preallocates: 320 MB of times and
+# states, where a mistyped t_end or stride could otherwise ask for terabytes
+MAX_RECORDED_ROWS = 10_000_000
+
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -74,12 +78,17 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """Recorded samples (times strictly increasing) plus the event log."""
+    """Recorded samples (times strictly increasing) plus the event log.
+
+    events_dropped counts the events past the kernels' buffer cap that
+    are missing from `events`.
+    """
 
     times: np.ndarray
     states: np.ndarray
     events: Tuple[Event, ...]
     status: int
+    events_dropped: int = 0
 
     @property
     def v1(self):
@@ -120,24 +129,41 @@ def _init_tuple(init):
     return float(v[0]), float(v[1]), float(v[2])
 
 
-def _build(times, states, ev_t, ev_k, ev_v, status) -> Trajectory:
+def _build(times, states, ev_t, ev_k, ev_v, status, dropped) -> Trajectory:
     events = tuple(Event(float(t), _KIND_NAMES[int(k)], float(v))
                    for t, k, v in zip(ev_t, ev_k, ev_v))
-    return Trajectory(times=times, states=states, events=events, status=status)
+    return Trajectory(times=times, states=states, events=events, status=status,
+                      events_dropped=int(dropped))
+
+
+def _rk4_args(params: CircuitParams, init, cfg: IntegrationConfig,
+              record: bool = True) -> tuple:
+    """Leading arguments of kernels.rk4_trajectory.
+
+    record=False turns the recorder off, window checks included. A recorded
+    run that would keep more than MAX_RECORDED_ROWS samples raises
+    IntegrationError before anything is allocated.
+    """
+    v1, v2, il = _init_tuple(init)
+    n_steps = _steps_for(cfg.t_end, cfg.dt)
+    rec_start = _steps_for(cfg.t_transient, cfg.dt) if record else n_steps + 1
+    rows = (n_steps - rec_start) // cfg.record_stride + 1
+    if rows > MAX_RECORDED_ROWS:
+        raise IntegrationError(
+            f"run would record {rows} samples, above the cap of "
+            f"{MAX_RECORDED_ROWS}; raise record_stride or shorten "
+            "t_end - t_transient")
+    v_div, i_div = _divergence_bounds(params)
+    d = params.device
+    return (*params.kernel_args, v1, v2, il, cfg.dt, n_steps, rec_start,
+            cfg.record_stride, d.v_min, d.v_max, v_div, i_div,
+            cfg.soa_policy == "abort")
 
 
 def integrate(params: CircuitParams, init, cfg: IntegrationConfig) -> Trajectory:
     """Fixed-step RK4 over [0, t_end]; deterministic for identical inputs."""
-    v1, v2, il = _init_tuple(init)
-    n_steps = _steps_for(cfg.t_end, cfg.dt)
-    rec_start = _steps_for(cfg.t_transient, cfg.dt)
-    v_div, i_div = _divergence_bounds(params)
-    d = params.device
-    out = kernels.rk4_trajectory(
-        *params.kernel_args, v1, v2, il, cfg.dt, n_steps, rec_start,
-        cfg.record_stride, d.v_min, d.v_max, v_div, i_div,
-        cfg.soa_policy == "abort")
-    return _build(*out)
+    out = kernels.rk4_trajectory(*_rk4_args(params, init, cfg))
+    return _build(*out[:6], out[9])
 
 
 def integrate_adaptive(params: CircuitParams, init,

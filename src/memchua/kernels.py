@@ -1,11 +1,20 @@
 """Hot integration kernels.
 
+Two kernels: fixed-step RK4 (``rk4_trajectory``) and the adaptive
+Dormand-Prince pair (``dopri_trajectory``). The RK4 kernel records the
+reference trajectory and, when asked, advances the shadow trajectory of the
+largest-exponent estimator in the same loop, so one call both records a run
+and estimates its exponent: ``integrate`` calls it with the shadow off,
+``largest_lyapunov`` with the recorder off, and
+``analysis.trajectory_and_lyapunov`` with both on.
+
 Everything here is written as scalar-unrolled loops over the three circuit
 state variables so that numba can compile it to tight machine code. numba is
 optional (the ``fast`` extra); when it does not import, the same functions
-run as plain Python over numpy storage (correct but much slower). The
-undecorated implementations stay importable via ``PURE_KERNELS`` as the
-reference that the parity tests compare the selected path against.
+run as plain Python over numpy storage (correct but much slower, and fast
+only with Python-float arguments). The undecorated implementations stay
+importable via ``PURE_KERNELS`` as the reference that the parity tests
+compare the selected path against.
 
 Kernels return flat numpy arrays plus integer status/event codes; the
 wrapper layer in :mod:`memchua.integrate` and :mod:`memchua.analysis` turns
@@ -43,20 +52,35 @@ _EV_CAP = 4096
 
 def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                     v1, v2, il, dt, n_steps, rec_start, stride,
-                    v_min, v_max, v_div, i_div, abort_on_soa):
-    """Fixed-step classical RK4 over the circuit equations.
+                    v_min, v_max, v_div, i_div, abort_on_soa,
+                    shadow=False, renorm_every=1, transient_steps=0, d0=1e-8):
+    """Fixed-step classical RK4 over the circuit equations, optionally with
+    the two-trajectory (shadow) exponent estimator in the same loop.
 
-    Records every `stride`-th step with index >= rec_start. Emits an event
-    when v1 crosses out of [v_min, v_max] and stops early on divergence
-    (any state magnitude beyond its v_div/i_div ceiling) or, under the
-    abort policy, at the first window crossing.
+    The recorder keeps every `stride`-th step with index >= rec_start. It
+    emits an event when v1 crosses out of [v_min, v_max] and, under the
+    abort policy, stops at the first window crossing. rec_start > n_steps
+    turns the recorder off, window checks included.
+
+    With `shadow` on, a second trajectory starts offset by d0 on v1, is
+    renormalized back to distance d0 every `renorm_every` steps, and the
+    log stretch factors of intervals that start at or after
+    `transient_steps` are summed; a collapsed or non-finite separation
+    stops the shadow only. The shadow runs to n_steps even after the
+    recorder stopped. Divergence of the reference (any state magnitude
+    beyond its v_div/i_div ceiling) stops both.
+
+    Returns (times, states, ev_t, ev_k, ev_v, status, lyap_sum,
+    n_intervals, lyap_status, events_dropped); events past _EV_CAP are
+    counted, not stored.
     """
 
     def f(a, b, c):
         ir = a * (p1 + a * (p2 + a * (p3 + a * (p4 + a * p5)))) - gn * a
         return ((b - a) * g - ir) / c1, ((a - b) * g + c) / c2, -b / l
 
-    n_rec = (n_steps - rec_start) // stride + 1 if n_steps >= rec_start else 0
+    recording = rec_start <= n_steps
+    n_rec = (n_steps - rec_start) // stride + 1 if recording else 0
     times = np.empty(n_rec)
     states = np.empty((n_rec, 3))
     ev_t = np.empty(_EV_CAP)
@@ -65,73 +89,126 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     nev = 0
     j = 0
     status = STATUS_OK
+    w1 = v1 + d0
+    w2 = v2
+    wl = il
+    acc = 0.0
+    ni = 0
+    lyap_status = STATUS_OK
 
     inside = v_min <= v1 <= v_max
-    if not inside:
-        ev_t[nev] = 0.0
-        ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
-        ev_v[nev] = v1
+    if recording and not inside:
+        if nev < _EV_CAP:
+            ev_t[nev] = 0.0
+            ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
+            ev_v[nev] = v1
         nev += 1
         if abort_on_soa:
             status = STATUS_SOA_ABORT
-    if status == STATUS_OK and rec_start == 0:
+            recording = False
+    if recording and rec_start == 0:
         times[j] = 0.0
         states[j, 0] = v1
         states[j, 1] = v2
         states[j, 2] = il
         j += 1
 
-    if status == STATUS_OK:
-        for k in range(1, n_steps + 1):
-            k1a, k1b, k1c = f(v1, v2, il)
-            x = v1 + 0.5 * dt * k1a
-            y = v2 + 0.5 * dt * k1b
-            z = il + 0.5 * dt * k1c
-            k2a, k2b, k2c = f(x, y, z)
-            x = v1 + 0.5 * dt * k2a
-            y = v2 + 0.5 * dt * k2b
-            z = il + 0.5 * dt * k2c
-            k3a, k3b, k3c = f(x, y, z)
-            x = v1 + dt * k3a
-            y = v2 + dt * k3b
-            z = il + dt * k3c
-            k4a, k4b, k4c = f(x, y, z)
-            v1 = v1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
-            v2 = v2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-            il = il + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0
-            t = k * dt
+    last = n_steps if recording or shadow else 0
+    for k in range(1, last + 1):
+        k1a, k1b, k1c = f(v1, v2, il)
+        x = v1 + 0.5 * dt * k1a
+        y = v2 + 0.5 * dt * k1b
+        z = il + 0.5 * dt * k1c
+        k2a, k2b, k2c = f(x, y, z)
+        x = v1 + 0.5 * dt * k2a
+        y = v2 + 0.5 * dt * k2b
+        z = il + 0.5 * dt * k2c
+        k3a, k3b, k3c = f(x, y, z)
+        x = v1 + dt * k3a
+        y = v2 + dt * k3b
+        z = il + dt * k3c
+        k4a, k4b, k4c = f(x, y, z)
+        v1 = v1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
+        v2 = v2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
+        il = il + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0
 
-            if (not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(il))
-                    or abs(v1) > v_div or abs(v2) > v_div or abs(il) > i_div):
+        if shadow:
+            k1a, k1b, k1c = f(w1, w2, wl)
+            x = w1 + 0.5 * dt * k1a
+            y = w2 + 0.5 * dt * k1b
+            z = wl + 0.5 * dt * k1c
+            k2a, k2b, k2c = f(x, y, z)
+            x = w1 + 0.5 * dt * k2a
+            y = w2 + 0.5 * dt * k2b
+            z = wl + 0.5 * dt * k2c
+            k3a, k3b, k3c = f(x, y, z)
+            x = w1 + dt * k3a
+            y = w2 + dt * k3b
+            z = wl + dt * k3c
+            k4a, k4b, k4c = f(x, y, z)
+            w1 = w1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
+            w2 = w2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
+            wl = wl + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0
+
+        if (not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(il))
+                or abs(v1) > v_div or abs(v2) > v_div or abs(il) > i_div):
+            if recording:
                 if nev < _EV_CAP:
-                    ev_t[nev] = t
+                    ev_t[nev] = k * dt
                     ev_k[nev] = KIND_DIVERGED
                     ev_v[nev] = v1
-                    nev += 1
+                nev += 1
                 status = STATUS_DIVERGED
-                break
+            if shadow:
+                lyap_status = STATUS_DIVERGED
+            break
 
+        if recording:
+            t = k * dt
             now_inside = v_min <= v1 <= v_max
             if inside and not now_inside:
                 if nev < _EV_CAP:
                     ev_t[nev] = t
                     ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
                     ev_v[nev] = v1
-                    nev += 1
+                nev += 1
                 if abort_on_soa:
                     status = STATUS_SOA_ABORT
-                    break
+                    recording = False
+                    if not shadow:
+                        break
             inside = now_inside
 
-            if k >= rec_start and (k - rec_start) % stride == 0:
+            if recording and k >= rec_start and (k - rec_start) % stride == 0:
                 times[j] = t
                 states[j, 0] = v1
                 states[j, 1] = v2
                 states[j, 2] = il
                 j += 1
 
-    return (times[:j].copy(), states[:j].copy(),
-            ev_t[:nev].copy(), ev_k[:nev].copy(), ev_v[:nev].copy(), status)
+        if shadow and k % renorm_every == 0:
+            dx = w1 - v1
+            dy = w2 - v2
+            dz = wl - il
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if not math.isfinite(d) or d <= 0.0:
+                lyap_status = STATUS_SHADOW_FAIL
+                shadow = False
+                if not recording:
+                    break
+            else:
+                if k - renorm_every >= transient_steps:
+                    acc += math.log(d / d0)
+                    ni += 1
+                s = d0 / d
+                w1 = v1 + dx * s
+                w2 = v2 + dy * s
+                wl = il + dz * s
+
+    kept = min(nev, _EV_CAP)
+    return (times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
+            ev_k[:kept].copy(), ev_v[:kept].copy(), status,
+            acc, ni, lyap_status, nev - kept)
 
 
 def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
@@ -143,7 +220,8 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     Accepts a step when each component's embedded error estimate is below
     abs_tol + rel_tol*|state|. Records every `stride`-th accepted step whose
     end time is past t_transient. Event semantics match the fixed-step
-    kernel; additionally reports step underflow (h < 1e-15 s) and an
+    kernel, events past _EV_CAP included (counted as the last return
+    value); additionally reports step underflow (h < 1e-15 s) and an
     iteration cap.
     """
 
@@ -163,9 +241,10 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
 
     inside = v_min <= v1 <= v_max
     if not inside:
-        ev_t[nev] = 0.0
-        ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
-        ev_v[nev] = v1
+        if nev < _EV_CAP:
+            ev_t[nev] = 0.0
+            ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
+            ev_v[nev] = v1
         nev += 1
         if abort_on_soa:
             status = STATUS_SOA_ABORT
@@ -263,7 +342,7 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                     ev_t[nev] = t
                     ev_k[nev] = KIND_DIVERGED
                     ev_v[nev] = v1
-                    nev += 1
+                nev += 1
                 status = STATUS_DIVERGED
                 break
 
@@ -273,7 +352,7 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                     ev_t[nev] = t
                     ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
                     ev_v[nev] = v1
-                    nev += 1
+                nev += 1
                 if abort_on_soa:
                     status = STATUS_SOA_ABORT
                     break
@@ -314,102 +393,19 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                 fac = 0.2
             h = h * fac
 
-    return (times[:j].copy(), states[:j].copy(),
-            ev_t[:nev].copy(), ev_k[:nev].copy(), ev_v[:nev].copy(), status)
-
-
-def _benettin_lyapunov(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
-                       v1, v2, il, dt, n_steps, renorm_every, transient_steps,
-                       d0, v_div, i_div):
-    """Two-trajectory (shadow) exponent estimator.
-
-    The shadow starts offset by d0 on v1, is renormalized back to distance
-    d0 every `renorm_every` steps, and log stretch factors are accumulated
-    for intervals that start at or after `transient_steps`. Returns
-    (sum of log ratios, number of intervals, status).
-    """
-
-    def f(a, b, c):
-        ir = a * (p1 + a * (p2 + a * (p3 + a * (p4 + a * p5)))) - gn * a
-        return ((b - a) * g - ir) / c1, ((a - b) * g + c) / c2, -b / l
-
-    w1 = v1 + d0
-    w2 = v2
-    wl = il
-    acc = 0.0
-    ni = 0
-    status = STATUS_OK
-
-    for k in range(1, n_steps + 1):
-        k1a, k1b, k1c = f(v1, v2, il)
-        x = v1 + 0.5 * dt * k1a
-        y = v2 + 0.5 * dt * k1b
-        z = il + 0.5 * dt * k1c
-        k2a, k2b, k2c = f(x, y, z)
-        x = v1 + 0.5 * dt * k2a
-        y = v2 + 0.5 * dt * k2b
-        z = il + 0.5 * dt * k2c
-        k3a, k3b, k3c = f(x, y, z)
-        x = v1 + dt * k3a
-        y = v2 + dt * k3b
-        z = il + dt * k3c
-        k4a, k4b, k4c = f(x, y, z)
-        v1 = v1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
-        v2 = v2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-        il = il + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0
-
-        k1a, k1b, k1c = f(w1, w2, wl)
-        x = w1 + 0.5 * dt * k1a
-        y = w2 + 0.5 * dt * k1b
-        z = wl + 0.5 * dt * k1c
-        k2a, k2b, k2c = f(x, y, z)
-        x = w1 + 0.5 * dt * k2a
-        y = w2 + 0.5 * dt * k2b
-        z = wl + 0.5 * dt * k2c
-        k3a, k3b, k3c = f(x, y, z)
-        x = w1 + dt * k3a
-        y = w2 + dt * k3b
-        z = wl + dt * k3c
-        k4a, k4b, k4c = f(x, y, z)
-        w1 = w1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
-        w2 = w2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-        wl = wl + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0
-
-        if (not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(il))
-                or abs(v1) > v_div or abs(v2) > v_div or abs(il) > i_div):
-            status = STATUS_DIVERGED
-            break
-
-        if k % renorm_every == 0:
-            dx = w1 - v1
-            dy = w2 - v2
-            dz = wl - il
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if not math.isfinite(d) or d <= 0.0:
-                status = STATUS_SHADOW_FAIL
-                break
-            if k - renorm_every >= transient_steps:
-                acc += math.log(d / d0)
-                ni += 1
-            s = d0 / d
-            w1 = v1 + dx * s
-            w2 = v2 + dy * s
-            wl = il + dz * s
-
-    return acc, ni, status
+    kept = min(nev, _EV_CAP)
+    return (times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
+            ev_k[:kept].copy(), ev_v[:kept].copy(), status, nev - kept)
 
 
 PURE_KERNELS = {
     "rk4_trajectory": _rk4_trajectory,
     "dopri_trajectory": _dopri_trajectory,
-    "benettin_lyapunov": _benettin_lyapunov,
 }
 
 if USE_NUMBA:
     rk4_trajectory = numba.njit(cache=True)(_rk4_trajectory)
     dopri_trajectory = numba.njit(cache=True)(_dopri_trajectory)
-    benettin_lyapunov = numba.njit(cache=True)(_benettin_lyapunov)
 else:
     rk4_trajectory = _rk4_trajectory
     dopri_trajectory = _dopri_trajectory
-    benettin_lyapunov = _benettin_lyapunov

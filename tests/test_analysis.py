@@ -2,8 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memchua as m
+from memchua import analysis, kernels
 from memchua.errors import LyapunovError
 
 
@@ -190,6 +193,113 @@ class TestLargestLyapunov:
             m.largest_lyapunov(runaway, (0.1, 0.0, 0.0), cfg)
 
 
+class TestTrajectoryAndLyapunov:
+    @settings(max_examples=12, deadline=None)
+    @given(v_lim=st.floats(0.05, 2.0), v0=st.floats(-0.2, 0.2))
+    def test_abort_record_is_prefix_of_warn_record(self, designed, v_lim,
+                                                   v0):
+        d = designed.params.device
+        params = replace(designed.params, device=m.DevicePoly(
+            d.p1, d.p2, d.p3, d.p4, d.p5, v_min=-v_lim, v_max=v_lim))
+        init = (v0, 0.0, 0.0)
+        warn_cfg = m.IntegrationConfig(t_end=0.01, t_transient=0.0,
+                                       record_stride=5)
+        abort_cfg = replace(warn_cfg, soa_policy="abort")
+        warn, lam_warn = m.trajectory_and_lyapunov(params, init, warn_cfg)
+        abort, lam_abort = m.trajectory_and_lyapunov(params, init, abort_cfg)
+
+        n = len(abort.times)
+        assert np.array_equal(abort.times, warn.times[:n])
+        assert np.array_equal(abort.states, warn.states[:n])
+        assert abort.events == warn.events[:len(abort.events)]
+        crossed = any(ev.kind != "diverged" for ev in warn.events)
+        assert abort.aborted_on_soa == crossed
+        if crossed:
+            assert len(abort.events) == 1
+        assert lam_abort == lam_warn
+
+        # the fused pass reproduces the two separate calls bit for bit
+        alone = m.integrate(params, init, abort_cfg)
+        assert np.array_equal(alone.states, abort.states)
+        assert alone.events == abort.events
+        assert lam_abort == m.largest_lyapunov(params, init, abort_cfg)
+
+    def test_diverged_reference_has_no_exponent(self):
+        poly = m.DevicePoly(0, 0, 0, 0, 0, v_min=-10, v_max=10)
+        runaway = m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=1e-6,
+                                  g_n=1.46e-4, device=poly)
+        cfg = m.IntegrationConfig(t_end=0.05, t_transient=0.0)
+        traj, lam = m.trajectory_and_lyapunov(runaway, (0.1, 0.0, 0.0), cfg)
+        assert traj.diverged and lam is None
+        assert traj.events[-1].kind == "diverged"
+
+    def test_sweep_point_makes_one_kernel_and_one_extrema_call(
+            self, ref_state, spec, monkeypatch):
+        calls = {"kernel": 0, "extrema": 0}
+        kernel, extrema = kernels.rk4_trajectory, analysis.local_extrema
+
+        def counted_kernel(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
+
+        def counted_extrema(*args):
+            calls["extrema"] += 1
+            return extrema(*args)
+
+        monkeypatch.setattr(kernels, "rk4_trajectory", counted_kernel)
+        monkeypatch.setattr(analysis, "local_extrema", counted_extrema)
+        icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
+        pts = m.sweep(m.StateTable((ref_state,)), spec, icfg,
+                      m.AnalysisConfig(), ref_state.r_prog, ref_state.r_prog,
+                      1, sigma=0.1, seed=4)
+        assert pts[0].verdict.label == "double_scroll"
+        assert calls == {"kernel": 1, "extrema": 1}
+
+
+class TestPythonFloatCoefficients:
+    @staticmethod
+    def two_row_table(ref_state):
+        poly = m.DevicePoly(*(0.5 * ref_state.poly.coefficients),
+                            v_min=-1.1, v_max=2.5)
+        upper = m.DeviceState(2.0 * ref_state.r_prog, 1.1, 2.5, poly)
+        return m.StateTable.from_states([ref_state, upper])
+
+    @settings(max_examples=60, deadline=None)
+    @given(frac=st.one_of(st.sampled_from([1.0, 2.0]),
+                          st.floats(0.1, 5.0)),
+           sigma=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_args_are_python_floats(self, ref_state, spec, frac,
+                                           sigma, seed):
+        table = self.two_row_table(ref_state)
+        r = frac * ref_state.r_prog
+        state = m.state_at(table, r)
+        poly = m.perturb(state.poly, sigma, seed)
+        assert all(type(x) is float for x in
+                   (*state.poly.coefficients.tolist(), poly.p1, poly.p2,
+                    poly.p3, poly.p4, poly.p5, poly.v_min, poly.v_max))
+
+        # fixed mode: the reference design with the perturbed device
+        ref = m.design_circuit(table.states[-1], spec).require_ok().params
+        fixed = replace(ref, device=poly)
+        assert all(type(x) is float for x in fixed.kernel_args)
+
+        # redesign mode: the components sized around the perturbed device
+        try:
+            report = m.design_circuit(
+                m.DeviceState(r, state.v_set_mag, state.v_stop, poly), spec)
+        except m.DesignError:
+            return
+        assert all(type(x) is float for x in report.params.kernel_args)
+
+    def test_numpy_inputs_are_stored_as_float(self):
+        poly = m.DevicePoly(*np.arange(1.0, 6.0), v_min=np.float64(-1.0),
+                            v_max=np.float32(2.0))
+        assert all(type(x) is float for x in
+                   (poly.p1, poly.p2, poly.p3, poly.p4, poly.p5, poly.v_min,
+                    poly.v_max))
+        assert type(poly.scaled(np.float64(0.5)).p3) is float
+
+
 class TestPerturb:
     def test_sigma_zero_is_identity(self, ref_state):
         assert m.perturb(ref_state.poly, 0.0, seed=5) is ref_state.poly
@@ -292,6 +402,19 @@ class TestSweep:
         labels = [p.verdict.label for p in pts]
         assert labels[0] == "inconclusive"
         assert len(pts) == 3
+
+    def test_redesign_failure_keeps_reason(self, ref_state, spec):
+        linear = m.DeviceState(
+            r_prog=ref_state.r_prog / 100, v_set_mag=1.2, v_stop=2.6,
+            poly=m.DevicePoly(1e-4, 0, 0, 0, 0, v_min=-1.2, v_max=2.6))
+        table = m.StateTable.from_states([linear, ref_state])
+        icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
+        pts = m.sweep(table, spec, icfg, m.AnalysisConfig(), linear.r_prog,
+                      ref_state.r_prog, 2, mode="redesign", sigma=0.0)
+        assert pts[0].verdict.label == "inconclusive"
+        assert pts[0].reason.startswith("design failure: infeasible-G")
+        assert pts[1].verdict.label != "inconclusive"
+        assert pts[1].reason is None
 
     def test_non_soa_extrema_inside_window(self, ref_state, spec):
         table = m.StateTable((ref_state,))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import yaml
 
 import memchua as m
-from memchua import cli
+from memchua import cli, kernels
 
 from conftest import REF_COEFFS, make_samples
 
@@ -195,6 +196,27 @@ class TestSimulate:
         assert rc == 2
         assert "t_end must be finite" in capsys.readouterr().err
 
+    def test_dropped_events_warn_once(self, tmp_path, monkeypatch, capsys):
+        # a +-50 mV device window that the double scroll crosses every swing
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            device={"coefficients": list(REF_COEFFS), "v_set": 0.05,
+                    "v_stop": 0.05},
+            components={"r": 7643.0, "r_n": 6856.0, "l": 0.41,
+                        "c1": 1e-8, "c2": 1e-7},
+            integration={"t_end": 0.02, "t_transient": 0.0})
+        monkeypatch.setattr(kernels, "rk4_trajectory",
+                            kernels.PURE_KERNELS["rk4_trajectory"])
+        monkeypatch.setattr(kernels, "_EV_CAP", 2)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "events past" in err
+        assert len((out / "events.csv").read_text().splitlines()) == 3
+        summary = json.loads((out / "classification.json").read_text())
+        assert summary["n_events"] == 2
+        assert not any("drop" in key for key in summary)
+
     def test_adaptive_method_runs(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml",
                            integration={"method": "rk45", "t_end": 0.05,
@@ -262,6 +284,38 @@ class TestSweep:
         rs = [p["r_prog_ohm"] for p in summary]
         assert rs == sorted(rs)
 
+    def test_redesign_failures_name_the_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", design={"v_eq": 1.5},
+                           integration=SHORT_INTEGRATION,
+                           sweep={**SMALL_SWEEP, "n_points": 2})
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out),
+                       "--mode", "redesign"])
+        assert rc == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all("inconclusive: design failure: safe-window" in line
+                   for line in err)
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [sorted(p) for p in summary] == [sorted(
+            ["r_prog_ohm", "label", "scroll_side", "lambda1_per_s",
+             "n_extrema", "span_V", "seed", "soa"])] * 2
+
+    def test_window_abort_is_named(self, tmp_path, capsys):
+        # at 2x the reference resistance the orbit leaves the device window
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            integration={"t_end": 0.01, "t_transient": 0.005,
+                         "soa_policy": "abort"},
+            sweep={**SMALL_SWEEP, "n_points": 1, "sigma": 0.0,
+                   "r_lo_frac": 2.0, "r_hi_frac": 2.0})
+        rc = cli.main(["sweep", "--config", cfg, "--out",
+                       str(tmp_path / "out")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "inconclusive: record stopped at the first window crossing" \
+            in err
+
     def test_failed_reference_design_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", design=FAILED_DESIGN,
                            integration=SHORT_INTEGRATION, sweep=SMALL_SWEEP)
@@ -270,3 +324,38 @@ class TestSweep:
         assert rc == 4
         assert "all-unstable" in capsys.readouterr().err
         assert not (out / "bifurcation.csv").exists()
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Digests recorded from the code that ran the recorder and the
+    exponent estimator as separate RK4 passes; the fused pass must
+    reproduce them byte for byte."""
+
+    def test_fixed_mode_sweep(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            integration={"t_end": 0.02, "t_transient": 0.005},
+            sweep={"mode": "fixed", "n_points": 3, "sigma": 0.1, "seed": 5,
+                   "workers": 1, "r_lo_frac": 0.4, "r_hi_frac": 1.3})
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert sha256(out / "bifurcation.csv") == (
+            "1e2b43bf893adf15063791ec74c0a7d9e58a444f5875d683f8c1716b7df75df2")
+        assert sha256(out / "sweep_summary.json") == (
+            "75da3e0ab214de28f9f7ad42b2c0eee3b4410db3da02da9a5a4211ce0d54bb78")
+
+    def test_rk4_simulate(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            integration={"method": "rk4", "t_end": 0.02,
+                         "t_transient": 0.005})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert sha256(out / "classification.json") == (
+            "53b4b8c685cf559d464605999e5ea95e98dd4edc201481bee8d2650453a686d0")
+        assert sha256(out / "trajectory.csv") == (
+            "7f600a47d3a228269b4a365dd111b357cb1fa0bd09634761726bfef0843f7678")

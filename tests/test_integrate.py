@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -9,6 +10,8 @@ from memchua import kernels
 from memchua.errors import IntegrationError
 
 from conftest import lc_period
+
+integrate_mod = importlib.import_module("memchua.integrate")
 
 
 class TestStepRk4:
@@ -232,12 +235,18 @@ class TestKernelPathParity:
         assert selected[5] == pure[5]
 
     def test_benettin_parity(self, designed):
+        # the fused call: recorder and shadow both on
         p = designed.params
-        args = (*p.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000, 764, 5000,
-                1e-8, 1e3 * p.voltage_scale, 1e3 * p.current_scale)
-        sel = kernels.benettin_lyapunov(*args)
-        pure = kernels.PURE_KERNELS["benettin_lyapunov"](*args)
-        assert sel == pure
+        d = p.device
+        args = (*p.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000, 5000, 10,
+                d.v_min, d.v_max, 1e3 * p.voltage_scale,
+                1e3 * p.current_scale, False, True, 764, 5000, 1e-8)
+        sel = kernels.rk4_trajectory(*args)
+        pure = kernels.PURE_KERNELS["rk4_trajectory"](*args)
+        assert np.array_equal(sel[0], pure[0])
+        assert np.array_equal(sel[1], pure[1])
+        assert sel[5:] == pure[5:]
+        assert pure[7] > 0 and pure[8] == kernels.STATUS_OK
 
 
 class TestCsvExport:
@@ -256,3 +265,48 @@ class TestCsvExport:
         elines = epath.read_text().splitlines()
         assert elines[0] == "t_s,kind,value"
         assert len(elines) == len(traj.events) + 1
+
+
+class TestSampleCap:
+    def test_oversized_record_raises_before_allocating(self, designed,
+                                                       monkeypatch):
+        def never(*args):
+            raise AssertionError("kernel reached past the sample cap")
+
+        monkeypatch.setattr(kernels, "rk4_trajectory", never)
+        cfg = m.IntegrationConfig(t_end=1000.0, record_stride=1)
+        cap = str(integrate_mod.MAX_RECORDED_ROWS)
+        with pytest.raises(IntegrationError, match="999900001") as info:
+            m.integrate(designed.params, (0.1, 0.0, 0.0), cfg)
+        assert cap in str(info.value)
+        with pytest.raises(IntegrationError, match="999900001"):
+            m.trajectory_and_lyapunov(designed.params, (0.1, 0.0, 0.0), cfg)
+
+    def test_cap_is_inclusive(self, designed, monkeypatch):
+        cfg = m.IntegrationConfig(t_end=1e-3, t_transient=0.0,
+                                  record_stride=1)
+        monkeypatch.setattr(integrate_mod, "MAX_RECORDED_ROWS", 1001)
+        assert len(m.integrate(designed.params, (0.1, 0.0, 0.0),
+                               cfg).times) == 1001
+        monkeypatch.setattr(integrate_mod, "MAX_RECORDED_ROWS", 1000)
+        with pytest.raises(IntegrationError, match="1001 samples"):
+            m.integrate(designed.params, (0.1, 0.0, 0.0), cfg)
+
+
+class TestDroppedEvents:
+    def test_events_past_cap_are_counted(self, designed, monkeypatch):
+        # a +-50 mV window that the double scroll crosses on every swing
+        d = designed.params.device
+        params = replace(designed.params, device=m.DevicePoly(
+            d.p1, d.p2, d.p3, d.p4, d.p5, v_min=-0.05, v_max=0.05))
+        cfg = m.IntegrationConfig(t_end=0.02, t_transient=0.0)
+        full = m.integrate(params, (0.1, 0.0, 0.0), cfg)
+        assert len(full.events) > 3 and full.events_dropped == 0
+
+        monkeypatch.setattr(kernels, "rk4_trajectory",
+                            kernels.PURE_KERNELS["rk4_trajectory"])
+        monkeypatch.setattr(kernels, "_EV_CAP", 3)
+        capped = m.integrate(params, (0.1, 0.0, 0.0), cfg)
+        assert capped.events == full.events[:3]
+        assert capped.events_dropped == len(full.events) - 3
+        assert np.array_equal(capped.states, full.states)
