@@ -152,6 +152,10 @@ def classify_stability(eq_or_eigs) -> StabilityVerdict:
                             max_real_part=float(np.max(eigs.real)))
 
 _ORIGIN_MERGE = 1e-9
+# same-sign roots closer than this fraction of the window width are one
+# equilibrium: rounding splits a double root into two real roots about
+# 1e-8 V apart, each with a zero residual
+_ROOT_MERGE = 1e-6
 _RESIDUAL_TOL = 1e-12
 
 def _equilibrium_residual(params, v):
@@ -162,9 +166,11 @@ def find_equilibria(params: CircuitParams) -> list:
 
     Off-origin candidates are the real roots of the deflated quartic inside
     the window padded by 10% of its width, polished with Newton on the full
-    residual. Roots within 1e-9 V of zero merge into the origin point; roots
-    outside the unpadded window are kept but flagged via in_window=False.
-    An identically zero quartic (a linear network) yields the origin alone.
+    residual. Roots within 1e-9 V of zero merge into the origin point, and
+    same-sign roots within 1e-6 of the window width of each other merge into
+    the one with the smaller residual (the lower on a tie); roots outside
+    the unpadded window are kept but flagged via in_window=False. An
+    identically zero quartic (a linear network) yields the origin alone.
     """
     d = params.device
     width = d.v_max - d.v_min
@@ -184,11 +190,16 @@ def find_equilibria(params: CircuitParams) -> list:
             if hp == 0.0:
                 break
             v = v - h / hp
-        if abs(v) < _ORIGIN_MERGE:
-            continue
-        if any(abs(v - u) < _ORIGIN_MERGE for u in polished):
-            continue
-        polished.append(v)
+        if abs(v) >= _ORIGIN_MERGE:
+            polished.append(v)
+
+    groups = []
+    for v in sorted(polished):
+        if (groups and (v > 0) == (groups[-1][-1] > 0)
+                and v - groups[-1][-1] < _ROOT_MERGE * width):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
 
     def make_point(v, label):
         v = float(v)
@@ -203,7 +214,9 @@ def find_equilibria(params: CircuitParams) -> list:
         )
 
     points = [make_point(0.0, "P0")]
-    for v in polished:
+    for group in groups:
+        # min keeps the first of equal residuals, the lowest v1
+        v = min(group, key=lambda u: abs(_equilibrium_residual(params, u)))
         points.append(make_point(v, "P+" if v > 0 else "P-"))
     points.sort(key=lambda p: p.state.v1)
     return points

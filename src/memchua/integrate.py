@@ -10,6 +10,7 @@ crossing. All work is in SI units.
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -116,8 +117,11 @@ def _steps_for(duration: float, dt: float) -> int:
 
 
 def _divergence_bounds(params: CircuitParams):
-    return (DIVERGENCE_FACTOR * params.voltage_scale,
-            DIVERGENCE_FACTOR * params.current_scale)
+    # the kernels test -bound <= x <= bound, which lets an infinite state
+    # through an infinite bound, so an overflowing bound becomes the
+    # largest float
+    return (min(DIVERGENCE_FACTOR * params.voltage_scale, sys.float_info.max),
+            min(DIVERGENCE_FACTOR * params.current_scale, sys.float_info.max))
 
 
 def _init_tuple(init):

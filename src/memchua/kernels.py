@@ -6,7 +6,11 @@ reference trajectory and, when asked, advances the shadow trajectory of the
 largest-exponent estimator in the same loop, so one call both records a run
 and estimates its exponent: ``integrate`` calls it with the shadow off,
 ``largest_lyapunov`` with the recorder off, and
-``analysis.trajectory_and_lyapunov`` with both on.
+``analysis.trajectory_and_lyapunov`` with both on. Its step is written once,
+as the closure ``step`` with the field spelled out at each of the four
+stages, and the reference and the shadow each call it once per step: on the
+pure path a step costs two Python calls, not one per field evaluation. The
+DOPRI5 kernel reuses an accepted step's last stage as the next step's first.
 
 Everything here is written as scalar-unrolled loops over the three circuit
 state variables so that numba can compile it to tight machine code. numba is
@@ -67,17 +71,38 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     log stretch factors of intervals that start at or after
     `transient_steps` are summed; a collapsed or non-finite separation
     stops the shadow only. The shadow runs to n_steps even after the
-    recorder stopped. Divergence of the reference (any state magnitude
-    beyond its v_div/i_div ceiling) stops both.
+    recorder stopped. Divergence of the reference (a non-finite state or
+    any state magnitude beyond its v_div/i_div ceiling; both ceilings must
+    be finite) stops both.
 
     Returns (times, states, ev_t, ev_k, ev_v, status, lyap_sum,
     n_intervals, lyap_status, events_dropped); events past _EV_CAP are
     counted, not stored.
     """
 
-    def f(a, b, c):
+    h = 0.5 * dt
+
+    def step(a, b, c):
+        # one RK4 step with the field written out at each stage; the
+        # coupling current u = (b - a) * g feeds both capacitor rows
         ir = a * (p1 + a * (p2 + a * (p3 + a * (p4 + a * p5)))) - gn * a
-        return ((b - a) * g - ir) / c1, ((a - b) * g + c) / c2, -b / l
+        u = (b - a) * g
+        k1a, k1b, k1c = (u - ir) / c1, (c - u) / c2, -b / l
+        x, y, z = a + h * k1a, b + h * k1b, c + h * k1c
+        ir = x * (p1 + x * (p2 + x * (p3 + x * (p4 + x * p5)))) - gn * x
+        u = (y - x) * g
+        k2a, k2b, k2c = (u - ir) / c1, (z - u) / c2, -y / l
+        x, y, z = a + h * k2a, b + h * k2b, c + h * k2c
+        ir = x * (p1 + x * (p2 + x * (p3 + x * (p4 + x * p5)))) - gn * x
+        u = (y - x) * g
+        k3a, k3b, k3c = (u - ir) / c1, (z - u) / c2, -y / l
+        x, y, z = a + dt * k3a, b + dt * k3b, c + dt * k3c
+        ir = x * (p1 + x * (p2 + x * (p3 + x * (p4 + x * p5)))) - gn * x
+        u = (y - x) * g
+        k4a, k4b, k4c = (u - ir) / c1, (z - u) / c2, -y / l
+        return (a + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0,
+                b + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0,
+                c + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0)
 
     recording = rec_start <= n_steps
     n_rec = (n_steps - rec_start) // stride + 1 if recording else 0
@@ -115,43 +140,12 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
 
     last = n_steps if recording or shadow else 0
     for k in range(1, last + 1):
-        k1a, k1b, k1c = f(v1, v2, il)
-        x = v1 + 0.5 * dt * k1a
-        y = v2 + 0.5 * dt * k1b
-        z = il + 0.5 * dt * k1c
-        k2a, k2b, k2c = f(x, y, z)
-        x = v1 + 0.5 * dt * k2a
-        y = v2 + 0.5 * dt * k2b
-        z = il + 0.5 * dt * k2c
-        k3a, k3b, k3c = f(x, y, z)
-        x = v1 + dt * k3a
-        y = v2 + dt * k3b
-        z = il + dt * k3c
-        k4a, k4b, k4c = f(x, y, z)
-        v1 = v1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
-        v2 = v2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-        il = il + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0
-
+        v1, v2, il = step(v1, v2, il)
         if shadow:
-            k1a, k1b, k1c = f(w1, w2, wl)
-            x = w1 + 0.5 * dt * k1a
-            y = w2 + 0.5 * dt * k1b
-            z = wl + 0.5 * dt * k1c
-            k2a, k2b, k2c = f(x, y, z)
-            x = w1 + 0.5 * dt * k2a
-            y = w2 + 0.5 * dt * k2b
-            z = wl + 0.5 * dt * k2c
-            k3a, k3b, k3c = f(x, y, z)
-            x = w1 + dt * k3a
-            y = w2 + dt * k3b
-            z = wl + dt * k3c
-            k4a, k4b, k4c = f(x, y, z)
-            w1 = w1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
-            w2 = w2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-            wl = wl + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0
+            w1, w2, wl = step(w1, w2, wl)
 
-        if (not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(il))
-                or abs(v1) > v_div or abs(v2) > v_div or abs(il) > i_div):
+        if not (-v_div <= v1 <= v_div and -v_div <= v2 <= v_div
+                and -i_div <= il <= i_div):
             if recording:
                 if nev < _EV_CAP:
                     ev_t[nev] = k * dt
@@ -261,6 +255,9 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     t = 0.0
     h = h0
     iters = 0
+    # first same as last: an accepted step's k7 is the next step's k1, and
+    # a rejected step leaves the state, and so k1, unchanged
+    k1a, k1b, k1c = f(v1, v2, il)
     while status == STATUS_OK and t < t_end:
         iters += 1
         if iters > max_steps:
@@ -272,7 +269,6 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
         if t + h > t_end:
             h = t_end - t
 
-        k1a, k1b, k1c = f(v1, v2, il)
         x = v1 + h * 0.2 * k1a
         y = v2 + h * 0.2 * k1b
         z = il + h * 0.2 * k1c
@@ -335,9 +331,10 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
         if r <= 1.0:
             t = t + h
             v1, v2, il = nv1, nv2, nil
+            k1a, k1b, k1c = k7a, k7b, k7c
 
-            if (not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(il))
-                    or abs(v1) > v_div or abs(v2) > v_div or abs(il) > i_div):
+            if not (-v_div <= v1 <= v_div and -v_div <= v2 <= v_div
+                    and -i_div <= il <= i_div):
                 if nev < _EV_CAP:
                     ev_t[nev] = t
                     ev_k[nev] = KIND_DIVERGED

@@ -156,6 +156,27 @@ class TestFindEquilibria:
         """An identically zero deflated quartic has no off-origin roots."""
         assert [e.label for e in m.find_equilibria(lc_params)] == ["P0"]
 
+    def test_rounding_split_double_root_is_one_point(self):
+        # deflated quartic 1e-5 (v - 0.7)^2, a saddle-node: rounding in
+        # g - g_n makes np.roots return two real roots about 3e-8 V apart
+        poly = m.DevicePoly(1e-6, -1.4e-5, 1e-5, 0.0, 0.0,
+                            v_min=-1.2, v_max=2.6)
+        params = m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=1e-4,
+                                 g_n=1e-4 - 3.9e-6, device=poly)
+        eqs = m.find_equilibria(params)
+        assert [e.label for e in eqs] == ["P0", "P+"]
+        assert eqs[1].state.v1 == pytest.approx(0.7, abs=1e-7)
+
+    def test_distinct_same_sign_roots_both_kept(self):
+        # 1e-5 (v - 0.7)(v - 0.72): two real equilibria 20 mV apart
+        poly = m.DevicePoly(1e-6, -1.42e-5, 1e-5, 0.0, 0.0,
+                            v_min=-1.2, v_max=2.6)
+        params = m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=1e-4,
+                                 g_n=1e-4 - 4.04e-6, device=poly)
+        v1s = [e.state.v1 for e in m.find_equilibria(params)]
+        assert v1s[0] == 0.0
+        assert v1s[1:] == pytest.approx([0.7, 0.72], abs=1e-9)
+
     def test_odd_cubic_mirror_symmetry(self):
         g = 1e-4
         params = odd_cubic_params(g, g_n=g + 8.1e-6)

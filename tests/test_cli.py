@@ -331,9 +331,11 @@ def sha256(path):
 
 
 class TestPinnedOutputs:
-    """Digests recorded from the code that ran the recorder and the
-    exponent estimator as separate RK4 passes; the fused pass must
-    reproduce them byte for byte."""
+    """Digests recorded from earlier kernels: the RK4 ones from separate
+    recorder and exponent passes, the rk45 ones from the DOPRI5 kernel
+    that evaluated all seven stages of every step and the RK4 kernel that
+    called its field closure eight times per step. The current kernels
+    must reproduce them byte for byte."""
 
     def test_fixed_mode_sweep(self, tmp_path):
         cfg = write_config(
@@ -359,3 +361,33 @@ class TestPinnedOutputs:
             "53b4b8c685cf559d464605999e5ea95e98dd4edc201481bee8d2650453a686d0")
         assert sha256(out / "trajectory.csv") == (
             "7f600a47d3a228269b4a365dd111b357cb1fa0bd09634761726bfef0843f7678")
+
+    def test_rk45_simulate(self, tmp_path):
+        # the adaptive path: DOPRI5 records, the shadow-only RK4 call
+        # estimates the exponent
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            integration={"method": "rk45", "t_end": 0.02,
+                         "t_transient": 0.005})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert sha256(out / "classification.json") == (
+            "7db43ee10eb1ae08b037c7f4a3fb71048ab1e34b0372f1b969aa8368a1bcd5ef")
+        assert sha256(out / "trajectory.csv") == (
+            "7f3124e0cacff0b3adce1757a16ede3f087a706e606176e26d881591acec7ac6")
+
+    def test_rk45_simulate_window_crossing(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            components={"r": 7643.0, "r_n": 685.6, "l": 0.41,
+                        "c1": 1e-8, "c2": 1e-7},
+            integration={"method": "rk45", "t_end": 0.01,
+                         "t_transient": 0.0})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert sha256(out / "classification.json") == (
+            "4ef7e2b1f82e34a2927cf71be977408c1ef2b37b9f18af37fa9f75e00c219a7c")
+        assert sha256(out / "trajectory.csv") == (
+            "ef0e159e3ed2f8b41be182f8df8b2aed9e77b01726492d34bfff8a3fca235316")
+        assert sha256(out / "events.csv") == (
+            "11f19886e0af659342e470ee610221d646d4ff43039108a2b6af18209aa62708")

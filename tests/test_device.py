@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memchua as m
 from memchua.errors import FitError, InputFormatError
@@ -205,3 +207,92 @@ class TestValidation:
     def test_table_rejects_empty(self):
         with pytest.raises(ValueError):
             m.StateTable(())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def quintics(draw):
+    """Coefficients of one sign pattern each, within two decades of one
+    another, so the fit is well conditioned on any sub-volt window."""
+    coeffs = []
+    for _ in range(5):
+        mantissa = draw(st.floats(1.0, 9.99))
+        exponent = draw(st.integers(-7, -5))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        coeffs.append(sign * mantissa * 10.0 ** exponent)
+    return coeffs
+
+
+@st.composite
+def state_tables(draw, coeff=st.floats(-1e3, 1e3)):
+    """1-4 rows with distinct r_prog; the default coefficient range keeps
+    1/R scaling by up to 1e3 finite."""
+    states = []
+    for r in draw(st.lists(st.floats(1e3, 1e8), min_size=1, max_size=4,
+                           unique=True)):
+        v_set, v_stop = draw(positive), draw(positive)
+        poly = m.DevicePoly(*draw(st.lists(coeff, min_size=5, max_size=5)),
+                            v_min=-v_set, v_max=v_stop)
+        states.append(m.DeviceState(r, v_set, v_stop, poly))
+    return m.StateTable.from_states(states)
+
+
+def state_bytes(state):
+    return np.array([state.r_prog, state.v_set_mag, state.v_stop,
+                     *state.poly.coefficients]).tobytes()
+
+
+class TestDeviceProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=quintics(), v_lo=st.floats(0.5, 2.0),
+           v_hi=st.floats(0.5, 3.0), n=st.integers(20, 80))
+    def test_fit_recovers_quintic(self, coeffs, v_lo, v_hi, n):
+        voltages = np.linspace(-v_lo, v_hi, n)
+        voltages = voltages[voltages != 0.0]
+        result = m.fit_poly(make_samples(coeffs, voltages), (-v_lo, v_hi))
+        rel = np.abs(result.poly.coefficients - coeffs) / np.abs(coeffs)
+        assert rel.max() < 1e-9
+        assert result.n_samples == voltages.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=state_tables(), k=st.integers(0, 3))
+    def test_state_at_returns_rows_unchanged(self, table, k):
+        row = table.states[k % len(table)]
+        assert m.state_at(table, row.r_prog) is row
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=state_tables(), frac=st.floats(1e-3, 0.999),
+           below=st.booleans())
+    def test_state_at_follows_inverse_r_outside_table(self, table, frac,
+                                                      below):
+        ref = table.states[0] if below else table.states[-1]
+        r = ref.r_prog * frac if below else ref.r_prog / frac
+        got = m.state_at(table, r)
+        assert got.r_prog == r
+        assert (got.v_set_mag, got.v_stop) == (ref.v_set_mag, ref.v_stop)
+        want = ref.poly.coefficients * (ref.r_prog / r)
+        assert got.poly.coefficients.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(finite, finite), max_size=30))
+    def test_iv_csv_roundtrip_is_bit_exact(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("iv") / "iv.csv"
+        samples = [m.IVSample(v, i) for v, i in pairs]
+        m.save_iv_csv(path, samples)
+        back = m.load_iv_csv(path)
+        assert (np.array(back, dtype=float).tobytes()
+                == np.array(samples, dtype=float).tobytes())
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=state_tables(coeff=finite))
+    def test_state_table_csv_roundtrip_is_bit_exact(self, tmp_path_factory,
+                                                    table):
+        path = tmp_path_factory.mktemp("states") / "states.csv"
+        m.save_state_table(path, table)
+        back = m.load_state_table(path)
+        assert back == table
+        assert ([state_bytes(s) for s in back.states]
+                == [state_bytes(s) for s in table.states])

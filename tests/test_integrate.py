@@ -1,15 +1,19 @@
 import importlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memchua as m
 from memchua import kernels
 from memchua.errors import IntegrationError
 
 from conftest import lc_period
+from rk4_oracle import _rk4_trajectory as rk4_oracle
 
 integrate_mod = importlib.import_module("memchua.integrate")
 
@@ -131,6 +135,15 @@ class TestIntegrate:
         assert traj.diverged
         assert traj.events[-1].kind == "diverged"
 
+    def test_divergence_bounds_stay_finite(self):
+        # an infinite bound would let an infinite state pass the kernels'
+        # -bound <= x <= bound test
+        poly = m.DevicePoly(0, 0, 0, 0, 0, v_min=-1e306, v_max=1e306)
+        params = m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=1e3, g_n=0.0,
+                                 device=poly)
+        big = sys.float_info.max
+        assert integrate_mod._divergence_bounds(params) == (big, big)
+
     def test_deterministic_bit_identical(self, designed):
         cfg = m.IntegrationConfig(t_end=0.05, t_transient=0.01)
         a = m.integrate(designed.params, (0.1, 0.0, 0.0), cfg)
@@ -247,6 +260,77 @@ class TestKernelPathParity:
         assert np.array_equal(sel[1], pure[1])
         assert sel[5:] == pure[5:]
         assert pure[7] > 0 and pure[8] == kernels.STATUS_OK
+
+
+class TestRk4Oracle:
+    """The pure RK4 kernel, whose step is one closure shared by the
+    reference and the shadow, against the earlier eight-call kernel kept
+    in tests/rk4_oracle.py: every returned array byte for byte and every
+    scalar equal."""
+
+    N_STEPS = 1200
+
+    @staticmethod
+    def run_both(params, init, dt, rec_start, stride, abort, shadow,
+                 d0=1e-8, n_steps=N_STEPS):
+        d = params.device
+        args = (*params.kernel_args, *init, dt, n_steps, rec_start, stride,
+                d.v_min, d.v_max, 1e3 * params.voltage_scale,
+                1e3 * params.current_scale, abort, shadow, 50,
+                n_steps // 4, d0)
+        got = kernels.PURE_KERNELS["rk4_trajectory"](*args)
+        want = rk4_oracle(*args)
+        assert len(got) == len(want) == 10
+        for a, b in zip(got, want):
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.5),
+           v1=st.floats(-3.0, 3.0), v2=st.floats(-0.5, 0.5),
+           il=st.floats(-1e-3, 1e-3), dt=st.sampled_from([1e-6, 5e-6]),
+           rec_start=st.integers(0, N_STEPS + 1), stride=st.integers(1, 40),
+           abort=st.booleans(), shadow=st.booleans(),
+           gn_scale=st.sampled_from([1.0, 10.0, 1e3]))
+    def test_matches_eight_call_kernel(self, designed, seed, sigma, v1, v2,
+                                       il, dt, rec_start, stride, abort,
+                                       shadow, gn_scale):
+        p = designed.params
+        params = replace(p, device=m.perturb(p.device, sigma, seed),
+                         g_n=p.g_n * gn_scale)
+        self.run_both(params, (v1, v2, il), dt, rec_start, stride, abort,
+                      shadow)
+
+    @pytest.mark.parametrize("abort", [False, True])
+    def test_forced_divergence(self, designed, abort):
+        p = designed.params
+        # a start far outside the window, and a negative conductance that
+        # outgrows the device quintic
+        far = self.run_both(p, (2000.0, 0.0, 0.0), 1e-6, 0, 1, abort, True)
+        hot = self.run_both(replace(p, g_n=p.g_n * 1e3), (0.1, 0.0, 0.0),
+                            1e-6, 0, 1, abort, True)
+        # under abort the record stops at the start; the shadow runs on
+        assert far[5] == (kernels.STATUS_SOA_ABORT if abort
+                          else kernels.STATUS_DIVERGED)
+        assert far[8] == kernels.STATUS_DIVERGED
+        assert hot[8] == kernels.STATUS_DIVERGED
+
+    def test_nan_starts(self, designed):
+        p = designed.params
+        # a NaN shadow offset fails the shadow alone at its first
+        # renormalization
+        out = self.run_both(p, (0.1, 0.0, 0.0), 1e-6, 0, 7, False, True,
+                            d0=math.nan)
+        assert out[5] == kernels.STATUS_OK
+        assert out[8] == kernels.STATUS_SHADOW_FAIL
+        # a NaN reference start is recorded, then diverges at the first step
+        out = self.run_both(p, (math.nan, 0.0, 0.0), 1e-6, 0, 1, False, True)
+        assert out[5] == kernels.STATUS_DIVERGED
+        assert len(out[0]) == 1
 
 
 class TestCsvExport:
