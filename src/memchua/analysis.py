@@ -315,15 +315,19 @@ def trajectory_and_lyapunov(
 
 def perturb(poly: DevicePoly, sigma: float, seed) -> DevicePoly:
     """Cycle-to-cycle variability model: each coefficient multiplied by an
-    independent lognormal factor with median 1 and log-std sigma."""
-    if sigma < 0:
+    independent lognormal factor with median 1 and log-std sigma.
+
+    A sigma large enough to overflow a factor or a coefficient raises
+    FloatingPointError."""
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
         return poly
     rng = np.random.default_rng(seed)
-    factors = np.exp(sigma * rng.standard_normal(5))
-    return DevicePoly(*(poly.coefficients * factors),
-                      v_min=poly.v_min, v_max=poly.v_max)
+    with np.errstate(over="raise"):
+        factors = np.exp(sigma * rng.standard_normal(5))
+        coefficients = poly.coefficients * factors
+    return DevicePoly(*coefficients, v_min=poly.v_min, v_max=poly.v_max)
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -340,11 +344,21 @@ class SweepPoint:
             return 0.0
         return float(np.max(self.extrema) - np.min(self.extrema))
 
+def _unrun_point(r, seed_k, reason):
+    """An inconclusive point that stopped before integration."""
+    return SweepPoint(r, np.empty(0),
+                      TrajectoryClass(Label.INCONCLUSIVE, Side.NONE, None, 0),
+                      seed_k, False, reason=reason)
+
 def _sweep_point(args):
     (r, table, spec, icfg, acfg, mode, sigma, seed_k, init, ref_params,
      d0) = args
     state = state_at(table, r)
-    poly = perturb(state.poly, sigma, seed_k)
+    try:
+        poly = perturb(state.poly, sigma, seed_k)
+    except FloatingPointError as exc:
+        return _unrun_point(r, seed_k,
+                            f"perturbed coefficients not finite: {exc}")
 
     if mode == "fixed":
         params = replace(ref_params, device=poly)
@@ -354,10 +368,7 @@ def _sweep_point(args):
                 DeviceState(r, state.v_set_mag, state.v_stop, poly),
                 spec).require_ok().params
         except DesignError as exc:
-            return SweepPoint(r, np.empty(0),
-                              TrajectoryClass(Label.INCONCLUSIVE, Side.NONE,
-                                              None, 0), seed_k, False,
-                              reason=f"design failure: {exc}")
+            return _unrun_point(r, seed_k, f"design failure: {exc}")
 
     traj, lyap = trajectory_and_lyapunov(params, init, icfg, d0=d0)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
@@ -385,8 +396,9 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     (the bench experiment: only the device is reprogrammed); "redesign"
     recomputes the components per point. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
-    worker count. Per-point design failures are recorded as inconclusive,
-    with the failure on SweepPoint.reason, without stopping the sweep; in
+    worker count. Per-point design failures and variability draws that
+    overflow are recorded as inconclusive, with the cause on
+    SweepPoint.reason, without stopping the sweep; in
     "fixed" mode a reference design that fails its checks raises
     DesignError before any point runs.
     """

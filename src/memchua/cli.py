@@ -11,7 +11,9 @@ Exit codes are a stable contract:
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -39,6 +41,10 @@ EXIT_RUNTIME = 5
 
 CONFIG_ENV_VAR = "MEMCHUA_CONFIG"
 SCHEMA_VERSION = 1
+
+# libyaml's loader where PyYAML was built with it; both use the same safe
+# constructor and resolver, so they yield the same values
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DEFAULT_CONFIG = {
     "schema": SCHEMA_VERSION,
@@ -113,8 +119,36 @@ class RunConfig:
     initial_state: tuple
     analysis: AnalysisConfig
     lyap_d0: float
-    sweep: dict = field(default_factory=dict)
+    sweep: dict = field(default_factory=dict)  # checked, r_lo/r_hi in ohms
     out_dir: str = "out"
+
+
+def _sweep_block(sw, ref_r) -> dict:
+    """The sweep block converted and checked, with r_lo/r_hi resolved to
+    ohms: an unset (or zero) bound is its fraction of ref_r."""
+    out = dict(sw)
+    out["mode"] = str(sw["mode"])
+    if out["mode"] not in ("fixed", "redesign"):
+        raise InputFormatError(
+            f"sweep.mode must be fixed|redesign, got {out['mode']}")
+    out["n_points"] = int(sw["n_points"])
+    if out["n_points"] < 1:
+        raise InputFormatError(
+            f"sweep.n_points must be >= 1, got {out['n_points']}")
+    out["sigma"] = float(sw["sigma"])
+    if not (math.isfinite(out["sigma"]) and out["sigma"] >= 0):
+        raise InputFormatError(
+            f"sweep.sigma must be finite and >= 0, got {out['sigma']}")
+    out["seed"] = int(sw["seed"])
+    out["workers"] = int(sw["workers"])
+    for end in ("r_lo", "r_hi"):
+        out[end] = (float(sw[end]) if sw[end]
+                    else float(sw[f"{end}_frac"]) * ref_r)
+    if not 0 < out["r_lo"] <= out["r_hi"] < math.inf:
+        raise InputFormatError(
+            f"sweep range needs 0 < r_lo <= r_hi < inf, got "
+            f"r_lo={out['r_lo']} ohm, r_hi={out['r_hi']} ohm")
+    return out
 
 
 def load_config(path) -> RunConfig:
@@ -123,7 +157,7 @@ def load_config(path) -> RunConfig:
     if path is not None:
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh) or {}
+                raw = yaml.load(fh, Loader=_YAML_LOADER) or {}
         except FileNotFoundError as exc:
             raise InputFormatError(f"config file not found: {path}") from exc
         except yaml.YAMLError as exc:
@@ -180,11 +214,18 @@ def load_config(path) -> RunConfig:
                          components=cfg["components"], method=method,
                          integration=icfg, initial_state=init, analysis=acfg,
                          lyap_d0=float(cfg["lyapunov"]["d0"]),
-                         sweep=cfg["sweep"], out_dir=str(cfg["out_dir"]))
+                         sweep=_sweep_block(cfg["sweep"], state.r_prog),
+                         out_dir=str(cfg["out_dir"]))
     except InputFormatError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise InputFormatError(f"bad config value: {exc}") from exc
+
+
+def _config_path(args):
+    """--config, else $MEMCHUA_CONFIG as set at this call, else None."""
+    return (args.config if args.config is not None
+            else os.environ.get(CONFIG_ENV_VAR))
 
 
 def _resolve_params(rc: RunConfig) -> CircuitParams:
@@ -269,7 +310,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_design(args) -> int:
-    rc = load_config(args.config)
+    rc = load_config(_config_path(args))
     report = design_circuit(rc.state, rc.spec)
     out = _out_dir(args, rc)
     _write_json(out / "design_report.json", _report_dict(report))
@@ -280,7 +321,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_equilibria(args) -> int:
-    rc = load_config(args.config)
+    rc = load_config(_config_path(args))
     params = _resolve_params(rc)
     eqs = find_equilibria(params)
     out = _out_dir(args, rc)
@@ -299,7 +340,7 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    rc = load_config(args.config)
+    rc = load_config(_config_path(args))
     params = _resolve_params(rc)
     out = _out_dir(args, rc)
 
@@ -352,7 +393,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rc = load_config(args.config)
+    rc = load_config(_config_path(args))
     sw = dict(rc.sweep)
     if args.seed is not None:
         sw["seed"] = args.seed
@@ -361,16 +402,11 @@ def cmd_sweep(args) -> int:
     if args.workers is not None:
         sw["workers"] = args.workers
 
-    ref_r = rc.state.r_prog
-    r_lo = float(sw["r_lo"]) if sw["r_lo"] else float(sw["r_lo_frac"]) * ref_r
-    r_hi = float(sw["r_hi"]) if sw["r_hi"] else float(sw["r_hi_frac"]) * ref_r
-
     points = sweep(rc.table, rc.spec, rc.integration, rc.analysis,
-                   r_lo=r_lo, r_hi=r_hi, n_points=int(sw["n_points"]),
-                   mode=str(sw["mode"]), sigma=float(sw["sigma"]),
-                   seed=int(sw["seed"]), init=rc.initial_state,
-                   reference_r=ref_r, d0=rc.lyap_d0,
-                   workers=int(sw["workers"]))
+                   r_lo=sw["r_lo"], r_hi=sw["r_hi"], n_points=sw["n_points"],
+                   mode=sw["mode"], sigma=sw["sigma"], seed=sw["seed"],
+                   init=rc.initial_state, reference_r=rc.state.r_prog,
+                   d0=rc.lyap_d0, workers=sw["workers"])
 
     ok_points = [p for p in points if p.verdict.label != "inconclusive"]
     out = _out_dir(args, rc)
@@ -393,14 +429,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok_points else EXIT_RUNTIME
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later one in the process, since building it costs far more than a
+    parse. It holds no per-call state: --config defaults to None and
+    $MEMCHUA_CONFIG is read when a command runs."""
     parser = argparse.ArgumentParser(
         prog="memchua",
         description="Memristor-based Chua oscillator: fit, design, simulate, sweep.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
+        p.add_argument("--config", default=None,
                        help="YAML run configuration (default: "
                             f"${CONFIG_ENV_VAR} or built-in defaults)")
         p.add_argument("--out", default=None, help="output directory")

@@ -100,7 +100,8 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
     """Full sizing chain plus validation checks.
 
     Raises DesignError for the two hard preconditions (v_eq outside the
-    safe window; linear device). Validation failures do not raise: they are
+    safe window; linear device) and for sized components that no circuit
+    can have. Validation failures do not raise: they are
     returned as failed checks so callers can report which one broke.
     """
     if spec.v_eq >= state.v_set_mag:
@@ -113,7 +114,12 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
     g = design_g(poly, spec)
     c2, l = design_reactive(spec.c1, g, spec)
     g_n = design_gn(g, spec.c1, c2, poly.p1)
-    params = CircuitParams(c1=spec.c1, c2=c2, l=l, g=g, g_n=g_n, device=poly)
+    try:
+        params = CircuitParams(c1=spec.c1, c2=c2, l=l, g=g, g_n=g_n,
+                               device=poly)
+    except ValueError as exc:
+        # a huge coefficient overflows g * g and leaves l = 0
+        raise DesignError("component-range", str(exc)) from exc
 
     checks = []
     checks.append(DesignCheck(
@@ -132,12 +138,11 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
         "three-equilibria", len(eqs) == 3, value=float(len(eqs)),
         note="origin plus both off-origin points"))
 
-    all_unstable = bool(eqs) and all(
-        classify_stability(e).unstable for e in eqs)
+    stabilities = [classify_stability(e) for e in eqs]
     checks.append(DesignCheck(
-        "all-unstable", all_unstable,
-        value=min((classify_stability(e).max_real_part for e in eqs),
-                  default=math.nan),
+        "all-unstable",
+        bool(stabilities) and all(s.unstable for s in stabilities),
+        value=min((s.max_real_part for s in stabilities), default=math.nan),
         note="min over equilibria of max Re(eigenvalue)"))
 
     off = [e for e in eqs if e.label != "P0"]

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +122,147 @@ class TestDesign:
         cfg = write_config(tmp_path / "c.yaml", design={"v_eq": 1.5})
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, cfg)
         assert cli.main(["design", "--out", str(tmp_path / "o")]) == 4
+
+    def test_huge_coefficient_names_check(self, tmp_path, capsys):
+        # g * g overflows, so the sized inductance would be zero
+        cfg = write_config(tmp_path / "c.yaml",
+                           device={"coefficients": [1e-6, 0, 1e300, 0, 0]})
+        rc = cli.main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "component-range" in capsys.readouterr().err
+
+
+class TestParserCache:
+    def test_parser_is_built_once(self, tmp_path):
+        cli.build_parser.cache_clear()
+        assert cli.main(["design", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["equilibria", "--out", str(tmp_path / "b")]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_import_builds_no_parser(self):
+        code = ("import memchua.cli as c; "
+                "print(c.build_parser.cache_info().misses)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_env_var_read_on_every_call(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        assert cli.main(["design", "--out", str(tmp_path / "a")]) == 0
+        cfg = write_config(tmp_path / "c.yaml", design={"v_eq": 1.5})
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, cfg)
+        assert cli.main(["design", "--out", str(tmp_path / "b")]) == 4
+
+    def test_config_flag_beats_env_var(self, tmp_path, monkeypatch):
+        bad = write_config(tmp_path / "bad.yaml", design={"v_eq": 1.5})
+        good = write_config(tmp_path / "good.yaml")
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, bad)
+        assert cli.main(["design", "--out", str(tmp_path / "a")]) == 4
+        assert cli.main(["design", "--config", good,
+                         "--out", str(tmp_path / "b")]) == 0
+
+
+# the pure-Python loader is the fallback on PyYAML builds without libyaml
+YAML_LOADERS = [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+# every key of DEFAULT_CONFIG, written by hand so that both loaders
+# resolve the same plain scalars (1e-8 without a dot is a string to both)
+EVERY_KEY_YAML = """\
+schema: 1
+device:
+  table_csv: {table}
+  r_prog: 3.0e+5
+  coefficients: [1.0e-6, 0, -2.0e-7, 0, 3.0e-8]
+  v_set: 1.2
+  v_stop: 2.6
+design: {{v_eq: 0.8, c1: 2e-8, alpha: 9, beta: 14.5}}
+components: {{r: 7643.0, r_n: 6856.0, l: 0.41, c1: 1.0e-8, c2: 1.0e-7}}
+integration:
+  method: rk45
+  dt: 2.0e-6
+  t_end: 0.25
+  t_transient: 0.05
+  record_stride: 5
+  soa_policy: abort
+  abs_tol: 1.0e-10
+  rel_tol: 1.0e-8
+initial_state: [0.2, -0.0, 1.0e-6]
+analysis:
+  visit_fraction: 0.25
+  cluster_tol_fraction: 0.02
+  max_periodic_clusters: 6
+  lambda_periodic: 0.02
+  fixed_point_tol: 2.0e-4
+  min_samples: 40
+lyapunov: {{d0: 1.0e-9}}
+sweep:
+  mode: redesign
+  r_lo_frac: 0.5
+  r_hi_frac: 1.2
+  r_lo: 2.0e+5
+  r_hi: ~
+  n_points: 8
+  sigma: 0.05
+  seed: 7
+  workers: 2
+out_dir: results
+"""
+
+
+def counting(loader, used):
+    """loader, recording in `used` each stream it opens."""
+    class Counting(loader):
+        def __init__(self, stream):
+            used.append(loader)
+            super().__init__(stream)
+    return Counting
+
+
+class TestYamlLoaders:
+    @pytest.fixture(params=YAML_LOADERS, ids=lambda loader: loader.__name__)
+    def used(self, request, monkeypatch):
+        used = []
+        monkeypatch.setattr(cli, "_YAML_LOADER",
+                            counting(request.param, used))
+        return used
+
+    def test_invalid_yaml_is_parse_error(self, used, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("schema: 1\ndesign: {v_eq: [0.9\n")
+        assert cli.main(["design", "--config", str(cfg)]) == 2
+        assert "invalid YAML in" in capsys.readouterr().err
+        assert len(used) == 1
+
+    def test_unknown_key_is_parse_error(self, used, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", design={"v_eqq": 0.9})
+        assert cli.main(["design", "--config", cfg]) == 2
+        assert "design.v_eqq" in capsys.readouterr().err
+        assert len(used) == 1
+
+    def test_every_key_parses_alike(self, tmp_path, monkeypatch):
+        table = tmp_path / "states.csv"
+        m.save_state_table(table, m.reference_table().states)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(EVERY_KEY_YAML.format(table=table))
+        raw = yaml.safe_load(cfg.read_text())
+        assert raw.keys() == cli.DEFAULT_CONFIG.keys()
+        for key, val in cli.DEFAULT_CONFIG.items():
+            if isinstance(val, dict):
+                assert raw[key].keys() == val.keys()
+
+        configs = []
+        for loader in YAML_LOADERS:
+            used = []
+            monkeypatch.setattr(cli, "_YAML_LOADER", counting(loader, used))
+            configs.append(cli.load_config(str(cfg)))
+            assert used == [loader]
+        assert all(rc == configs[0] for rc in configs)
+        rc = configs[0]
+        assert rc.spec.c1 == 2e-8 and rc.integration.soa_policy == "abort"
+        assert rc.sweep["r_lo"] == 2e5 and rc.out_dir == "results"
 
 
 class TestEquilibria:
@@ -315,6 +459,33 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "inconclusive: record stopped at the first window crossing" \
             in err
+
+    @pytest.mark.parametrize("block, error", [
+        ({"n_points": 0}, "sweep.n_points must be >= 1"),
+        ({"n_points": "two"}, "invalid literal for int()"),
+        ({"r_lo": 2000.0, "r_hi": 1000.0}, "needs 0 < r_lo <= r_hi"),
+        ({"mode": "foo"}, "sweep.mode must be fixed|redesign"),
+        ({"sigma": -0.5}, "sweep.sigma must be finite and >= 0"),
+        ({"sigma": float("nan")}, "sweep.sigma must be finite and >= 0"),
+        # finite, but a lognormal factor of the second point overflows
+        ({"sigma": 1000.0, "n_points": 2}, None),
+    ], ids=["n0", "n-text", "range", "mode", "sigma-neg", "sigma-nan",
+            "sigma-huge"])
+    def test_bad_sweep_block(self, tmp_path, capsys, block, error):
+        cfg = write_config(tmp_path / "c.yaml",
+                           integration=SHORT_INTEGRATION, sweep=block)
+        rc = cli.main(["sweep", "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        if error is not None:
+            assert rc == 2
+            assert len(err) == 1 and err[0].startswith("input error:")
+            assert error in err[0]
+        else:
+            assert rc == 5
+            assert len(err) == 2
+            assert err[1].endswith("inconclusive: perturbed coefficients "
+                                   "not finite: overflow encountered in exp")
 
     def test_failed_reference_design_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", design=FAILED_DESIGN,
