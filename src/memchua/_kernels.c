@@ -1,0 +1,451 @@
+/* The integration kernels of kernels.py, in C.
+ *
+ * memchua_rk4_trajectory and memchua_dopri_trajectory mirror
+ * _rk4_trajectory and _dopri_trajectory line for line: the same operations
+ * in the same order, the same status and event codes, and the same abort,
+ * shadow and divergence rules. Built with -ffp-contract=off (no fused
+ * multiply-add) and without -ffast-math, every double they compute is the
+ * one the Python kernels compute, so their outputs are bit-identical.
+ *
+ * The Python wrappers in kernels.py allocate the event buffers and the
+ * fixed-step record, compute every size, and check that each integer
+ * argument fits in 64 bits and that no modulus is zero. The adaptive
+ * kernel grows its own record buffer; the wrapper copies it out and frees
+ * it with memchua_free.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+enum {
+    STATUS_OK = 0,
+    STATUS_SOA_ABORT = 1,
+    STATUS_DIVERGED = 2,
+    STATUS_STEP_UNDERFLOW = 3,
+    STATUS_STEP_LIMIT = 4,
+    STATUS_SHADOW_FAIL = 5
+};
+
+enum { KIND_SOA_LOW = 0, KIND_SOA_HIGH = 1, KIND_DIVERGED = 2 };
+
+typedef struct {
+    double p1, p2, p3, p4, p5, g, gn, c1, c2, l;
+} Circuit;
+
+typedef struct {
+    double *t;
+    int64_t *k;
+    double *v;
+    int64_t n;    /* events seen, stored or not */
+    int64_t cap;  /* events stored: the first cap */
+} Events;
+
+static inline void push_event(Events *ev, double t, int64_t kind, double v)
+{
+    if (ev->n < ev->cap) {
+        ev->t[ev->n] = t;
+        ev->k[ev->n] = kind;
+        ev->v[ev->n] = v;
+    }
+    ev->n++;
+}
+
+static inline void record(double *times, double *states, int64_t j,
+                          double t, double v1, double v2, double il)
+{
+    times[j] = t;
+    states[3 * j] = v1;
+    states[3 * j + 1] = v2;
+    states[3 * j + 2] = il;
+}
+
+/* The closure `step` of _rk4_trajectory: one RK4 step in place. */
+static inline void step(const Circuit *q, double dt, double h,
+                        double *pa, double *pb, double *pc)
+{
+    const double a = *pa, b = *pb, c = *pc;
+    double ir, u, x, y, z;
+    double k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c;
+
+    ir = a * (q->p1 + a * (q->p2 + a * (q->p3 + a * (q->p4 + a * q->p5))))
+         - q->gn * a;
+    u = (b - a) * q->g;
+    k1a = (u - ir) / q->c1;
+    k1b = (c - u) / q->c2;
+    k1c = -b / q->l;
+    x = a + h * k1a;
+    y = b + h * k1b;
+    z = c + h * k1c;
+    ir = x * (q->p1 + x * (q->p2 + x * (q->p3 + x * (q->p4 + x * q->p5))))
+         - q->gn * x;
+    u = (y - x) * q->g;
+    k2a = (u - ir) / q->c1;
+    k2b = (z - u) / q->c2;
+    k2c = -y / q->l;
+    x = a + h * k2a;
+    y = b + h * k2b;
+    z = c + h * k2c;
+    ir = x * (q->p1 + x * (q->p2 + x * (q->p3 + x * (q->p4 + x * q->p5))))
+         - q->gn * x;
+    u = (y - x) * q->g;
+    k3a = (u - ir) / q->c1;
+    k3b = (z - u) / q->c2;
+    k3c = -y / q->l;
+    x = a + dt * k3a;
+    y = b + dt * k3b;
+    z = c + dt * k3c;
+    ir = x * (q->p1 + x * (q->p2 + x * (q->p3 + x * (q->p4 + x * q->p5))))
+         - q->gn * x;
+    u = (y - x) * q->g;
+    k4a = (u - ir) / q->c1;
+    k4b = (z - u) / q->c2;
+    k4c = -y / q->l;
+    *pa = a + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0;
+    *pb = b + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0;
+    *pc = c + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0;
+}
+
+/* The closure `f` of _dopri_trajectory: the circuit's vector field. */
+static inline void f(const Circuit *q, double a, double b, double c,
+                     double *fa, double *fb, double *fc)
+{
+    const double ir =
+        a * (q->p1 + a * (q->p2 + a * (q->p3 + a * (q->p4 + a * q->p5))))
+        - q->gn * a;
+    *fa = ((b - a) * q->g - ir) / q->c1;
+    *fb = ((a - b) * q->g + c) / q->c2;
+    *fc = -b / q->l;
+}
+
+/* _rk4_trajectory. `times` holds the (n_steps - rec_start) / stride + 1
+ * rows the Python kernel would allocate, `states` three times that, and
+ * the event buffers ev_cap entries each. On return out holds
+ * (rows recorded, status, events seen, n_intervals, lyap_status) and
+ * *acc_out the summed log stretch. */
+void memchua_rk4_trajectory(
+    double p1, double p2, double p3, double p4, double p5, double g,
+    double gn, double c1, double c2, double l,
+    double v1, double v2, double il, double dt, int64_t n_steps,
+    int64_t rec_start, int64_t stride, double v_min, double v_max,
+    double v_div, double i_div, int abort_on_soa, int shadow,
+    int64_t renorm_every, int64_t transient_steps, double d0,
+    double *times, double *states, double *ev_t, int64_t *ev_k,
+    double *ev_v, int64_t ev_cap, int64_t *out, double *acc_out)
+{
+    const Circuit q = {p1, p2, p3, p4, p5, g, gn, c1, c2, l};
+    const double h = 0.5 * dt;
+    Events ev = {ev_t, ev_k, ev_v, 0, ev_cap};
+    int recording = rec_start <= n_steps;
+    int64_t j = 0;
+    int64_t status = STATUS_OK;
+    double w1 = v1 + d0;
+    double w2 = v2;
+    double wl = il;
+    double acc = 0.0;
+    int64_t ni = 0;
+    int64_t lyap_status = STATUS_OK;
+    int inside = v_min <= v1 && v1 <= v_max;
+    int64_t last, k;
+
+    if (recording && !inside) {
+        push_event(&ev, 0.0, v1 < v_min ? KIND_SOA_LOW : KIND_SOA_HIGH, v1);
+        if (abort_on_soa) {
+            status = STATUS_SOA_ABORT;
+            recording = 0;
+        }
+    }
+    if (recording && rec_start == 0) {
+        record(times, states, j, 0.0, v1, v2, il);
+        j++;
+    }
+
+    last = recording || shadow ? n_steps : 0;
+    for (k = 1; k <= last; k++) {
+        step(&q, dt, h, &v1, &v2, &il);
+        if (shadow)
+            step(&q, dt, h, &w1, &w2, &wl);
+
+        if (!(-v_div <= v1 && v1 <= v_div && -v_div <= v2 && v2 <= v_div
+              && -i_div <= il && il <= i_div)) {
+            if (recording) {
+                push_event(&ev, (double)k * dt, KIND_DIVERGED, v1);
+                status = STATUS_DIVERGED;
+            }
+            if (shadow)
+                lyap_status = STATUS_DIVERGED;
+            break;
+        }
+
+        if (recording) {
+            const double t = (double)k * dt;
+            const int now_inside = v_min <= v1 && v1 <= v_max;
+            if (inside && !now_inside) {
+                push_event(&ev, t, v1 < v_min ? KIND_SOA_LOW : KIND_SOA_HIGH,
+                           v1);
+                if (abort_on_soa) {
+                    status = STATUS_SOA_ABORT;
+                    recording = 0;
+                    if (!shadow)
+                        break;
+                }
+            }
+            inside = now_inside;
+
+            if (recording && k >= rec_start && (k - rec_start) % stride == 0) {
+                record(times, states, j, t, v1, v2, il);
+                j++;
+            }
+        }
+
+        if (shadow && k % renorm_every == 0) {
+            const double dx = w1 - v1;
+            const double dy = w2 - v2;
+            const double dz = wl - il;
+            const double d = sqrt(dx * dx + dy * dy + dz * dz);
+            if (!isfinite(d) || d <= 0.0) {
+                lyap_status = STATUS_SHADOW_FAIL;
+                shadow = 0;
+                if (!recording)
+                    break;
+            } else {
+                double s;
+                if (k - renorm_every >= transient_steps) {
+                    acc += log(d / d0);
+                    ni++;
+                }
+                s = d0 / d;
+                w1 = v1 + dx * s;
+                w2 = v2 + dy * s;
+                wl = il + dz * s;
+            }
+        }
+    }
+
+    out[0] = j;
+    out[1] = status;
+    out[2] = ev.n;
+    out[3] = ni;
+    out[4] = lyap_status;
+    *acc_out = acc;
+}
+
+/* Double the record buffers; 0 on success, -1 (buffers untouched) when
+ * memory runs out. */
+static int grow(double **times, double **states, int64_t *cap)
+{
+    const int64_t ncap = *cap * 2;
+    double *nt, *ns;
+
+    nt = realloc(*times, (size_t)ncap * sizeof(double));
+    if (nt == NULL)
+        return -1;
+    *times = nt;
+    ns = realloc(*states, (size_t)ncap * 3 * sizeof(double));
+    if (ns == NULL)
+        return -1;
+    *states = ns;
+    *cap = ncap;
+    return 0;
+}
+
+/* _dopri_trajectory. The record buffers start at 1024 rows and double as
+ * needed; on return *times_out and *states_out hold them (free both with
+ * memchua_free), out holds (rows recorded, status, events seen). Returns
+ * 0, or -1 with nothing to free when memory ran out. */
+int memchua_dopri_trajectory(
+    double p1, double p2, double p3, double p4, double p5, double g,
+    double gn, double c1, double c2, double l,
+    double v1, double v2, double il, double t_end, double t_transient,
+    int64_t stride, double abs_tol, double rel_tol, double h0, double h_max,
+    double v_min, double v_max, double v_div, double i_div,
+    int abort_on_soa, int64_t max_steps,
+    double *ev_t, int64_t *ev_k, double *ev_v, int64_t ev_cap,
+    double **times_out, double **states_out, int64_t *out)
+{
+    const Circuit q = {p1, p2, p3, p4, p5, g, gn, c1, c2, l};
+    int64_t cap = 1024;
+    double *times = malloc((size_t)cap * sizeof(double));
+    double *states = malloc((size_t)cap * 3 * sizeof(double));
+    Events ev = {ev_t, ev_k, ev_v, 0, ev_cap};
+    int64_t j = 0;
+    int64_t status = STATUS_OK;
+    int inside = v_min <= v1 && v1 <= v_max;
+    int64_t rec_count = -1;
+    double t = 0.0;
+    double h = h0;
+    int64_t iters = 0;
+    double x, y, z, r, r2, r3, fac;
+    double k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c;
+    double k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c;
+    double nv1, nv2, nil, e1, e2, e3;
+
+    if (times == NULL || states == NULL)
+        goto out_of_memory;
+
+    if (!inside) {
+        push_event(&ev, 0.0, v1 < v_min ? KIND_SOA_LOW : KIND_SOA_HIGH, v1);
+        if (abort_on_soa)
+            status = STATUS_SOA_ABORT;
+    }
+
+    if (status == STATUS_OK && t_transient <= 0.0) {
+        record(times, states, j, 0.0, v1, v2, il);
+        j++;
+        rec_count = 0;
+    }
+
+    /* first same as last: an accepted step's k7 is the next step's k1, and
+     * a rejected step leaves the state, and so k1, unchanged */
+    f(&q, v1, v2, il, &k1a, &k1b, &k1c);
+    while (status == STATUS_OK && t < t_end) {
+        iters++;
+        if (iters > max_steps) {
+            status = STATUS_STEP_LIMIT;
+            break;
+        }
+        if (h < 1e-15) {
+            status = STATUS_STEP_UNDERFLOW;
+            break;
+        }
+        if (t + h > t_end)
+            h = t_end - t;
+
+        x = v1 + h * 0.2 * k1a;
+        y = v2 + h * 0.2 * k1b;
+        z = il + h * 0.2 * k1c;
+        f(&q, x, y, z, &k2a, &k2b, &k2c);
+        x = v1 + h * (0.075 * k1a + 0.225 * k2a);
+        y = v2 + h * (0.075 * k1b + 0.225 * k2b);
+        z = il + h * (0.075 * k1c + 0.225 * k2c);
+        f(&q, x, y, z, &k3a, &k3b, &k3c);
+        x = v1 + h * ((44.0 / 45.0) * k1a - (56.0 / 15.0) * k2a
+                      + (32.0 / 9.0) * k3a);
+        y = v2 + h * ((44.0 / 45.0) * k1b - (56.0 / 15.0) * k2b
+                      + (32.0 / 9.0) * k3b);
+        z = il + h * ((44.0 / 45.0) * k1c - (56.0 / 15.0) * k2c
+                      + (32.0 / 9.0) * k3c);
+        f(&q, x, y, z, &k4a, &k4b, &k4c);
+        x = v1 + h * ((19372.0 / 6561.0) * k1a - (25360.0 / 2187.0) * k2a
+                      + (64448.0 / 6561.0) * k3a - (212.0 / 729.0) * k4a);
+        y = v2 + h * ((19372.0 / 6561.0) * k1b - (25360.0 / 2187.0) * k2b
+                      + (64448.0 / 6561.0) * k3b - (212.0 / 729.0) * k4b);
+        z = il + h * ((19372.0 / 6561.0) * k1c - (25360.0 / 2187.0) * k2c
+                      + (64448.0 / 6561.0) * k3c - (212.0 / 729.0) * k4c);
+        f(&q, x, y, z, &k5a, &k5b, &k5c);
+        x = v1 + h * ((9017.0 / 3168.0) * k1a - (355.0 / 33.0) * k2a
+                      + (46732.0 / 5247.0) * k3a + (49.0 / 176.0) * k4a
+                      - (5103.0 / 18656.0) * k5a);
+        y = v2 + h * ((9017.0 / 3168.0) * k1b - (355.0 / 33.0) * k2b
+                      + (46732.0 / 5247.0) * k3b + (49.0 / 176.0) * k4b
+                      - (5103.0 / 18656.0) * k5b);
+        z = il + h * ((9017.0 / 3168.0) * k1c - (355.0 / 33.0) * k2c
+                      + (46732.0 / 5247.0) * k3c + (49.0 / 176.0) * k4c
+                      - (5103.0 / 18656.0) * k5c);
+        f(&q, x, y, z, &k6a, &k6b, &k6c);
+        nv1 = v1 + h * ((35.0 / 384.0) * k1a + (500.0 / 1113.0) * k3a
+                        + (125.0 / 192.0) * k4a - (2187.0 / 6784.0) * k5a
+                        + (11.0 / 84.0) * k6a);
+        nv2 = v2 + h * ((35.0 / 384.0) * k1b + (500.0 / 1113.0) * k3b
+                        + (125.0 / 192.0) * k4b - (2187.0 / 6784.0) * k5b
+                        + (11.0 / 84.0) * k6b);
+        nil = il + h * ((35.0 / 384.0) * k1c + (500.0 / 1113.0) * k3c
+                        + (125.0 / 192.0) * k4c - (2187.0 / 6784.0) * k5c
+                        + (11.0 / 84.0) * k6c);
+        f(&q, nv1, nv2, nil, &k7a, &k7b, &k7c);
+        e1 = h * ((71.0 / 57600.0) * k1a - (71.0 / 16695.0) * k3a
+                  + (71.0 / 1920.0) * k4a - (17253.0 / 339200.0) * k5a
+                  + (22.0 / 525.0) * k6a - 0.025 * k7a);
+        e2 = h * ((71.0 / 57600.0) * k1b - (71.0 / 16695.0) * k3b
+                  + (71.0 / 1920.0) * k4b - (17253.0 / 339200.0) * k5b
+                  + (22.0 / 525.0) * k6b - 0.025 * k7b);
+        e3 = h * ((71.0 / 57600.0) * k1c - (71.0 / 16695.0) * k3c
+                  + (71.0 / 1920.0) * k4c - (17253.0 / 339200.0) * k5c
+                  + (22.0 / 525.0) * k6c - 0.025 * k7c);
+
+        r = fabs(e1) / (abs_tol + rel_tol * fabs(v1));
+        r2 = fabs(e2) / (abs_tol + rel_tol * fabs(v2));
+        r3 = fabs(e3) / (abs_tol + rel_tol * fabs(il));
+        if (r2 > r)
+            r = r2;
+        if (r3 > r)
+            r = r3;
+        if (!isfinite(r))
+            r = 2.0;
+
+        if (r <= 1.0) {
+            int now_inside;
+
+            t = t + h;
+            v1 = nv1;
+            v2 = nv2;
+            il = nil;
+            k1a = k7a;
+            k1b = k7b;
+            k1c = k7c;
+
+            if (!(-v_div <= v1 && v1 <= v_div && -v_div <= v2 && v2 <= v_div
+                  && -i_div <= il && il <= i_div)) {
+                push_event(&ev, t, KIND_DIVERGED, v1);
+                status = STATUS_DIVERGED;
+                break;
+            }
+
+            now_inside = v_min <= v1 && v1 <= v_max;
+            if (inside && !now_inside) {
+                push_event(&ev, t, v1 < v_min ? KIND_SOA_LOW : KIND_SOA_HIGH,
+                           v1);
+                if (abort_on_soa) {
+                    status = STATUS_SOA_ABORT;
+                    break;
+                }
+            }
+            inside = now_inside;
+
+            if (t >= t_transient) {
+                rec_count++;
+                if (rec_count % stride == 0) {
+                    if (j >= cap && grow(&times, &states, &cap) != 0)
+                        goto out_of_memory;
+                    record(times, states, j, t, v1, v2, il);
+                    j++;
+                }
+            }
+
+            if (r == 0.0) {
+                fac = 5.0;
+            } else {
+                fac = 0.9 * pow(r, -0.2);
+                if (fac > 5.0)
+                    fac = 5.0;
+                else if (fac < 0.2)
+                    fac = 0.2;
+            }
+            h = h * fac;
+            if (h > h_max)
+                h = h_max;
+        } else {
+            fac = 0.9 * pow(r, -0.2);
+            if (fac < 0.2)
+                fac = 0.2;
+            h = h * fac;
+        }
+    }
+
+    *times_out = times;
+    *states_out = states;
+    out[0] = j;
+    out[1] = status;
+    out[2] = ev.n;
+    return 0;
+
+out_of_memory:
+    free(times);
+    free(states);
+    return -1;
+}
+
+void memchua_free(void *p)
+{
+    free(p);
+}

@@ -11,7 +11,7 @@ variability.
 """
 
 import csv
-
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -251,8 +251,8 @@ class LyapunovResult:
 def _shadow_args(params: CircuitParams, cfg: IntegrationConfig, d0: float,
                  renorm_interval: Optional[float]) -> tuple:
     """Trailing (shadow) arguments of kernels.rk4_trajectory."""
-    if d0 <= 0:
-        raise ValueError("d0 must be positive")
+    if not 0 < d0 < math.inf:
+        raise ValueError(f"d0 must be finite and positive, got {d0}")
     tau = float(renorm_interval) if renorm_interval else params.time_unit
     renorm_every = max(1, _steps_for(tau, cfg.dt))
     return True, renorm_every, _steps_for(cfg.t_transient, cfg.dt), d0

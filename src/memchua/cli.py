@@ -200,6 +200,13 @@ def load_config(path) -> RunConfig:
         init = tuple(float(x) for x in cfg["initial_state"])
         if len(init) != 3:
             raise InputFormatError("initial_state needs 3 components")
+        if not all(map(math.isfinite, init)):
+            raise InputFormatError(
+                f"initial_state must be finite, got {list(init)}")
+        d0 = float(cfg["lyapunov"]["d0"])
+        if not 0 < d0 < math.inf:
+            raise InputFormatError(
+                f"lyapunov.d0 must be finite and > 0, got {d0}")
 
         a = cfg["analysis"]
         acfg = AnalysisConfig(
@@ -213,7 +220,7 @@ def load_config(path) -> RunConfig:
         return RunConfig(table=table, state=state, spec=spec,
                          components=cfg["components"], method=method,
                          integration=icfg, initial_state=init, analysis=acfg,
-                         lyap_d0=float(cfg["lyapunov"]["d0"]),
+                         lyap_d0=d0,
                          sweep=_sweep_block(cfg["sweep"], state.r_prog),
                          out_dir=str(cfg["out_dir"]))
     except InputFormatError:

@@ -12,20 +12,47 @@ stages, and the reference and the shadow each call it once per step: on the
 pure path a step costs two Python calls, not one per field evaluation. The
 DOPRI5 kernel reuses an accepted step's last stage as the next step's first.
 
-Everything here is written as scalar-unrolled loops over the three circuit
-state variables so that numba can compile it to tight machine code. numba is
-optional (the ``fast`` extra); when it does not import, the same functions
-run as plain Python over numpy storage (correct but much slower, and fast
-only with Python-float arguments). The undecorated implementations stay
-importable via ``PURE_KERNELS`` as the reference that the parity tests
-compare the selected path against.
+Kernel backends, chosen once at import and named by ``BACKEND``:
+
+``"numba"``
+    numba imports (the ``fast`` extra): the Python kernels below are
+    compiled with ``numba.njit``. They are written as scalar-unrolled loops
+    over the three circuit state variables for this.
+``"c"``
+    otherwise, ``_kernels.c``, a line-for-line C port of the same two
+    kernels, built with the compiler Python was built with (the first word
+    of ``sysconfig.get_config_var("CC")``, else ``cc``) and loaded through
+    ctypes. It is compiled with ``-ffp-contract=off`` and without
+    ``-ffast-math``: no multiply and add are fused into one rounding and no
+    operation is reordered, so every double matches the Python kernels bit
+    for bit. The library is cached in this package's ``__pycache__`` as
+    ``_kernels-<hash>.so``, the hash covering the source, the flags, the
+    compiler and the machine, so only the first import after a change
+    compiles. It is written under a temporary name and renamed into place,
+    which makes concurrent builds safe; where ``__pycache__`` cannot be
+    written it is built in a temporary directory for this process alone.
+``"python"``
+    when the C build fails (no compiler, a compile error, a library that
+    does not load): the Python kernels run as they are, correct but 10 to
+    40 times slower. ``C_BUILD_ERROR`` keeps the reason.
+
+The undecorated Python kernels stay importable via ``PURE_KERNELS`` as the
+reference that the parity tests compare every other backend against.
 
 Kernels return flat numpy arrays plus integer status/event codes; the
 wrapper layer in :mod:`memchua.integrate` and :mod:`memchua.analysis` turns
 those into the public result types.
 """
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -400,9 +427,188 @@ PURE_KERNELS = {
     "dopri_trajectory": _dopri_trajectory,
 }
 
+_C_SOURCE = Path(__file__).with_name("_kernels.c")
+_C_CACHE = Path(__file__).with_name("__pycache__")
+_C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_C_LIBS = ("-lm",)
+_C_BUILD_TIMEOUT_S = 300
+_I64_MIN, _I64_MAX = -2**63, 2**63 - 1
+
+
+def _compiler():
+    """The compiler Python was built with, else ``cc``."""
+    words = (sysconfig.get_config_var("CC") or "").split()
+    return words[0] if words else "cc"
+
+
+def _c_ints(*values):
+    # ctypes wraps an int that overflows int64 silently
+    for v in values:
+        if not _I64_MIN <= v <= _I64_MAX:
+            raise OverflowError(f"{v} does not fit the C kernels' int64")
+
+
+def _bind(lib):
+    """The kernels of a loaded ``_kernels.c`` library, behind wrappers with
+    the Python kernels' signatures, defaults and return values.
+
+    The wrappers allocate every buffer the C code writes to, with sizes
+    computed here as the Python kernels compute them, and reject a stride
+    or renormalization interval below 1, which the C code would divide by
+    or misread. Raises AttributeError when a symbol is missing.
+    """
+    f64, i64, flag, ptr = (ctypes.c_double, ctypes.c_int64, ctypes.c_int,
+                           ctypes.c_void_p)
+    i64_out = ctypes.POINTER(ctypes.c_int64)
+    c_rk4 = lib.memchua_rk4_trajectory
+    c_rk4.argtypes = ([f64] * 14 + [i64] * 3 + [f64] * 4 + [flag] * 2
+                      + [i64] * 2 + [f64] + [ptr] * 5
+                      + [i64, i64_out, ctypes.POINTER(f64)])
+    c_rk4.restype = None
+    c_dopri = lib.memchua_dopri_trajectory
+    c_dopri.argtypes = ([f64] * 15 + [i64] + [f64] * 8 + [flag, i64]
+                        + [ptr] * 3 + [i64] + [ctypes.POINTER(ptr)] * 2
+                        + [i64_out])
+    c_dopri.restype = ctypes.c_int
+    c_free = lib.memchua_free
+    c_free.argtypes = [ptr]
+    c_free.restype = None
+
+    def rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
+                       v1, v2, il, dt, n_steps, rec_start, stride,
+                       v_min, v_max, v_div, i_div, abort_on_soa,
+                       shadow=False, renorm_every=1, transient_steps=0,
+                       d0=1e-8):
+        """``_rk4_trajectory`` run by the C build."""
+        _c_ints(n_steps, rec_start, stride, renorm_every, transient_steps)
+        if stride < 1 or (shadow and renorm_every < 1):
+            raise ValueError("stride and renorm_every must be >= 1")
+        recording = rec_start <= n_steps
+        n_rec = (n_steps - rec_start) // stride + 1 if recording else 0
+        times = np.empty(n_rec)
+        states = np.empty((n_rec, 3))
+        ev_t = np.empty(_EV_CAP)
+        ev_k = np.empty(_EV_CAP, np.int64)
+        ev_v = np.empty(_EV_CAP)
+        out = (ctypes.c_int64 * 5)()
+        acc = ctypes.c_double()
+        c_rk4(p1, p2, p3, p4, p5, g, gn, c1, c2, l, v1, v2, il, dt, n_steps,
+              rec_start, stride, v_min, v_max, v_div, i_div,
+              bool(abort_on_soa), bool(shadow), renorm_every,
+              transient_steps, d0, times.ctypes.data, states.ctypes.data,
+              ev_t.ctypes.data, ev_k.ctypes.data, ev_v.ctypes.data, _EV_CAP,
+              out, ctypes.byref(acc))
+        j, status, nev, ni, lyap_status = out
+        kept = min(nev, _EV_CAP)
+        return (times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
+                ev_k[:kept].copy(), ev_v[:kept].copy(), status,
+                acc.value, ni, lyap_status, nev - kept)
+
+    def dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
+                         v1, v2, il, t_end, t_transient, stride,
+                         abs_tol, rel_tol, h0, h_max,
+                         v_min, v_max, v_div, i_div, abort_on_soa, max_steps):
+        """``_dopri_trajectory`` run by the C build."""
+        _c_ints(stride, max_steps)
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        ev_t = np.empty(_EV_CAP)
+        ev_k = np.empty(_EV_CAP, np.int64)
+        ev_v = np.empty(_EV_CAP)
+        times_p, states_p = ctypes.c_void_p(), ctypes.c_void_p()
+        out = (ctypes.c_int64 * 3)()
+        if c_dopri(p1, p2, p3, p4, p5, g, gn, c1, c2, l, v1, v2, il, t_end,
+                   t_transient, stride, abs_tol, rel_tol, h0, h_max, v_min,
+                   v_max, v_div, i_div, bool(abort_on_soa), max_steps,
+                   ev_t.ctypes.data, ev_k.ctypes.data, ev_v.ctypes.data,
+                   _EV_CAP, ctypes.byref(times_p), ctypes.byref(states_p),
+                   out) != 0:
+            raise MemoryError("no memory for the DOPRI5 record")
+        j, status, nev = out
+        try:
+            times = np.empty(j)
+            states = np.empty((j, 3))
+            ctypes.memmove(times.ctypes.data, times_p, times.nbytes)
+            ctypes.memmove(states.ctypes.data, states_p, states.nbytes)
+        finally:
+            c_free(times_p)
+            c_free(states_p)
+        kept = min(nev, _EV_CAP)
+        return (times, states, ev_t[:kept].copy(), ev_k[:kept].copy(),
+                ev_v[:kept].copy(), status, nev - kept)
+
+    return {"rk4_trajectory": rk4_trajectory,
+            "dopri_trajectory": dopri_trajectory}
+
+
+def _compile_and_bind(cc, out):
+    """Compile _kernels.c to `out` and load it: (kernels, None) or
+    (None, reason)."""
+    cmd = [cc, *_C_FLAGS, "-o", str(out), str(_C_SOURCE), *_C_LIBS]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=_C_BUILD_TIMEOUT_S)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        return None, f"cannot run {cc}: {exc}"
+    if proc.returncode != 0:
+        return None, (f"{' '.join(cmd)} exited {proc.returncode}: "
+                      f"{proc.stderr.strip()}")
+    try:
+        return _bind(ctypes.CDLL(str(out))), None
+    except (OSError, AttributeError) as exc:
+        return None, f"cannot load the built library: {exc}"
+
+
+def _load_c():
+    """The C kernels, from the cache or freshly built into it.
+
+    Returns (kernels, None), or (None, reason) when they cannot be built or
+    loaded. A cached library that does not load (truncated, say) is built
+    again; a cache that cannot be written gets a build in a temporary
+    directory that is removed once the library is loaded.
+    """
+    cc = _compiler()
+    try:
+        source = _C_SOURCE.read_bytes()
+    except OSError as exc:
+        return None, f"cannot read {_C_SOURCE}: {exc}"
+    key = hashlib.sha256()
+    for part in (source, *_C_FLAGS, *_C_LIBS, cc, platform.machine()):
+        key.update(part if isinstance(part, bytes) else part.encode())
+        key.update(b"\0")
+    target = _C_CACHE / f"_kernels-{key.hexdigest()[:16]}.so"
+    try:
+        return _bind(ctypes.CDLL(str(target))), None
+    except (OSError, AttributeError):
+        pass  # not built yet, or unloadable: build it
+    try:
+        _C_CACHE.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp",
+                                   dir=_C_CACHE)
+        os.close(fd)
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="memchua-") as private:
+            return _compile_and_bind(cc, Path(private) / target.name)
+    # load the fresh build under its own name, then publish it: a rename is
+    # atomic, so a concurrent loader sees no file or a whole one
+    found, reason = _compile_and_bind(cc, tmp)
+    try:
+        if found is not None:
+            os.replace(tmp, target)
+    except OSError:
+        pass  # loaded all the same; the next import builds again
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return found, reason
+
+
+C_BUILD_ERROR = None
 if USE_NUMBA:
+    BACKEND = "numba"
     rk4_trajectory = numba.njit(cache=True)(_rk4_trajectory)
     dopri_trajectory = numba.njit(cache=True)(_dopri_trajectory)
 else:
-    rk4_trajectory = _rk4_trajectory
-    dopri_trajectory = _dopri_trajectory
+    _C_KERNELS, C_BUILD_ERROR = _load_c()
+    BACKEND = "c" if _C_KERNELS else "python"
+    rk4_trajectory = (_C_KERNELS or PURE_KERNELS)["rk4_trajectory"]
+    dopri_trajectory = (_C_KERNELS or PURE_KERNELS)["dopri_trajectory"]

@@ -497,6 +497,31 @@ class TestSweep:
         assert not (out / "bifurcation.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("override, error", [
+    ({"lyapunov": {"d0": -1.0}}, "lyapunov.d0 must be finite and > 0"),
+    ({"lyapunov": {"d0": 0.0}}, "lyapunov.d0 must be finite and > 0"),
+    ({"lyapunov": {"d0": float("nan")}}, "lyapunov.d0 must be finite and > 0"),
+    ({"lyapunov": {"d0": float("inf")}}, "lyapunov.d0 must be finite and > 0"),
+    ({"initial_state": [float("nan"), 0.0, 0.0]},
+     "initial_state must be finite"),
+    ({"initial_state": [0.1, float("inf"), 0.0]},
+     "initial_state must be finite"),
+], ids=["d0-neg", "d0-zero", "d0-nan", "d0-inf", "init-nan", "init-inf"])
+def test_bad_start_value_is_parse_error(tmp_path, capsys, command, override,
+                                        error):
+    # each once ended in a traceback (exit 1), or for d0 = nan in a run
+    # that reported no exponent
+    cfg = write_config(tmp_path / "c.yaml", integration=SHORT_INTEGRATION,
+                       sweep=SMALL_SWEEP, **override)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert error in err[0]
+    assert not out.exists()
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import shutil
 import sys
 from dataclasses import replace
 
@@ -262,6 +263,28 @@ class TestKernelPathParity:
         assert pure[7] > 0 and pure[8] == kernels.STATUS_OK
 
 
+def assert_identical(got, want):
+    """Every returned array byte for byte, with its dtype and shape, and
+    every scalar equal and of the same type."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert type(a) is type(b) and a == b
+
+
+@pytest.fixture(scope="module")
+def c_kernels():
+    """The C build of the kernels, whichever backend this process selected."""
+    if shutil.which(kernels._compiler()) is None:
+        pytest.skip("no C compiler on PATH")
+    found, reason = kernels._load_c()
+    assert found is not None, reason
+    return found
+
+
 class TestRk4Oracle:
     """The pure RK4 kernel, whose step is one closure shared by the
     reference and the shadow, against the earlier eight-call kernel kept
@@ -269,68 +292,177 @@ class TestRk4Oracle:
     scalar equal."""
 
     N_STEPS = 1200
+    # random designs, starts, step sizes, recorder and shadow settings
+    CASES = st.fixed_dictionaries(dict(
+        seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.5),
+        v1=st.floats(-3.0, 3.0), v2=st.floats(-0.5, 0.5),
+        il=st.floats(-1e-3, 1e-3), dt=st.sampled_from([1e-6, 5e-6]),
+        rec_start=st.integers(0, N_STEPS + 1), stride=st.integers(1, 40),
+        abort=st.booleans(), shadow=st.booleans(),
+        gn_scale=st.sampled_from([1.0, 10.0, 1e3])))
 
-    @staticmethod
-    def run_both(params, init, dt, rec_start, stride, abort, shadow,
-                 d0=1e-8, n_steps=N_STEPS):
+    @pytest.fixture(scope="class")
+    def pair(self):
+        """(kernel under test, reference kernel)"""
+        return kernels.PURE_KERNELS["rk4_trajectory"], rk4_oracle
+
+    def run_both(self, pair, params, init, dt, rec_start, stride, abort,
+                 shadow, d0=1e-8, n_steps=N_STEPS):
         d = params.device
         args = (*params.kernel_args, *init, dt, n_steps, rec_start, stride,
                 d.v_min, d.v_max, 1e3 * params.voltage_scale,
                 1e3 * params.current_scale, abort, shadow, 50,
                 n_steps // 4, d0)
-        got = kernels.PURE_KERNELS["rk4_trajectory"](*args)
-        want = rk4_oracle(*args)
-        assert len(got) == len(want) == 10
-        for a, b in zip(got, want):
-            if isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
-            else:
-                assert a == b
+        got = pair[0](*args)
+        assert len(got) == 10
+        assert_identical(got, pair[1](*args))
         return got
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.5),
-           v1=st.floats(-3.0, 3.0), v2=st.floats(-0.5, 0.5),
-           il=st.floats(-1e-3, 1e-3), dt=st.sampled_from([1e-6, 5e-6]),
-           rec_start=st.integers(0, N_STEPS + 1), stride=st.integers(1, 40),
-           abort=st.booleans(), shadow=st.booleans(),
-           gn_scale=st.sampled_from([1.0, 10.0, 1e3]))
-    def test_matches_eight_call_kernel(self, designed, seed, sigma, v1, v2,
-                                       il, dt, rec_start, stride, abort,
-                                       shadow, gn_scale):
+    def run_case(self, pair, designed, seed, sigma, v1, v2, il, dt,
+                 rec_start, stride, abort, shadow, gn_scale):
         p = designed.params
         params = replace(p, device=m.perturb(p.device, sigma, seed),
                          g_n=p.g_n * gn_scale)
-        self.run_both(params, (v1, v2, il), dt, rec_start, stride, abort,
-                      shadow)
+        self.run_both(pair, params, (v1, v2, il), dt, rec_start, stride,
+                      abort, shadow)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=CASES)
+    def test_matches_eight_call_kernel(self, pair, designed, case):
+        self.run_case(pair, designed, **case)
 
     @pytest.mark.parametrize("abort", [False, True])
-    def test_forced_divergence(self, designed, abort):
+    def test_forced_divergence(self, pair, designed, abort):
         p = designed.params
         # a start far outside the window, and a negative conductance that
         # outgrows the device quintic
-        far = self.run_both(p, (2000.0, 0.0, 0.0), 1e-6, 0, 1, abort, True)
-        hot = self.run_both(replace(p, g_n=p.g_n * 1e3), (0.1, 0.0, 0.0),
-                            1e-6, 0, 1, abort, True)
+        far = self.run_both(pair, p, (2000.0, 0.0, 0.0), 1e-6, 0, 1, abort,
+                            True)
+        hot = self.run_both(pair, replace(p, g_n=p.g_n * 1e3),
+                            (0.1, 0.0, 0.0), 1e-6, 0, 1, abort, True)
         # under abort the record stops at the start; the shadow runs on
         assert far[5] == (kernels.STATUS_SOA_ABORT if abort
                           else kernels.STATUS_DIVERGED)
         assert far[8] == kernels.STATUS_DIVERGED
         assert hot[8] == kernels.STATUS_DIVERGED
 
-    def test_nan_starts(self, designed):
+    def test_nan_starts(self, pair, designed):
         p = designed.params
         # a NaN shadow offset fails the shadow alone at its first
         # renormalization
-        out = self.run_both(p, (0.1, 0.0, 0.0), 1e-6, 0, 7, False, True,
-                            d0=math.nan)
+        out = self.run_both(pair, p, (0.1, 0.0, 0.0), 1e-6, 0, 7, False,
+                            True, d0=math.nan)
         assert out[5] == kernels.STATUS_OK
         assert out[8] == kernels.STATUS_SHADOW_FAIL
         # a NaN reference start is recorded, then diverges at the first step
-        out = self.run_both(p, (math.nan, 0.0, 0.0), 1e-6, 0, 1, False, True)
+        out = self.run_both(pair, p, (math.nan, 0.0, 0.0), 1e-6, 0, 1, False,
+                            True)
         assert out[5] == kernels.STATUS_DIVERGED
         assert len(out[0]) == 1
+
+
+class TestRk4CParity:
+    """TestRk4Oracle's cases with the C build under test and the pure
+    kernel as the reference."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, c_kernels):
+        return (c_kernels["rk4_trajectory"],
+                kernels.PURE_KERNELS["rk4_trajectory"])
+
+    run_both = TestRk4Oracle.run_both
+    run_case = TestRk4Oracle.run_case
+    test_forced_divergence = TestRk4Oracle.test_forced_divergence
+    test_nan_starts = TestRk4Oracle.test_nan_starts
+
+    # its own function: hypothesis keys its example database by function
+    @settings(max_examples=60, deadline=None)
+    @given(case=TestRk4Oracle.CASES)
+    def test_matches_pure_kernel(self, pair, designed, case):
+        self.run_case(pair, designed, **case)
+
+
+class TestDopriCParity:
+    """The C build of the DOPRI5 kernel against the pure one: every
+    returned array byte for byte and every scalar equal, on each exit."""
+
+    @staticmethod
+    def run_both(c_kernels, params, init=(0.1, 0.0, 0.0), t_end=0.02,
+                 t_transient=0.0, stride=1, tol=(1e-9, 1e-7), abort=False,
+                 max_steps=20_000_000, div_factor=1e3):
+        d = params.device
+        args = (*params.kernel_args, *init, t_end, t_transient, stride, *tol,
+                min(t_end / 50.0, t_end * 1e-4), t_end / 50.0, d.v_min,
+                d.v_max, div_factor * params.voltage_scale,
+                div_factor * params.current_scale, abort, max_steps)
+        got = c_kernels["dopri_trajectory"](*args)
+        assert len(got) == 7
+        assert_identical(got, kernels.PURE_KERNELS["dopri_trajectory"](*args))
+        return got
+
+    @staticmethod
+    def windowed(params, half_width):
+        d = params.device
+        return replace(params, device=m.DevicePoly(
+            d.p1, d.p2, d.p3, d.p4, d.p5, v_min=-half_width,
+            v_max=half_width))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.5),
+           v1=st.floats(-3.0, 3.0), v2=st.floats(-0.5, 0.5),
+           il=st.floats(-1e-3, 1e-3), t_transient=st.floats(0.0, 0.004),
+           stride=st.integers(1, 7), abort=st.booleans(),
+           rel_tol=st.sampled_from([1e-5, 1e-7]),
+           gn_scale=st.sampled_from([1.0, 10.0, 1e3]))
+    def test_random_runs(self, c_kernels, designed, seed, sigma, v1, v2, il,
+                         t_transient, stride, abort, rel_tol, gn_scale):
+        p = designed.params
+        params = replace(p, device=m.perturb(p.device, sigma, seed),
+                         g_n=p.g_n * gn_scale)
+        self.run_both(c_kernels, params, (v1, v2, il), 0.005, t_transient,
+                      stride, (1e-9, rel_tol), abort)
+
+    def test_record_grows_past_first_buffer(self, c_kernels, designed):
+        out = self.run_both(c_kernels, designed.params, t_end=0.06)
+        assert len(out[0]) > 1024 and out[5] == kernels.STATUS_OK
+
+    def test_abort_at_window_crossing(self, c_kernels, designed):
+        out = self.run_both(c_kernels, self.windowed(designed.params, 0.5),
+                            abort=True)
+        assert out[5] == kernels.STATUS_SOA_ABORT and len(out[2]) == 1
+
+    def test_divergence(self, c_kernels, designed):
+        # a device whose current pushes v1 outward blows up in finite time;
+        # a 100x ceiling catches it before the step size underflows
+        p = designed.params
+        d = p.device
+        outward = replace(p, device=m.DevicePoly(
+            -d.p1, -d.p2, -d.p3, -d.p4, -d.p5, v_min=d.v_min, v_max=d.v_max))
+        out = self.run_both(c_kernels, outward, div_factor=100.0)
+        assert out[5] == kernels.STATUS_DIVERGED
+        assert out[3][-1] == kernels.KIND_DIVERGED
+
+    def test_step_underflow(self, c_kernels, designed):
+        out = self.run_both(c_kernels, designed.params, tol=(1e-300, 1e-300))
+        assert out[5] == kernels.STATUS_STEP_UNDERFLOW
+
+    def test_step_limit(self, c_kernels, designed):
+        out = self.run_both(c_kernels, designed.params, max_steps=300)
+        assert out[5] == kernels.STATUS_STEP_LIMIT
+
+    def test_events_past_cap(self, c_kernels, designed, monkeypatch):
+        # a +-50 mV window that the double scroll crosses on every swing
+        params = self.windowed(designed.params, 0.05)
+        monkeypatch.setattr(kernels, "_EV_CAP", 3)
+        out = self.run_both(c_kernels, params)
+        assert len(out[2]) == 3 and out[6] > 0
+        d = params.device
+        rk4_args = (*params.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000, 0, 10,
+                    d.v_min, d.v_max, 1e3 * params.voltage_scale,
+                    1e3 * params.current_scale, False)
+        got = c_kernels["rk4_trajectory"](*rk4_args)
+        assert_identical(got, kernels.PURE_KERNELS["rk4_trajectory"](*rk4_args))
+        assert len(got[2]) == 3 and got[9] > 0
 
 
 class TestCsvExport:
