@@ -90,7 +90,9 @@ def _parabola_vertex(t1, y1, t2, y2, t3, y3):
     h1 = t1 - t2
     h3 = t3 - t2
     denom = h1 * h3 * (h1 - h3)
-    if denom == 0.0:
+    # h3 == 0 with a non-finite h1 leaves denom NaN, not 0, and b below
+    # would divide by zero
+    if denom == 0.0 or h3 == 0.0:
         return None
     a = (h3 * (y1 - y2) - h1 * (y3 - y2)) / denom
     if a == 0.0:
@@ -121,24 +123,28 @@ def local_extrema(times, values):
     xc = x[starts]
     if xc.size < 3:
         return []
-    tc = 0.5 * (t[starts] + t[ends])
+
+    # candidates: compressed samples above, or below, both neighbours
+    mid = xc[1:-1]
+    is_max = (mid > xc[:-2]) & (mid > xc[2:])
+    j = np.flatnonzero(is_max | ((mid < xc[:-2]) & (mid < xc[2:]))) + 1
+    first, last = starts[j], ends[j]
+    # a one-sample run inside the compressed signal has a sample either side
+    lone = first == last
+    i = first[lone]
+    refined = map(_parabola_vertex, *(col.tolist() for col in (
+        t[i - 1], x[i - 1], t[i], x[i], t[i + 1], x[i + 1])))
 
     out = []
-    for j in range(1, xc.size - 1):
-        if xc[j] > xc[j - 1] and xc[j] > xc[j + 1]:
-            kind = "max"
-        elif xc[j] < xc[j - 1] and xc[j] < xc[j + 1]:
-            kind = "min"
-        else:
-            continue
-        ti, yi = tc[j], xc[j]
-        i = starts[j]
-        if i == ends[j] and 0 < i < x.size - 1:
-            ref = _parabola_vertex(t[i - 1], x[i - 1], t[i], x[i],
-                                   t[i + 1], x[i + 1])
+    for ti, yi, top, one in zip((0.5 * (t[first] + t[last])).tolist(),
+                                xc[j].tolist(), is_max[j - 1].tolist(),
+                                lone.tolist()):
+        if one:
+            ref = next(refined)
             if ref is not None:
                 ti, yi = ref
-        out.append(Extremum(time=float(ti), value=float(yi), kind=kind))
+        out.append(Extremum(time=ti, value=yi,
+                            kind="max" if top else "min"))
     return out
 
 def cluster_count(values, tol: float) -> int:
@@ -291,6 +297,26 @@ def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
     return _lyapunov_result(params, cfg, shadow, out)
 
 
+def _fused_args(params: CircuitParams, init, cfg: IntegrationConfig,
+                d0: float, renorm_interval: Optional[float]) -> tuple:
+    """kernels.rk4_trajectory arguments with the recorder and the shadow
+    both on."""
+    shadow = _shadow_args(params, cfg, d0, renorm_interval)
+    return (*_rk4_args(params, init, cfg), *shadow)
+
+
+def _fused_result(params: CircuitParams, cfg: IntegrationConfig,
+                  args: tuple, out: tuple):
+    """trajectory_and_lyapunov's result from the kernel's `out` for
+    `args`."""
+    traj = _build(*out[:6], out[9])
+    try:
+        lyap = _lyapunov_result(params, cfg, args[-4:], out)
+    except LyapunovError:
+        lyap = None
+    return traj, lyap
+
+
 def trajectory_and_lyapunov(
         params: CircuitParams, init, cfg: IntegrationConfig,
         d0: float = 1e-8, renorm_interval: Optional[float] = None,
@@ -303,14 +329,8 @@ def trajectory_and_lyapunov(
     (the reference diverged, the shadow collapsed, or no interval
     completed after the transient).
     """
-    shadow = _shadow_args(params, cfg, d0, renorm_interval)
-    out = kernels.rk4_trajectory(*_rk4_args(params, init, cfg), *shadow)
-    traj = _build(*out[:6], out[9])
-    try:
-        lyap = _lyapunov_result(params, cfg, shadow, out)
-    except LyapunovError:
-        lyap = None
-    return traj, lyap
+    args = _fused_args(params, init, cfg, d0, renorm_interval)
+    return _fused_result(params, cfg, args, kernels.rk4_trajectory(*args))
 
 
 def perturb(poly: DevicePoly, sigma: float, seed) -> DevicePoly:
@@ -350,9 +370,11 @@ def _unrun_point(r, seed_k, reason):
                       TrajectoryClass(Label.INCONCLUSIVE, Side.NONE, None, 0),
                       seed_k, False, reason=reason)
 
-def _sweep_point(args):
+def _prepare_point(task):
+    """A sweep task's circuit and fused kernel arguments, or its
+    _unrun_point when it stops before integration."""
     (r, table, spec, icfg, acfg, mode, sigma, seed_k, init, ref_params,
-     d0) = args
+     d0) = task
     state = state_at(table, r)
     try:
         poly = perturb(state.poly, sigma, seed_k)
@@ -369,8 +391,13 @@ def _sweep_point(args):
                 spec).require_ok().params
         except DesignError as exc:
             return _unrun_point(r, seed_k, f"design failure: {exc}")
+    return params, _fused_args(params, init, icfg, d0, None)
 
-    traj, lyap = trajectory_and_lyapunov(params, init, icfg, d0=d0)
+
+def _sweep_point(task, params, args, out):
+    """A sweep point from the kernel's `out` for its fused `args`."""
+    r, _, _, icfg, acfg, _, _, seed_k, _, _, _ = task
+    traj, lyap = _fused_result(params, icfg, args, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
     extrema = (local_extrema(traj.times, traj.v1) if len(traj.times) >= 3
                else [])
@@ -384,6 +411,17 @@ def _sweep_point(args):
                   "(soa_policy abort)" if traj.aborted_on_soa
                   else "too few samples or extrema to classify")
     return SweepPoint(r, values, verdict, seed_k, soa, reason)
+
+
+def _sweep_points(tasks):
+    """The sweep points of a few tasks, in order; the kernels step the
+    points that run two at a time (kernels.rk4_trajectories)."""
+    prepared = [_prepare_point(task) for task in tasks]
+    ran = [p for p in prepared if not isinstance(p, SweepPoint)]
+    outs = iter(kernels.rk4_trajectories([args for _, args in ran]))
+    return [p if isinstance(p, SweepPoint)
+            else _sweep_point(task, *p, next(outs))
+            for task, p in zip(tasks, prepared)]
 
 def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
           acfg: AnalysisConfig, r_lo: float, r_hi: float, n_points: int,
@@ -421,12 +459,15 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
               int(seed) + k, tuple(init), ref_params, d0)
              for k, r in enumerate(rs)]
 
+    # in pairs, which the C kernels step together; a batch holds its points'
+    # records at once, so it stays at two
+    pairs = [tasks[k:k + 2] for k in range(0, len(tasks), 2)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, tasks))
+            batches = list(pool.map(_sweep_points, pairs))
     else:
-        points = [_sweep_point(t) for t in tasks]
-    return points
+        batches = [_sweep_points(pair) for pair in pairs]
+    return [point for batch in batches for point in batch]
 
 def write_bifurcation_csv(path, points):
     """One row per extremum: r_prog_ohm, extremum_v1_V, class."""

@@ -123,6 +123,27 @@ class RunConfig:
     out_dir: str = "out"
 
 
+def _number(value, key, kind=float):
+    """The config value of `key` (a dotted path below config) as a float,
+    or as an int with kind=int; any other value raises InputFormatError
+    naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise InputFormatError(
+            f"config.{key}: expected {noun}, got {value!r}") from None
+
+
+def _numbers(value, key):
+    """The config list of `key` as floats; anything but a list of numbers
+    raises InputFormatError naming the key or the entry."""
+    if not isinstance(value, (list, tuple)):
+        raise InputFormatError(
+            f"config.{key}: expected a list of numbers, got {value!r}")
+    return [_number(v, f"{key}[{k}]") for k, v in enumerate(value)]
+
+
 def _sweep_block(sw, ref_r) -> dict:
     """The sweep block converted and checked, with r_lo/r_hi resolved to
     ohms: an unset (or zero) bound is its fraction of ref_r."""
@@ -131,19 +152,20 @@ def _sweep_block(sw, ref_r) -> dict:
     if out["mode"] not in ("fixed", "redesign"):
         raise InputFormatError(
             f"sweep.mode must be fixed|redesign, got {out['mode']}")
-    out["n_points"] = int(sw["n_points"])
+    out["n_points"] = _number(sw["n_points"], "sweep.n_points", int)
     if out["n_points"] < 1:
         raise InputFormatError(
             f"sweep.n_points must be >= 1, got {out['n_points']}")
-    out["sigma"] = float(sw["sigma"])
+    out["sigma"] = _number(sw["sigma"], "sweep.sigma")
     if not (math.isfinite(out["sigma"]) and out["sigma"] >= 0):
         raise InputFormatError(
             f"sweep.sigma must be finite and >= 0, got {out['sigma']}")
-    out["seed"] = int(sw["seed"])
-    out["workers"] = int(sw["workers"])
+    out["seed"] = _number(sw["seed"], "sweep.seed", int)
+    out["workers"] = _number(sw["workers"], "sweep.workers", int)
     for end in ("r_lo", "r_hi"):
-        out[end] = (float(sw[end]) if sw[end]
-                    else float(sw[f"{end}_frac"]) * ref_r)
+        frac = f"{end}_frac"
+        out[end] = (_number(sw[end], f"sweep.{end}") if sw[end]
+                    else _number(sw[frac], f"sweep.{frac}") * ref_r)
     if not 0 < out["r_lo"] <= out["r_hi"] < math.inf:
         raise InputFormatError(
             f"sweep range needs 0 < r_lo <= r_hi < inf, got "
@@ -172,50 +194,48 @@ def load_config(path) -> RunConfig:
         if dev["table_csv"]:
             table = load_state_table(dev["table_csv"])
         elif dev["coefficients"] is not None:
-            coefs = [float(c) for c in dev["coefficients"]]
+            coefs = _numbers(dev["coefficients"], "device.coefficients")
             if len(coefs) != 5:
                 raise InputFormatError("device.coefficients needs 5 entries")
-            poly = DevicePoly(*coefs, v_min=-float(dev["v_set"]),
-                              v_max=float(dev["v_stop"]))
+            v_set = _number(dev["v_set"], "device.v_set")
+            v_stop = _number(dev["v_stop"], "device.v_stop")
+            poly = DevicePoly(*coefs, v_min=-v_set, v_max=v_stop)
             table = StateTable((DeviceState(
-                resistance_at_low_bias(poly), float(dev["v_set"]),
-                float(dev["v_stop"]), poly),))
+                resistance_at_low_bias(poly), v_set, v_stop, poly),))
         else:
             table = reference_table()
-        state = (state_at(table, float(dev["r_prog"]))
+        state = (state_at(table, _number(dev["r_prog"], "device.r_prog"))
                  if dev["r_prog"] is not None else table.states[-1])
 
         d = cfg["design"]
-        spec = DesignSpec(v_eq=float(d["v_eq"]), c1=float(d["c1"]),
-                          alpha=float(d["alpha"]), beta=float(d["beta"]))
+        spec = DesignSpec(**{k: _number(d[k], f"design.{k}")
+                             for k in ("v_eq", "c1", "alpha", "beta")})
 
         integ = dict(cfg["integration"])
         method = integ.pop("method")
         if method not in ("rk4", "rk45"):
             raise InputFormatError(f"integration.method must be rk4|rk45, got {method}")
-        icfg = IntegrationConfig(**{k: (int(v) if k == "record_stride" else
-                                        str(v) if k == "soa_policy" else float(v))
-                                    for k, v in integ.items()},
-                                 )
-        init = tuple(float(x) for x in cfg["initial_state"])
+        icfg = IntegrationConfig(**{
+            k: (str(v) if k == "soa_policy" else _number(
+                v, f"integration.{k}", int if k == "record_stride" else float))
+            for k, v in integ.items()})
+        init = tuple(_numbers(cfg["initial_state"], "initial_state"))
         if len(init) != 3:
             raise InputFormatError("initial_state needs 3 components")
         if not all(map(math.isfinite, init)):
             raise InputFormatError(
                 f"initial_state must be finite, got {list(init)}")
-        d0 = float(cfg["lyapunov"]["d0"])
+        d0 = _number(cfg["lyapunov"]["d0"], "lyapunov.d0")
         if not 0 < d0 < math.inf:
             raise InputFormatError(
                 f"lyapunov.d0 must be finite and > 0, got {d0}")
 
         a = cfg["analysis"]
-        acfg = AnalysisConfig(
-            visit_fraction=float(a["visit_fraction"]),
-            cluster_tol_fraction=float(a["cluster_tol_fraction"]),
-            max_periodic_clusters=int(a["max_periodic_clusters"]),
-            lambda_periodic=float(a["lambda_periodic"]),
-            fixed_point_tol=float(a["fixed_point_tol"]),
-            min_samples=int(a["min_samples"]))
+        acfg = AnalysisConfig(**{
+            k: _number(v, f"analysis.{k}",
+                       int if k in ("max_periodic_clusters", "min_samples")
+                       else float)
+            for k, v in a.items()})
 
         return RunConfig(table=table, state=state, spec=spec,
                          components=cfg["components"], method=method,
@@ -243,10 +263,12 @@ def _resolve_params(rc: RunConfig) -> CircuitParams:
     if rc.components:
         comp = rc.components
         try:
-            return CircuitParams(
-                c1=float(comp["c1"]), c2=float(comp["c2"]), l=float(comp["l"]),
-                g=1.0 / float(comp["r"]), g_n=1.0 / float(comp["r_n"]),
-                device=rc.state.poly)
+            c1, c2, l, r, r_n = (_number(comp[k], f"components.{k}")
+                                 for k in ("c1", "c2", "l", "r", "r_n"))
+            if r == 0 or r_n == 0:
+                raise ValueError("r and r_n must be nonzero")
+            return CircuitParams(c1=c1, c2=c2, l=l, g=1.0 / r, g_n=1.0 / r_n,
+                                 device=rc.state.poly)
         except (TypeError, ValueError, KeyError) as exc:
             raise InputFormatError(f"bad components block: {exc}") from exc
     return design_circuit(rc.state, rc.spec).require_ok().params

@@ -1,3 +1,5 @@
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 import memchua as m
 from memchua import analysis, kernels
 from memchua.errors import LyapunovError
+
+from extrema_oracle import local_extrema as extrema_oracle
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +83,83 @@ class TestLocalExtrema:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             m.local_extrema([0.0, 1.0], [0.0, 1.0])
+
+
+def as_bytes(extrema):
+    """Each extremum's time and value by their bytes, and its kind."""
+    assert all(type(e.time) is float and type(e.value) is float
+               for e in extrema)
+    return [(struct.pack("<dd", e.time, e.value), e.kind) for e in extrema]
+
+
+@st.composite
+def plateau_signals(draw, values):
+    """(times, samples): runs of 1 to 4 equal samples, at strictly
+    increasing times or at arbitrary finite ones."""
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 4)), min_size=1,
+                         max_size=40))
+    x = [v for v, n in runs for _ in range(n)]
+    if len(x) < 3:
+        x += [x[-1]] * (3 - len(x))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.floats(1e-6, 10.0), min_size=len(x),
+                              max_size=len(x)))
+        t = np.cumsum(steps)
+    else:
+        t = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(x),
+                          max_size=len(x)))
+    return t, x
+
+
+class TestLocalExtremaOracle:
+    """local_extrema against the per-sample loop kept in
+    tests/extrema_oracle.py: the same extrema, times and values byte for
+    byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(signal=plateau_signals(st.floats(-1e3, 1e3, allow_nan=False)))
+    def test_random_plateaus(self, signal):
+        t, x = signal
+        assert as_bytes(m.local_extrema(t, x)) == as_bytes(
+            extrema_oracle(t, x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(signal=plateau_signals(st.integers(-3, 3)))
+    def test_integer_samples(self, signal):
+        t, x = signal
+        assert as_bytes(m.local_extrema(t, x)) == as_bytes(
+            extrema_oracle(t, x))
+
+    @pytest.mark.parametrize("x", [[1, 1, 1], [1, 1, 2, 2], [0, 5, 5, 5],
+                                   [2, 1, 1, 2]],
+                             ids=["one-run", "two-runs", "two-runs-long",
+                                  "three-runs"])
+    def test_short_compressed_runs(self, x):
+        t = np.arange(float(len(x)))
+        assert as_bytes(m.local_extrema(t, x)) == as_bytes(
+            extrema_oracle(t, x))
+
+    def test_non_finite_samples(self):
+        # NaN and infinite samples and times, and repeated times; the first
+        # maximum's parabola has h1 = nan and h3 = 0
+        t = [math.nan, 1.0, 1.0, 2.0, math.inf, 3.0, 4.0, 5.0, 5.0, 6.0]
+        x = [0.0, 2.0, 1.0, math.nan, 3.0, -math.inf, 1.0, 4.0, 0.0, 1.0]
+        with np.errstate(all="ignore"):
+            assert as_bytes(m.local_extrema(t, x)) == as_bytes(
+                extrema_oracle(t, x))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.3),
+           stride=st.integers(1, 20))
+    def test_kernel_trajectories(self, designed, seed, sigma, stride):
+        p = designed.params
+        params = replace(p, device=m.perturb(p.device, sigma, seed))
+        cfg = m.IntegrationConfig(t_end=0.01, t_transient=0.002,
+                                  record_stride=stride)
+        traj = m.integrate(params, (0.1, 0.0, 0.0), cfg)
+        ex = m.local_extrema(traj.times, traj.v1)
+        assert ex and as_bytes(ex) == as_bytes(
+            extrema_oracle(traj.times, traj.v1))
 
 
 class TestClusterCount:
@@ -235,8 +316,10 @@ class TestTrajectoryAndLyapunov:
 
     def test_sweep_point_makes_one_kernel_and_one_extrema_call(
             self, ref_state, spec, monkeypatch):
+        # a 2-point sweep: one kernel call steps both points, and each
+        # point finds its extrema once
         calls = {"kernel": 0, "extrema": 0}
-        kernel, extrema = kernels.rk4_trajectory, analysis.local_extrema
+        kernel, extrema = kernels.rk4_trajectories, analysis.local_extrema
 
         def counted_kernel(*args):
             calls["kernel"] += 1
@@ -246,14 +329,14 @@ class TestTrajectoryAndLyapunov:
             calls["extrema"] += 1
             return extrema(*args)
 
-        monkeypatch.setattr(kernels, "rk4_trajectory", counted_kernel)
+        monkeypatch.setattr(kernels, "rk4_trajectories", counted_kernel)
         monkeypatch.setattr(analysis, "local_extrema", counted_extrema)
         icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
         pts = m.sweep(m.StateTable((ref_state,)), spec, icfg,
                       m.AnalysisConfig(), ref_state.r_prog, ref_state.r_prog,
-                      1, sigma=0.1, seed=4)
-        assert pts[0].verdict.label == "double_scroll"
-        assert calls == {"kernel": 1, "extrema": 1}
+                      2, sigma=0.1, seed=4)
+        assert [p.verdict.label for p in pts] == ["double_scroll"] * 2
+        assert calls == {"kernel": 1, "extrema": 2}
 
 
 class TestPythonFloatCoefficients:
@@ -374,6 +457,43 @@ class TestSweep:
         for ps, pp in zip(serial, parallel):
             assert ps.verdict == pp.verdict
             assert np.array_equal(ps.extrema, pp.extrema)
+
+    @pytest.mark.parametrize("mode", ["fixed", "redesign"])
+    def test_paired_points_match_lone_runs(self, ref_state, spec, tmp_path,
+                                           mode):
+        # the kernels step the points two at a time; each point must be
+        # what a run of its own gives, at any worker count
+        table = m.StateTable((ref_state,))
+        icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
+        acfg = m.AnalysisConfig()
+        csvs = []
+        for workers in (1, 2):
+            pts = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+                          1.4 * ref_state.r_prog, 5, mode=mode, sigma=0.1,
+                          seed=11, workers=workers)
+            m.write_bifurcation_csv(tmp_path / "bif.csv", pts)
+            csvs.append((tmp_path / "bif.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+        ref = m.design_circuit(ref_state, spec).require_ok().params
+        for k, pt in enumerate(pts):
+            state = m.state_at(table, pt.r_prog)
+            poly = m.perturb(state.poly, 0.1, 11 + k)
+            if mode == "fixed":
+                params = replace(ref, device=poly)
+            else:
+                params = m.design_circuit(m.DeviceState(
+                    pt.r_prog, state.v_set_mag, state.v_stop, poly),
+                    spec).require_ok().params
+            traj, lam = m.trajectory_and_lyapunov(params, (0.1, 0.0, 0.0),
+                                                  icfg)
+            values = [e.value for e in m.local_extrema(traj.times, traj.v1)]
+            assert pt.extrema.tobytes() == np.array(values).tobytes()
+            assert pt.verdict == m.classify(
+                traj, m.find_equilibria(params), acfg,
+                lambda1=lam.lambda1 if lam else None,
+                time_unit=params.time_unit)
+            assert pt.reason is None
 
     def test_points_ordered_by_resistance(self, ref_state, spec):
         table = m.StateTable((ref_state,))

@@ -462,7 +462,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("block, error", [
         ({"n_points": 0}, "sweep.n_points must be >= 1"),
-        ({"n_points": "two"}, "invalid literal for int()"),
+        ({"n_points": "two"},
+         "config.sweep.n_points: expected an integer, got 'two'"),
         ({"r_lo": 2000.0, "r_hi": 1000.0}, "needs 0 < r_lo <= r_hi"),
         ({"mode": "foo"}, "sweep.mode must be fixed|redesign"),
         ({"sigma": -0.5}, "sweep.sigma must be finite and >= 0"),
@@ -520,6 +521,70 @@ def test_bad_start_value_is_parse_error(tmp_path, capsys, command, override,
     assert len(err) == 1 and err[0].startswith("input error:")
     assert error in err[0]
     assert not out.exists()
+
+
+COMPONENTS = {"r": 7643.0, "r_n": 6856.0, "l": 0.41, "c1": 1.0e-8,
+              "c2": 1.0e-7}
+NUMERIC_KEYS = (
+    [("device", k) for k in ("r_prog", "v_set", "v_stop")]
+    + [("design", k) for k in cli.DEFAULT_CONFIG["design"]]
+    + [("integration", k) for k in cli.DEFAULT_CONFIG["integration"]
+       if k not in ("method", "soa_policy")]
+    + [("analysis", k) for k in cli.DEFAULT_CONFIG["analysis"]]
+    + [("lyapunov", "d0")]
+    + [("sweep", k) for k in cli.DEFAULT_CONFIG["sweep"] if k != "mode"]
+    + [("components", k) for k in COMPONENTS])
+INTEGER_KEYS = {"record_stride", "max_periodic_clusters", "min_samples",
+                "n_points", "seed", "workers"}
+
+
+def bad_value_error(tmp_path, capsys, overrides):
+    """The stderr lines of `memchua equilibria` on a config with
+    `overrides`, which must exit 2."""
+    cfg = write_config(tmp_path / "c.yaml", **overrides)
+    out = tmp_path / "out"
+    assert cli.main(["equilibria", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("block, key", NUMERIC_KEYS,
+                         ids=[f"{b}.{k}" for b, k in NUMERIC_KEYS])
+def test_bad_number_names_its_key(tmp_path, capsys, block, key):
+    section = {key: "two"}
+    if block == "device":
+        # v_set and v_stop are read where the coefficients are given
+        section["coefficients"] = [float(c) for c in REF_COEFFS]
+    elif block == "components":
+        section = {**COMPONENTS, key: "two"}
+    noun = "an integer" if key in INTEGER_KEYS else "a number"
+    assert bad_value_error(tmp_path, capsys, {block: section}) == [
+        f"input error: config.{block}.{key}: expected {noun}, got 'two'"]
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"initial_state": [0.1, "two", 0.0]},
+     "config.initial_state[1]: expected a number, got 'two'"),
+    ({"initial_state": "0.1"},
+     "config.initial_state: expected a list of numbers, got '0.1'"),
+    ({"device": {"coefficients": [1e-6, 0.0, "two", 0.0, 0.0]}},
+     "config.device.coefficients[2]: expected a number, got 'two'"),
+    ({"device": {"coefficients": 1e-6}},
+     "config.device.coefficients: expected a list of numbers, got 1e-06"),
+    ({"sweep": {"n_points": float("inf")}},
+     "config.sweep.n_points: expected an integer, got inf"),
+], ids=["init-entry", "init-text", "coefficient", "coefficients-number",
+        "n-inf"])
+def test_bad_list_names_its_entry(tmp_path, capsys, overrides, error):
+    assert bad_value_error(tmp_path, capsys, overrides) == [
+        f"input error: {error}"]
+
+
+def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
+    # 1 / r once raised ZeroDivisionError: a traceback, exit 1
+    assert bad_value_error(tmp_path, capsys,
+                           {"components": {**COMPONENTS, "r": 0.0}}) == [
+        "input error: bad components block: r and r_n must be nonzero"]
 
 
 def sha256(path):

@@ -382,6 +382,110 @@ class TestRk4CParity:
         self.run_case(pair, designed, **case)
 
 
+class TestRk4Lanes:
+    """kernels.rk4_trajectories on the C build, whose lanes step two runs
+    at once, against a separate call of the pure kernel for each run: every
+    returned array byte for byte and every scalar equal."""
+
+    @staticmethod
+    def call(params, init=(0.1, 0.0, 0.0), n_steps=3000, rec_start=500,
+             stride=3, abort=False, shadow=True, renorm_every=50, d0=1e-8):
+        d = params.device
+        return (*params.kernel_args, *init, 1e-6, n_steps, rec_start, stride,
+                d.v_min, d.v_max, 1e3 * params.voltage_scale,
+                1e3 * params.current_scale, abort, shadow, renorm_every,
+                n_steps // 4, d0)
+
+    @staticmethod
+    def run(c_kernels, calls, groups):
+        """The C results of `calls`, which must run in lane groups of the
+        sizes `groups`."""
+        assert [len(g) for g in kernels._lane_groups(calls)] == groups
+        got = c_kernels["rk4_trajectories"](calls)
+        assert len(got) == len(calls)
+        for out, args in zip(got, calls):
+            assert_identical(out, kernels.PURE_KERNELS["rk4_trajectory"](*args))
+        return got
+
+    def test_one_lane_diverges(self, c_kernels, designed):
+        p = designed.params
+        hot = replace(p, g_n=p.g_n * 1e3)
+        for calls in ([self.call(p), self.call(hot)],
+                      [self.call(hot), self.call(p)]):
+            got = self.run(c_kernels, calls, [2])
+            assert sorted(out[5] for out in got) == [kernels.STATUS_OK,
+                                                     kernels.STATUS_DIVERGED]
+
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_one_lane_aborts(self, c_kernels, designed, shadow):
+        p = designed.params
+        d = p.device
+        narrow = replace(p, device=m.DevicePoly(
+            d.p1, d.p2, d.p3, d.p4, d.p5, v_min=-0.5, v_max=0.5))
+        got = self.run(c_kernels, [
+            self.call(narrow, abort=True, shadow=shadow),
+            self.call(p, abort=True, shadow=shadow)], [2])
+        assert got[0][5] == kernels.STATUS_SOA_ABORT
+        assert got[1][5] == kernels.STATUS_OK
+        assert len(got[0][0]) < len(got[1][0])
+        assert (got[0][7] > 0) == shadow
+
+    @pytest.mark.parametrize("rec_start", [500, 3001], ids=["record",
+                                                           "no-record"])
+    def test_one_shadow_collapses(self, c_kernels, designed, rec_start):
+        # v1 + 1e-300 == v1: the shadow of the first lane starts on its
+        # reference; the second lane never renormalizes
+        p = designed.params
+        got = self.run(c_kernels, [
+            self.call(p, rec_start=rec_start, d0=1e-300),
+            self.call(p, init=(0.2, 0.0, 0.0), rec_start=rec_start,
+                      renorm_every=3001, d0=1e-300)], [2])
+        assert got[0][8] == kernels.STATUS_SHADOW_FAIL
+        assert got[1][8] == kernels.STATUS_OK and got[1][7] == 0
+
+    def test_lanes_renormalize_apart(self, c_kernels, designed):
+        p = designed.params
+        got = self.run(c_kernels, [self.call(p, renorm_every=50),
+                                   self.call(p, renorm_every=77)], [2])
+        assert got[0][7] != got[1][7]
+        assert got[0][0].tobytes() == got[1][0].tobytes()
+
+    def test_batches_of_one_and_three(self, c_kernels, designed):
+        p = designed.params
+        calls = [self.call(replace(p, device=m.perturb(p.device, 0.1, seed)))
+                 for seed in range(3)]
+        self.run(c_kernels, calls[:1], [1])
+        self.run(c_kernels, calls, [2, 1])
+        self.run(c_kernels, [], [])
+
+    @pytest.mark.parametrize("shared", [
+        dict(n_steps=2999), dict(rec_start=499), dict(stride=4),
+        dict(abort=True), dict(shadow=False), dict(d0=2e-8)],
+        ids=["n_steps", "rec_start", "stride", "abort", "shadow", "d0"])
+    def test_unshared_arguments_run_alone(self, c_kernels, designed, shared):
+        p = designed.params
+        self.run(c_kernels, [self.call(p), self.call(p, **shared)], [1, 1])
+
+    def test_dt_and_transient_are_shared(self, designed):
+        # dt and d0 are compared by their bytes: 0.0 and -0.0 differ
+        base = self.call(designed.params)
+        for index, value, other in ((13, 0.0, -0.0), (13, 1e-6, 2e-6),
+                                    (24, 750, 0), (25, 0.0, -0.0)):
+            a = base[:index] + (value,) + base[index + 1:]
+            b = base[:index] + (other,) + base[index + 1:]
+            assert [len(g) for g in kernels._lane_groups([a, a])] == [2]
+            assert [len(g) for g in kernels._lane_groups([a, b])] == [1, 1]
+
+    def test_python_fallback_runs_each_call(self, designed, monkeypatch):
+        pure = kernels.PURE_KERNELS["rk4_trajectory"]
+        monkeypatch.setattr(kernels, "_C_KERNELS", None)
+        monkeypatch.setattr(kernels, "rk4_trajectory", pure)
+        p = designed.params
+        calls = [self.call(p), self.call(p, renorm_every=77)[:22]]
+        for out, args in zip(kernels.rk4_trajectories(calls), calls):
+            assert_identical(out, pure(*args))
+
+
 class TestDopriCParity:
     """The C build of the DOPRI5 kernel against the pure one: every
     returned array byte for byte and every scalar equal, on each exit."""
