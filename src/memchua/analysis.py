@@ -10,7 +10,6 @@ coefficient perturbation per point to model cycle-to-cycle programming
 variability.
 """
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -21,7 +20,8 @@ import numpy as np
 from . import kernels
 from .circuit import CircuitParams, find_equilibria
 from .design import DesignSpec, design_circuit
-from .device import DevicePoly, DeviceState, StateTable, state_at
+from .device import (DevicePoly, DeviceState, StateTable, _write_csv,
+                     state_at)
 from .errors import DesignError, LyapunovError
 from .integrate import IntegrationConfig, Trajectory, _build, _rk4_args, \
     _steps_for
@@ -371,8 +371,8 @@ def _unrun_point(r, seed_k, reason):
                       seed_k, False, reason=reason)
 
 def _prepare_point(task):
-    """A sweep task's circuit and fused kernel arguments, or its
-    _unrun_point when it stops before integration."""
+    """A sweep task's circuit, its equilibria and its fused kernel
+    arguments, or its _unrun_point when it stops before integration."""
     (r, table, spec, icfg, acfg, mode, sigma, seed_k, init, ref_params,
      d0) = task
     state = state_at(table, r)
@@ -384,24 +384,26 @@ def _prepare_point(task):
 
     if mode == "fixed":
         params = replace(ref_params, device=poly)
+        eqs = find_equilibria(params)
     else:
         try:
-            params = design_circuit(
+            report = design_circuit(
                 DeviceState(r, state.v_set_mag, state.v_stop, poly),
-                spec).require_ok().params
+                spec).require_ok()
         except DesignError as exc:
             return _unrun_point(r, seed_k, f"design failure: {exc}")
-    return params, _fused_args(params, init, icfg, d0, None)
+        params, eqs = report.params, report.equilibria
+    return params, eqs, _fused_args(params, init, icfg, d0, None)
 
 
-def _sweep_point(task, params, args, out):
+def _sweep_point(task, params, eqs, args, out):
     """A sweep point from the kernel's `out` for its fused `args`."""
     r, _, _, icfg, acfg, _, _, seed_k, _, _, _ = task
     traj, lyap = _fused_result(params, icfg, args, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
     extrema = (local_extrema(traj.times, traj.v1) if len(traj.times) >= 3
                else [])
-    verdict = classify(traj, find_equilibria(params), acfg,
+    verdict = classify(traj, eqs, acfg,
                        lambda1=lyap.lambda1 if lyap else None,
                        time_unit=params.time_unit, extrema=extrema)
     values = np.array([e.value for e in extrema]) if extrema else np.empty(0)
@@ -418,7 +420,7 @@ def _sweep_points(tasks):
     points that run two at a time (kernels.rk4_trajectories)."""
     prepared = [_prepare_point(task) for task in tasks]
     ran = [p for p in prepared if not isinstance(p, SweepPoint)]
-    outs = iter(kernels.rk4_trajectories([args for _, args in ran]))
+    outs = iter(kernels.rk4_trajectories([args for *_, args in ran]))
     return [p if isinstance(p, SweepPoint)
             else _sweep_point(task, *p, next(outs))
             for task, p in zip(tasks, prepared)]
@@ -470,11 +472,11 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     return [point for batch in batches for point in batch]
 
 def write_bifurcation_csv(path, points):
-    """One row per extremum: r_prog_ohm, extremum_v1_V, class."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r_prog_ohm", "extremum_v1_V", "class"])
-        for pt in points:
-            for val in pt.extrema:
-                writer.writerow([repr(float(pt.r_prog)), repr(float(val)),
-                                 pt.verdict.label])
+    """One row per extremum: r_prog_ohm, extremum_v1_V, class, in
+    device._write_csv's bytes. The class is one of the fixed Label
+    identifiers."""
+    counts = [len(pt.extrema) for pt in points]
+    _write_csv(path, ["r_prog_ohm", "extremum_v1_V", "class"], [
+        np.repeat([float(pt.r_prog) for pt in points], counts),
+        np.concatenate([np.empty(0), *(pt.extrema for pt in points)]),
+        np.repeat([pt.verdict.label for pt in points], counts)])

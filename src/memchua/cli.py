@@ -255,10 +255,12 @@ def _config_path(args):
             else os.environ.get(CONFIG_ENV_VAR))
 
 
-def _resolve_params(rc: RunConfig) -> CircuitParams:
-    """Circuit parameters from explicit components or the design chain.
+def _resolve_circuit(rc: RunConfig):
+    """(params, equilibria) from explicit components or the design chain.
 
-    A design that fails its validation checks raises DesignError.
+    A design that fails its validation checks raises DesignError. The
+    design chain has solved for the equilibria already; explicit
+    components are solved once here.
     """
     if rc.components:
         comp = rc.components
@@ -267,11 +269,13 @@ def _resolve_params(rc: RunConfig) -> CircuitParams:
                                  for k in ("c1", "c2", "l", "r", "r_n"))
             if r == 0 or r_n == 0:
                 raise ValueError("r and r_n must be nonzero")
-            return CircuitParams(c1=c1, c2=c2, l=l, g=1.0 / r, g_n=1.0 / r_n,
-                                 device=rc.state.poly)
+            params = CircuitParams(c1=c1, c2=c2, l=l, g=1.0 / r,
+                                   g_n=1.0 / r_n, device=rc.state.poly)
         except (TypeError, ValueError, KeyError) as exc:
             raise InputFormatError(f"bad components block: {exc}") from exc
-    return design_circuit(rc.state, rc.spec).require_ok().params
+        return params, find_equilibria(params)
+    report = design_circuit(rc.state, rc.spec).require_ok()
+    return report.params, report.equilibria
 
 
 def _out_dir(args, rc) -> Path:
@@ -351,8 +355,7 @@ def cmd_design(args) -> int:
 
 def cmd_equilibria(args) -> int:
     rc = load_config(_config_path(args))
-    params = _resolve_params(rc)
-    eqs = find_equilibria(params)
+    _, eqs = _resolve_circuit(rc)
     out = _out_dir(args, rc)
     _write_json(out / "equilibria.json", [
         {"label": e.label, "v1_V": e.state.v1, "v2_V": e.state.v2,
@@ -370,7 +373,7 @@ def cmd_equilibria(args) -> int:
 
 def cmd_simulate(args) -> int:
     rc = load_config(_config_path(args))
-    params = _resolve_params(rc)
+    params, eqs = _resolve_circuit(rc)
     out = _out_dir(args, rc)
 
     stiff = None
@@ -399,7 +402,7 @@ def cmd_simulate(args) -> int:
         print(f"warning: {traj.events_dropped} events past the event buffer "
               "cap are missing from events.csv", file=sys.stderr)
 
-    verdict = classify(traj, find_equilibria(params), rc.analysis,
+    verdict = classify(traj, eqs, rc.analysis,
                        lambda1=lam.lambda1 if lam else None,
                        time_unit=params.time_unit)
     summary = verdict.as_dict()

@@ -14,7 +14,7 @@ and both off-origin voltages inside the device safe window.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import (CircuitParams, classify_stability, existence_condition,
                       find_equilibria, jacobian_trace)
@@ -47,10 +47,15 @@ class DesignCheck:
 
 @dataclass(frozen=True)
 class DesignReport:
+    """The sized circuit, its validation checks, and the equilibria that
+    the checks were computed from (find_equilibria's points, kept so no
+    caller solves for them again; left out of ==)."""
+
     params: CircuitParams
     r: float
     r_n: float
     checks: tuple
+    equilibria: tuple = field(compare=False)
 
     @property
     def ok(self) -> bool:
@@ -153,4 +158,4 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
         note=f"off-origin equilibria inside [{poly.v_min}, {poly.v_max}] V"))
 
     return DesignReport(params=params, r=1.0 / g, r_n=1.0 / g_n,
-                        checks=tuple(checks))
+                        checks=tuple(checks), equilibria=tuple(eqs))

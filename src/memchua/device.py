@@ -22,6 +22,10 @@ from .errors import FitError, InputFormatError
 IV_HEADER = ["voltage_V", "current_A"]
 STATE_HEADER = ["r_prog_ohm", "v_set_V", "v_stop_V", "p1", "p2", "p3", "p4", "p5"]
 
+# rows formatted per write in _write_csv: about 6 MB of strings for four
+# float columns, whatever the row count
+_CSV_CHUNK_ROWS = 16384
+
 
 class IVSample(NamedTuple):
     """One measured point of the static I-V curve (volts, amps)."""
@@ -263,12 +267,36 @@ def load_iv_csv(path) -> list:
     return samples
 
 
-def save_iv_csv(path, samples):
+def _write_csv(path, header, columns):
+    """Write `columns`, sequences of equal length, under `header` as a CSV.
+
+    The bytes are the ones csv.writer writes for the same rows: a column
+    of numbers is written as the `repr` of Python floats (the shortest
+    string that reads back bit for bit; nan, inf and -0.0 included, an
+    integer as 3.0), a column of strings as it is, and lines end with
+    \\r\\n. Nothing is quoted, which holds because a float's repr never
+    holds a comma, a quote or a line break, and the string columns hold
+    fixed identifiers without any. Rows are formatted and written
+    _CSV_CHUNK_ROWS at a time, so memory use does not grow with the file.
+    """
+    cols = [np.asarray(c) for c in columns]
+    n = min(map(len, cols), default=0)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IV_HEADER)
-        for s in samples:
-            writer.writerow([repr(float(s[0])), repr(float(s[1]))])
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, n, _CSV_CHUNK_ROWS):
+            chunk = [c[i:i + _CSV_CHUNK_ROWS] for c in cols]
+            fields = [c.tolist() if c.dtype.kind == "U"
+                      else map(repr, c.astype(float, copy=False).tolist())
+                      for c in chunk]
+            fh.write("".join([",".join(row) + "\r\n"
+                              for row in zip(*fields)]))
+
+
+def save_iv_csv(path, samples):
+    """Write I-V samples as a `voltage_V,current_A` CSV, in _write_csv's
+    bytes, so each value reads back bit for bit."""
+    values = np.array([(s[0], s[1]) for s in samples], dtype=float)
+    _write_csv(path, IV_HEADER, values.reshape(-1, 2).T)
 
 
 def load_state_table(path) -> StateTable:
@@ -302,11 +330,9 @@ def load_state_table(path) -> StateTable:
 
 
 def save_state_table(path, table):
+    """Write a StateTable, or a sequence of states, in its CSV schema and
+    in _write_csv's bytes."""
     states = table.states if isinstance(table, StateTable) else list(table)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATE_HEADER)
-        for s in states:
-            writer.writerow([repr(float(s.r_prog)), repr(float(s.v_set_mag)),
-                             repr(float(s.v_stop))]
-                            + [repr(float(c)) for c in s.poly.coefficients])
+    values = np.array([(s.r_prog, s.v_set_mag, s.v_stop, *s.poly.coefficients)
+                       for s in states], dtype=float)
+    _write_csv(path, STATE_HEADER, values.reshape(-1, len(STATE_HEADER)).T)

@@ -8,7 +8,6 @@ instead. Under the "abort" policy integration stops at the first window
 crossing. All work is in SI units.
 """
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import kernels
 from .circuit import CircuitParams
+from .device import _write_csv
 from .errors import IntegrationError
 
 _KIND_NAMES = {
@@ -205,17 +205,17 @@ def integrate_adaptive(params: CircuitParams, init,
 
 
 def write_trajectory_csv(path, traj: Trajectory):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "v1_V", "v2_V", "iL_A"])
-        for t, row in zip(traj.times, traj.states):
-            writer.writerow([repr(float(t)), repr(float(row[0])),
-                             repr(float(row[1])), repr(float(row[2]))])
+    """One row per sample: t_s, v1_V, v2_V, iL_A, in device._write_csv's
+    bytes (the ones csv.writer writes)."""
+    _write_csv(path, ["t_s", "v1_V", "v2_V", "iL_A"],
+               [traj.times, *np.asarray(traj.states).reshape(-1, 3).T])
 
 
 def write_events_csv(path, traj: Trajectory):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "kind", "value"])
-        for ev in traj.events:
-            writer.writerow([repr(ev.time), ev.kind, repr(ev.value)])
+    """One row per event: t_s, kind, value, in device._write_csv's bytes.
+    The kind is one of the fixed identifiers soa_low, soa_high and
+    diverged."""
+    evs = traj.events
+    _write_csv(path, ["t_s", "kind", "value"],
+               [[ev.time for ev in evs], [ev.kind for ev in evs],
+                [ev.value for ev in evs]])

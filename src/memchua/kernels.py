@@ -40,11 +40,13 @@ Kernel backends, chosen once at import and named by ``BACKEND``:
     ``-ffast-math``: no multiply and add are fused into one rounding and no
     operation is reordered, so every double matches the Python kernels bit
     for bit. The library is cached in this package's ``__pycache__`` as
-    ``_kernels-<hash>.so``, the hash covering the source, the flags, the
-    compiler and the machine, so only the first import after a change
-    compiles. It is written under a temporary name and renamed into place,
-    which makes concurrent builds safe; where ``__pycache__`` cannot be
-    written it is built in a temporary directory for this process alone.
+    ``_kernels-<toolchain>-<build>.so``, the first hash covering the
+    compiler and the machine, the second the source and the flags, so only
+    the first import after a change compiles. It is written under a
+    temporary name and renamed into place, which makes concurrent builds
+    safe, and each build removes the libraries that earlier builds for the
+    same toolchain left there; where ``__pycache__`` cannot be written it
+    is built in a temporary directory for this process alone.
 ``"python"``
     when the C build fails (no compiler, a compile error, a library that
     does not load): the Python kernels run as they are, correct but 10 to
@@ -640,11 +642,7 @@ def _load_c():
         source = _C_SOURCE.read_bytes()
     except OSError as exc:
         return None, f"cannot read {_C_SOURCE}: {exc}"
-    key = hashlib.sha256()
-    for part in (source, *_C_FLAGS, *_C_LIBS, cc, platform.machine()):
-        key.update(part if isinstance(part, bytes) else part.encode())
-        key.update(b"\0")
-    target = _C_CACHE / f"_kernels-{key.hexdigest()[:16]}.so"
+    target = _library_path(cc, source)
     try:
         return _bind(ctypes.CDLL(str(target))), None
     except (OSError, AttributeError):
@@ -663,11 +661,46 @@ def _load_c():
     try:
         if found is not None:
             os.replace(tmp, target)
+            _prune_cache(target)
     except OSError:
         pass  # loaded all the same; the next import builds again
     finally:
         Path(tmp).unlink(missing_ok=True)
     return found, reason
+
+
+def _library_path(cc, source):
+    """The cache path of the library `cc` builds from `source`:
+    ``_kernels-<toolchain>-<build>.so``."""
+    def digest(*parts):
+        key = hashlib.sha256()
+        for part in parts:
+            key.update(part if isinstance(part, bytes) else part.encode())
+            key.update(b"\0")
+        return key.hexdigest()[:16]
+    return _C_CACHE / (f"_kernels-{digest(cc, platform.machine())}-"
+                       f"{digest(source, *_C_FLAGS, *_C_LIBS)}.so")
+
+
+def _prune_cache(keep):
+    """Remove the cached libraries of `keep`'s toolchain but `keep`, best
+    effort.
+
+    Each is an earlier build, for another source or other flags. Builds for
+    another compiler or machine stay, for the interpreters that use them,
+    but one-hash names (``_kernels-<hash>.so``) all go: they predate the
+    toolchain part, so their source is gone. A process that has one loaded
+    keeps using it after the unlink; a concurrent builder's temporary file
+    matches neither pattern.
+    """
+    toolchain = keep.name.split("-")[1]
+    for stale in (*_C_CACHE.glob(f"_kernels-{toolchain}-*.so"),
+                  *_C_CACHE.glob("_kernels-" + "[0-9a-f]" * 16 + ".so")):
+        if stale != keep:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 def rk4_trajectories(arg_tuples):

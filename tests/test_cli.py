@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import memchua as m
-from memchua import cli, kernels
+from memchua import analysis, circuit, cli, design, kernels
 
 from conftest import REF_COEFFS, make_samples
 
@@ -652,3 +652,47 @@ class TestPinnedOutputs:
             "ef0e159e3ed2f8b41be182f8df8b2aed9e77b01726492d34bfff8a3fca235316")
         assert sha256(out / "events.csv") == (
             "11f19886e0af659342e470ee610221d646d4ff43039108a2b6af18209aa62708")
+
+
+class TestOneEquilibriumSolve:
+    """Each command solves for a circuit's equilibria once: the design
+    report carries the points its checks used."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = circuit.find_equilibria
+
+        def counting(params):
+            calls.append(params)
+            return real(params)
+
+        for module in (analysis, circuit, cli, design):
+            monkeypatch.setattr(module, "find_equilibria", counting)
+        return calls
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("design", {}),
+        ("equilibria", {}),
+        ("equilibria", {"components": COMPONENTS}),
+        ("simulate", {"integration": {**SHORT_INTEGRATION, "method": "rk4"}}),
+        ("simulate", {"integration": {**SHORT_INTEGRATION,
+                                      "method": "rk45"}}),
+        ("simulate", {"integration": SHORT_INTEGRATION,
+                      "components": COMPONENTS}),
+    ], ids=["design", "equilibria", "equilibria-components", "simulate-rk4",
+            "simulate-rk45", "simulate-components"])
+    def test_one_solve_per_command(self, tmp_path, solves, command,
+                                   overrides):
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        assert cli.main([command, "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(solves) == 1
+
+    def test_one_solve_per_redesign_point(self, tmp_path, solves):
+        cfg = write_config(tmp_path / "c.yaml", integration=SHORT_INTEGRATION,
+                           sweep=SMALL_SWEEP)
+        assert cli.main(["sweep", "--config", cfg, "--mode", "redesign",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(solves) == SMALL_SWEEP["n_points"]
+        assert len({id(params) for params in solves}) == len(solves)

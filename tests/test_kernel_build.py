@@ -136,3 +136,30 @@ def test_concurrent_builders_share_one_file(tmp_path):
     assert [finish_probe(p) for p in procs] == [("c", None)] * 3
     [lib] = libraries(root)
     assert lib.suffix == ".so"
+
+
+@needs_cc
+def test_build_removes_stale_libraries(tmp_path):
+    root = copy_package(tmp_path)
+    cache = root / "memchua" / "__pycache__"
+    cache.mkdir()
+    toolchain = kernels._library_path(CC, b"").name.split("-")[1]
+    # an earlier build for this toolchain, and one named before the cache
+    # name had a toolchain part
+    stale = [cache / f"_kernels-{toolchain}-0000000000000000.so",
+             cache / "_kernels-0000000000000000.so"]
+    # a build for another compiler or machine sharing the tree, and another
+    # builder's library, not yet renamed into place
+    kept = [cache / "_kernels-ffffffffffffffff-0000000000000000.so",
+            cache / "_kernels-1111111111111111.so.x1y2z3.tmp"]
+    for path in stale + kept:
+        path.write_bytes(path.name.encode())
+    assert probe(root) == ("c", None)
+    assert not any(path.exists() for path in stale)
+    assert all(path.read_bytes() == path.name.encode() for path in kept)
+    [lib] = set(libraries(root)) - set(kept)
+    assert lib.name.startswith(f"_kernels-{toolchain}-")
+    assert lib.suffix == ".so"
+    # the published library is the one a later import loads
+    assert probe(root) == ("c", None)
+    assert set(libraries(root)) == {lib, *kept}
