@@ -16,8 +16,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -46,65 +47,137 @@ SCHEMA_VERSION = 1
 # constructor and resolver, so they yield the same values
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-DEFAULT_CONFIG = {
-    "schema": SCHEMA_VERSION,
+REQUIRED = object()  # no default: a block that is given must set the key
+
+
+class Key(NamedTuple):
+    kind: type  # float, int, str, or list: a list of floats
+    default: object = REQUIRED  # None: the key may be null, meaning unset
+    check: tuple = None  # (predicate, what the value must be), if any
+
+
+_FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "be finite and > 0")
+_NONZERO = (lambda v: v != 0, "be nonzero")
+
+# every config key: block -> key -> Key. A check runs on the converted
+# value of each key a config gives. A block of REQUIRED keys may be left
+# out as a whole, and is then None
+CONFIG_TABLE = {
+    "schema": Key(int, SCHEMA_VERSION, (lambda v: v == SCHEMA_VERSION,
+                                        f"be {SCHEMA_VERSION}")),
     "device": {
-        "table_csv": None,
-        "r_prog": None,
-        "coefficients": None,
-        "v_set": 1.2,
-        "v_stop": 2.6,
+        "table_csv": Key(str, None),
+        "r_prog": Key(float, None),
+        "coefficients": Key(list, None, (lambda v: len(v) == 5,
+                                         "have 5 entries")),
+        "v_set": Key(float, 1.2),
+        "v_stop": Key(float, 2.6),
     },
-    "design": {"v_eq": 0.9, "c1": 1.0e-8, "alpha": 10.0, "beta": 14.22},
-    "components": None,
+    "design": {"v_eq": Key(float, 0.9), "c1": Key(float, 1.0e-8),
+               "alpha": Key(float, 10.0), "beta": Key(float, 14.22)},
+    "components": {"r": Key(float, check=_NONZERO),
+                   "r_n": Key(float, check=_NONZERO),
+                   "l": Key(float), "c1": Key(float), "c2": Key(float)},
     "integration": {
-        "method": "rk4",
-        "dt": 1.0e-6,
-        "t_end": 0.5,
-        "t_transient": 0.1,
-        "record_stride": 10,
-        "soa_policy": "warn",
-        "abs_tol": 1.0e-9,
-        "rel_tol": 1.0e-7,
+        "method": Key(str, "rk4", (lambda v: v in ("rk4", "rk45"),
+                                   "be rk4|rk45")),
+        "dt": Key(float, 1.0e-6),
+        "t_end": Key(float, 0.5),
+        "t_transient": Key(float, 0.1),
+        "record_stride": Key(int, 10),
+        "soa_policy": Key(str, "warn"),
+        "abs_tol": Key(float, 1.0e-9),
+        "rel_tol": Key(float, 1.0e-7),
     },
-    "initial_state": [0.1, 0.0, 0.0],
+    "initial_state": Key(list, [0.1, 0.0, 0.0], (
+        lambda v: len(v) == 3 and all(map(math.isfinite, v)),
+        "be finite and have 3 entries")),
     "analysis": {
-        "visit_fraction": 0.3,
-        "cluster_tol_fraction": 0.01,
-        "max_periodic_clusters": 8,
-        "lambda_periodic": 0.01,
-        "fixed_point_tol": 1.0e-4,
-        "min_samples": 32,
+        "visit_fraction": Key(float, 0.3),
+        "cluster_tol_fraction": Key(float, 0.01),
+        "max_periodic_clusters": Key(int, 8),
+        "lambda_periodic": Key(float, 0.01),
+        "fixed_point_tol": Key(float, 1.0e-4),
+        "min_samples": Key(int, 32),
     },
-    "lyapunov": {"d0": 1.0e-8},
+    "lyapunov": {"d0": Key(float, 1.0e-8, _FINITE_POSITIVE)},
     "sweep": {
-        "mode": "fixed",
-        "r_lo_frac": 0.3,
-        "r_hi_frac": 1.5,
-        "r_lo": None,
-        "r_hi": None,
-        "n_points": 32,
-        "sigma": 0.1,
-        "seed": 20220926,
-        "workers": 1,
+        "mode": Key(str, "fixed", (lambda v: v in ("fixed", "redesign"),
+                                   "be fixed|redesign")),
+        "r_lo_frac": Key(float, 0.3, _FINITE_POSITIVE),
+        "r_hi_frac": Key(float, 1.5, _FINITE_POSITIVE),
+        "r_lo": Key(float, None),  # ohm; unset: r_lo_frac * r_prog
+        "r_hi": Key(float, None),
+        "n_points": Key(int, 32, (lambda v: v >= 1, "be >= 1")),
+        "sigma": Key(float, 0.1, (lambda v: 0 <= v < math.inf,
+                                  "be finite and >= 0")),
+        "seed": Key(int, 20220926, (lambda v: v >= 0, "be >= 0")),
+        "workers": Key(int, 1),
     },
-    "out_dir": "out",
+    "out_dir": Key(str, "out"),
 }
+_NOUN = {float: "a number", int: "an integer", str: "a string",
+         list: "a list of numbers"}
 
 
-def _merge(defaults, user, path="config"):
-    if user is None:
-        return defaults
-    if not isinstance(user, dict):
+def _defaults(table):
+    """The defaults of a block, or None for a block of REQUIRED keys."""
+    if all(getattr(k, "default", None) is REQUIRED for k in table.values()):
+        return None
+    return {key: _defaults(k) if isinstance(k, dict) else k.default
+            for key, k in table.items()}
+
+
+_DEFAULTS = _defaults(CONFIG_TABLE)
+
+
+def _value(k, value, path, key):
+    """`value` of the key `path`.`key` converted to its kind and checked.
+    Null, booleans, lists and mappings are no float, int or str, and an
+    int takes no fraction. The key's dotted name is built only for an
+    error."""
+    kind, default, check = k
+    if value is None and default is None:
+        return None
+    if kind is list and isinstance(value, list):
+        out = [_value(Key(float, 0.0), v, path, f"{key}[{i}]")
+               for i, v in enumerate(value)]
+    else:
+        try:
+            if (kind is list or value is None
+                    or isinstance(value, (bool, list, dict))
+                    or kind is int and isinstance(value, float)
+                    and not value.is_integer()):
+                raise TypeError
+            out = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InputFormatError(f"{path}.{key}: expected {_NOUN[kind]}, "
+                                   f"got {value!r}") from None
+    if check is not None and not check[0](out):
+        raise InputFormatError(f"{path}.{key} must {check[1]}, got {out!r}")
+    return out
+
+
+def _convert(table, given, base, path="config"):
+    """`base`, the converted values of the keys of `table`, with each key
+    that `given` sets converted and checked in its place. An unknown key,
+    a block that is no mapping, or a missing REQUIRED key raises
+    InputFormatError naming it."""
+    if given is None:
+        return base
+    if not isinstance(given, dict):
         raise InputFormatError(f"{path} must be a mapping")
-    out = dict(defaults)
-    for key, val in user.items():
-        if key not in defaults:
+    out = {} if base is None else dict(base)
+    for key, value in given.items():
+        k = table.get(key)
+        if k is None:
             raise InputFormatError(f"unknown key {path}.{key}")
-        if isinstance(defaults[key], dict) and defaults[key] is not None:
-            out[key] = _merge(defaults[key], val, f"{path}.{key}")
-        else:
-            out[key] = val
+        out[key] = (_convert(k, value, out.get(key), f"{path}.{key}")
+                    if isinstance(k, dict) else _value(k, value, path, key))
+    if base is None:
+        for key in table:
+            if key not in out:
+                raise InputFormatError(f"{path}.{key} is required")
     return out
 
 
@@ -119,134 +192,72 @@ class RunConfig:
     initial_state: tuple
     analysis: AnalysisConfig
     lyap_d0: float
-    sweep: dict = field(default_factory=dict)  # checked, r_lo/r_hi in ohms
-    out_dir: str = "out"
+    sweep: dict  # checked, r_lo/r_hi in ohms
+    out_dir: str
 
 
-def _number(value, key, kind=float):
-    """The config value of `key` (a dotted path below config) as a float,
-    or as an int with kind=int; any other value raises InputFormatError
-    naming the key."""
+def _in_block(block, build, *args, **kwargs):
+    """build(*args, **kwargs), a ValueError from the library's own checks
+    raised as an InputFormatError naming the config block."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise InputFormatError(
-            f"config.{key}: expected {noun}, got {value!r}") from None
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise InputFormatError(f"config.{block}: {exc}") from None
 
 
-def _numbers(value, key):
-    """The config list of `key` as floats; anything but a list of numbers
-    raises InputFormatError naming the key or the entry."""
-    if not isinstance(value, (list, tuple)):
-        raise InputFormatError(
-            f"config.{key}: expected a list of numbers, got {value!r}")
-    return [_number(v, f"{key}[{k}]") for k, v in enumerate(value)]
+def _device(dev):
+    """(table, state) of the converted device block."""
+    if dev["table_csv"]:
+        table = load_state_table(dev["table_csv"])
+    elif dev["coefficients"] is not None:
+        v_set, v_stop = dev["v_set"], dev["v_stop"]
+        poly = DevicePoly(*dev["coefficients"], v_min=-v_set, v_max=v_stop)
+        table = StateTable((DeviceState(
+            resistance_at_low_bias(poly), v_set, v_stop, poly),))
+    else:
+        table = reference_table()
+    state = (state_at(table, dev["r_prog"]) if dev["r_prog"] is not None
+             else table.states[-1])
+    return table, state
 
 
-def _sweep_block(sw, ref_r) -> dict:
-    """The sweep block converted and checked, with r_lo/r_hi resolved to
-    ohms: an unset (or zero) bound is its fraction of ref_r."""
-    out = dict(sw)
-    out["mode"] = str(sw["mode"])
-    if out["mode"] not in ("fixed", "redesign"):
-        raise InputFormatError(
-            f"sweep.mode must be fixed|redesign, got {out['mode']}")
-    out["n_points"] = _number(sw["n_points"], "sweep.n_points", int)
-    if out["n_points"] < 1:
-        raise InputFormatError(
-            f"sweep.n_points must be >= 1, got {out['n_points']}")
-    out["sigma"] = _number(sw["sigma"], "sweep.sigma")
-    if not (math.isfinite(out["sigma"]) and out["sigma"] >= 0):
-        raise InputFormatError(
-            f"sweep.sigma must be finite and >= 0, got {out['sigma']}")
-    out["seed"] = _number(sw["seed"], "sweep.seed", int)
-    out["workers"] = _number(sw["workers"], "sweep.workers", int)
-    for end in ("r_lo", "r_hi"):
-        frac = f"{end}_frac"
-        out[end] = (_number(sw[end], f"sweep.{end}") if sw[end]
-                    else _number(sw[frac], f"sweep.{frac}") * ref_r)
-    if not 0 < out["r_lo"] <= out["r_hi"] < math.inf:
-        raise InputFormatError(
-            f"sweep range needs 0 < r_lo <= r_hi < inf, got "
-            f"r_lo={out['r_lo']} ohm, r_hi={out['r_hi']} ohm")
-    return out
-
-
-def load_config(path) -> RunConfig:
-    """Read, default-fill and validate a YAML run configuration."""
-    raw = {}
+def load_config(path, overrides=None) -> RunConfig:
+    """Read a YAML run configuration, lay `overrides` (block -> key ->
+    value, as a config file would give them) over it, and convert and
+    check every key against CONFIG_TABLE."""
+    raw = None
     if path is not None:
         try:
             with open(path) as fh:
-                raw = yaml.load(fh, Loader=_YAML_LOADER) or {}
+                raw = yaml.load(fh, Loader=_YAML_LOADER)
         except FileNotFoundError as exc:
             raise InputFormatError(f"config file not found: {path}") from exc
         except yaml.YAMLError as exc:
             raise InputFormatError(f"invalid YAML in {path}: {exc}") from exc
-    cfg = _merge(DEFAULT_CONFIG, raw)
-    if cfg["schema"] != SCHEMA_VERSION:
+    cfg = _convert(CONFIG_TABLE, raw, _DEFAULTS)
+    if overrides:
+        cfg = _convert(CONFIG_TABLE, overrides, cfg)
+
+    table, state = _in_block("device", _device, cfg["device"])
+    integ = dict(cfg["integration"])
+    method = integ.pop("method")
+    sw = cfg["sweep"]
+    # an unset bound is its fraction of the programmed state
+    bounds = {end: sw[f"{end}_frac"] * state.r_prog if sw[end] is None
+              else sw[end] for end in ("r_lo", "r_hi")}
+    if not 0 < bounds["r_lo"] <= bounds["r_hi"] < math.inf:
         raise InputFormatError(
-            f"unsupported config schema {cfg['schema']!r}, expected {SCHEMA_VERSION}")
-
-    try:
-        dev = cfg["device"]
-        if dev["table_csv"]:
-            table = load_state_table(dev["table_csv"])
-        elif dev["coefficients"] is not None:
-            coefs = _numbers(dev["coefficients"], "device.coefficients")
-            if len(coefs) != 5:
-                raise InputFormatError("device.coefficients needs 5 entries")
-            v_set = _number(dev["v_set"], "device.v_set")
-            v_stop = _number(dev["v_stop"], "device.v_stop")
-            poly = DevicePoly(*coefs, v_min=-v_set, v_max=v_stop)
-            table = StateTable((DeviceState(
-                resistance_at_low_bias(poly), v_set, v_stop, poly),))
-        else:
-            table = reference_table()
-        state = (state_at(table, _number(dev["r_prog"], "device.r_prog"))
-                 if dev["r_prog"] is not None else table.states[-1])
-
-        d = cfg["design"]
-        spec = DesignSpec(**{k: _number(d[k], f"design.{k}")
-                             for k in ("v_eq", "c1", "alpha", "beta")})
-
-        integ = dict(cfg["integration"])
-        method = integ.pop("method")
-        if method not in ("rk4", "rk45"):
-            raise InputFormatError(f"integration.method must be rk4|rk45, got {method}")
-        icfg = IntegrationConfig(**{
-            k: (str(v) if k == "soa_policy" else _number(
-                v, f"integration.{k}", int if k == "record_stride" else float))
-            for k, v in integ.items()})
-        init = tuple(_numbers(cfg["initial_state"], "initial_state"))
-        if len(init) != 3:
-            raise InputFormatError("initial_state needs 3 components")
-        if not all(map(math.isfinite, init)):
-            raise InputFormatError(
-                f"initial_state must be finite, got {list(init)}")
-        d0 = _number(cfg["lyapunov"]["d0"], "lyapunov.d0")
-        if not 0 < d0 < math.inf:
-            raise InputFormatError(
-                f"lyapunov.d0 must be finite and > 0, got {d0}")
-
-        a = cfg["analysis"]
-        acfg = AnalysisConfig(**{
-            k: _number(v, f"analysis.{k}",
-                       int if k in ("max_periodic_clusters", "min_samples")
-                       else float)
-            for k, v in a.items()})
-
-        return RunConfig(table=table, state=state, spec=spec,
-                         components=cfg["components"], method=method,
-                         integration=icfg, initial_state=init, analysis=acfg,
-                         lyap_d0=d0,
-                         sweep=_sweep_block(cfg["sweep"], state.r_prog),
-                         out_dir=str(cfg["out_dir"]))
-    except InputFormatError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InputFormatError(f"bad config value: {exc}") from exc
+            f"config.sweep: needs 0 < r_lo <= r_hi < inf, got "
+            f"r_lo={bounds['r_lo']} ohm, r_hi={bounds['r_hi']} ohm")
+    return RunConfig(
+        table=table, state=state,
+        spec=_in_block("design", DesignSpec, **cfg["design"]),
+        components=cfg["components"], method=method,
+        integration=_in_block("integration", IntegrationConfig, **integ),
+        initial_state=tuple(cfg["initial_state"]),
+        analysis=_in_block("analysis", AnalysisConfig, **cfg["analysis"]),
+        lyap_d0=cfg["lyapunov"]["d0"], sweep={**sw, **bounds},
+        out_dir=cfg["out_dir"])
 
 
 def _config_path(args):
@@ -264,15 +275,9 @@ def _resolve_circuit(rc: RunConfig):
     """
     if rc.components:
         comp = rc.components
-        try:
-            c1, c2, l, r, r_n = (_number(comp[k], f"components.{k}")
-                                 for k in ("c1", "c2", "l", "r", "r_n"))
-            if r == 0 or r_n == 0:
-                raise ValueError("r and r_n must be nonzero")
-            params = CircuitParams(c1=c1, c2=c2, l=l, g=1.0 / r,
-                                   g_n=1.0 / r_n, device=rc.state.poly)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise InputFormatError(f"bad components block: {exc}") from exc
+        params = _in_block("components", CircuitParams, c1=comp["c1"],
+                           c2=comp["c2"], l=comp["l"], g=1.0 / comp["r"],
+                           g_n=1.0 / comp["r_n"], device=rc.state.poly)
         return params, find_equilibria(params)
     report = design_circuit(rc.state, rc.spec).require_ok()
     return report.params, report.equilibria
@@ -425,15 +430,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rc = load_config(_config_path(args))
-    sw = dict(rc.sweep)
-    if args.seed is not None:
-        sw["seed"] = args.seed
-    if args.mode is not None:
-        sw["mode"] = args.mode
-    if args.workers is not None:
-        sw["workers"] = args.workers
-
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_TABLE["sweep"]}
+    rc = load_config(_config_path(args), {"sweep": flags})
+    sw = rc.sweep
     points = sweep(rc.table, rc.spec, rc.integration, rc.analysis,
                    r_lo=sw["r_lo"], r_hi=sw["r_hi"], n_points=sw["n_points"],
                    mode=sw["mode"], sigma=sw["sigma"], seed=sw["seed"],
@@ -503,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bifurcation sweep over r_prog")
     add_common(p_sweep)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--mode", choices=["fixed", "redesign"], default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    for key in ("seed", "mode", "workers"):  # converted and checked as config
+        p_sweep.add_argument(f"--{key}", default=argparse.SUPPRESS,
+                             help=f"overrides sweep.{key} of the config")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

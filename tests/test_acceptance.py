@@ -21,8 +21,8 @@ from conftest import lc_period
 
 SPEC = m.DesignSpec(v_eq=0.9, c1=1e-8, alpha=10.0, beta=14.22)
 NOMINAL = {"r": 7643.0, "r_n": 6856.0, "l": 0.410, "c2": 1e-7}
-SWEEP_SIGMA = cli.DEFAULT_CONFIG["sweep"]["sigma"]
-SWEEP_SEED = cli.DEFAULT_CONFIG["sweep"]["seed"]
+SWEEP_SIGMA = cli.CONFIG_TABLE["sweep"]["sigma"].default
+SWEEP_SEED = cli.CONFIG_TABLE["sweep"]["seed"].default
 
 
 def report(num, name, passed, detail):

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +170,7 @@ class TestParserCache:
 YAML_LOADERS = [yaml.SafeLoader] + (
     [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
-# every key of DEFAULT_CONFIG, written by hand so that both loaders
+# every key of CONFIG_TABLE, written by hand so that both loaders
 # resolve the same plain scalars (1e-8 without a dot is a string to both)
 EVERY_KEY_YAML = """\
 schema: 1
@@ -248,8 +250,8 @@ class TestYamlLoaders:
         cfg = tmp_path / "c.yaml"
         cfg.write_text(EVERY_KEY_YAML.format(table=table))
         raw = yaml.safe_load(cfg.read_text())
-        assert raw.keys() == cli.DEFAULT_CONFIG.keys()
-        for key, val in cli.DEFAULT_CONFIG.items():
+        assert raw.keys() == cli.CONFIG_TABLE.keys()
+        for key, val in cli.CONFIG_TABLE.items():
             if isinstance(val, dict):
                 assert raw[key].keys() == val.keys()
 
@@ -527,12 +529,12 @@ COMPONENTS = {"r": 7643.0, "r_n": 6856.0, "l": 0.41, "c1": 1.0e-8,
               "c2": 1.0e-7}
 NUMERIC_KEYS = (
     [("device", k) for k in ("r_prog", "v_set", "v_stop")]
-    + [("design", k) for k in cli.DEFAULT_CONFIG["design"]]
-    + [("integration", k) for k in cli.DEFAULT_CONFIG["integration"]
+    + [("design", k) for k in cli.CONFIG_TABLE["design"]]
+    + [("integration", k) for k in cli.CONFIG_TABLE["integration"]
        if k not in ("method", "soa_policy")]
-    + [("analysis", k) for k in cli.DEFAULT_CONFIG["analysis"]]
+    + [("analysis", k) for k in cli.CONFIG_TABLE["analysis"]]
     + [("lyapunov", "d0")]
-    + [("sweep", k) for k in cli.DEFAULT_CONFIG["sweep"] if k != "mode"]
+    + [("sweep", k) for k in cli.CONFIG_TABLE["sweep"] if k != "mode"]
     + [("components", k) for k in COMPONENTS])
 INTEGER_KEYS = {"record_stride", "max_periodic_clusters", "min_samples",
                 "n_points", "seed", "workers"}
@@ -584,7 +586,141 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
     # 1 / r once raised ZeroDivisionError: a traceback, exit 1
     assert bad_value_error(tmp_path, capsys,
                            {"components": {**COMPONENTS, "r": 0.0}}) == [
-        "input error: bad components block: r and r_n must be nonzero"]
+        "input error: config.components.r must be nonzero, got 0.0"]
+
+
+@pytest.mark.parametrize("overrides, error", [
+    # an integer key takes no fraction, and no key takes a boolean
+    ({"sweep": {"n_points": 2.5}},
+     "config.sweep.n_points: expected an integer, got 2.5"),
+    ({"integration": {"record_stride": 2.9}},
+     "config.integration.record_stride: expected an integer, got 2.9"),
+    ({"sweep": {"workers": True}},
+     "config.sweep.workers: expected an integer, got True"),
+    ({"schema": True}, "config.schema: expected an integer, got True"),
+    ({"design": {"v_eq": True}},
+     "config.design.v_eq: expected a number, got True"),
+    ({"out_dir": None}, "config.out_dir: expected a string, got None"),
+    ({"sweep": {"seed": -1}}, "config.sweep.seed must be >= 0, got -1"),
+    ({"schema": 2}, "config.schema must be 1, got 2"),
+    ({"integration": {"method": "euler"}},
+     "config.integration.method must be rk4|rk45, got 'euler'"),
+    # every key a config gives is checked, whether or not the run reads it
+    ({"components": {**COMPONENTS, "foo": 1.0}},
+     "unknown key config.components.foo"),
+    ({"components": {k: v for k, v in COMPONENTS.items() if k != "c2"}},
+     "config.components.c2 is required"),
+    ({"components": {}}, "config.components.r is required"),
+    ({"device": {"v_set": "two"}},
+     "config.device.v_set: expected a number, got 'two'"),
+    ({"sweep": {"r_lo": 2.0e5, "r_lo_frac": "x"}},
+     "config.sweep.r_lo_frac: expected a number, got 'x'"),
+    ({"sweep": {"r_lo": 2.0e5, "r_lo_frac": -1.0}},
+     "config.sweep.r_lo_frac must be finite and > 0, got -1.0"),
+    ({"device": {"coefficients": [1e-6, 0.0, 0.0]}},
+     "config.device.coefficients must have 5 entries, got [1e-06, 0.0, 0.0]"),
+    ({"initial_state": [0.1, 0.0]},
+     "config.initial_state must be finite and have 3 entries, got [0.1, 0.0]"),
+    ({"sweep": {"r_lo": 0, "r_hi": 1000.0}},
+     "config.sweep: needs 0 < r_lo <= r_hi < inf, got r_lo=0.0 ohm, "
+     "r_hi=1000.0 ohm"),
+    ({"sweep": [1, 2]}, "config.sweep must be a mapping"),
+    # the library's own checks name the block they read
+    ({"integration": {"dt": -1.0}},
+     "config.integration: dt must be positive, got -1.0"),
+    ({"analysis": {"min_samples": 2}},
+     "config.analysis: cluster cap must be >= 1 and min_samples >= 3"),
+    ({"design": {"alpha": -1.0}},
+     "config.design: v_eq, c1, alpha and beta must all be positive"),
+    ({"device": {"r_prog": -5.0}},
+     "config.device: r_prog must be positive and finite, got -5.0"),
+    ({"components": {**COMPONENTS, "c1": -1.0e-8}},
+     "config.components: c1, c2 and l must be positive"),
+], ids=["n-fraction", "stride-fraction", "workers-bool", "schema-bool",
+        "v_eq-bool", "out_dir-null", "seed-negative", "schema-2",
+        "method", "components-extra", "components-missing",
+        "components-empty", "v_set-unread", "r_lo_frac-unread",
+        "r_lo_frac-negative", "coefficients-short", "init-short",
+        "r_lo-zero", "block-list", "integration", "analysis", "design",
+        "device", "components"])
+def test_rejected_config_names_its_key(tmp_path, capsys, overrides, error):
+    assert bad_value_error(tmp_path, capsys, overrides) == [
+        f"input error: {error}"]
+
+
+@pytest.mark.parametrize("flags, section, error", [
+    (["--seed", "-1"], {}, "config.sweep.seed must be >= 0, got -1"),
+    ([], {"seed": -1}, "config.sweep.seed must be >= 0, got -1"),
+    (["--workers", "two"], {},
+     "config.sweep.workers: expected an integer, got 'two'"),
+    (["--mode", "foo"], {}, "config.sweep.mode must be fixed|redesign, "
+                            "got 'foo'"),
+], ids=["seed-flag", "seed-config", "workers-flag", "mode-flag"])
+def test_sweep_flags_are_checked_as_config(tmp_path, capsys, flags, section,
+                                           error):
+    # a negative seed once reached np.random.default_rng: a traceback
+    cfg = write_config(tmp_path / "c.yaml", integration=SHORT_INTEGRATION,
+                       sweep={**SMALL_SWEEP, **section})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"input error: {error}"]
+    assert not out.exists()
+
+
+def test_sweep_flags_override_the_config(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "sweep",
+                        lambda *args, **kwargs: calls.append(kwargs) or [])
+    cfg = write_config(tmp_path / "c.yaml", sweep={"seed": 3, "workers": 2})
+    cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--seed", "5", "--mode", "redesign"])
+    assert [(c["seed"], c["mode"], c["workers"]) for c in calls] == [
+        (5, "redesign", 2)]
+
+
+def test_integral_floats_are_integers(tmp_path):
+    cfg = write_config(tmp_path / "c.yaml", schema=1.0,
+                       sweep={"n_points": 32.0, "seed": "7"},
+                       integration={"record_stride": 5.0})
+    rc = cli.load_config(cfg)
+    assert (rc.sweep["n_points"], rc.sweep["seed"],
+            rc.integration.record_stride) == (32, 7, 5)
+    assert all(type(v) is int for v in (rc.sweep["n_points"],
+                                        rc.integration.record_stride))
+
+
+def test_defaults_are_the_library_defaults():
+    rc = cli.load_config(None)
+    assert rc.integration == m.IntegrationConfig()
+    assert rc.analysis == m.AnalysisConfig()
+    # the defaults pass the table's own conversions and checks
+    assert cli._convert(cli.CONFIG_TABLE, cli._DEFAULTS,
+                        cli._DEFAULTS) == cli._DEFAULTS
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_config_loads(tmp_path, monkeypatch):
+    text = README.read_text()
+    example = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    m.save_state_table("states.csv", m.reference_table().states)
+    (tmp_path / "c.yaml").write_text(example)
+    rc = cli.load_config("c.yaml")
+    assert rc.state.r_prog == 300e3
+    assert rc.sweep["n_points"] == 32
+
+
+def test_readme_lists_every_key():
+    listed = set(re.findall(r"^\| `([a-z_.0-9]+)` \|", README.read_text(),
+                            flags=re.M))
+    keys = set()
+    for block, table in cli.CONFIG_TABLE.items():
+        keys |= ({f"{block}.{key}" for key in table}
+                 if isinstance(table, dict) else {block})
+    assert listed == keys
 
 
 def sha256(path):
