@@ -21,6 +21,6 @@ from .errors import (DesignError, FitError, InputFormatError,
 from .integrate import (Event, IntegrationConfig, Trajectory, integrate,
                         integrate_adaptive, write_events_csv,
                         write_trajectory_csv)
-from .kernels import BACKEND, USE_NUMBA
+from .kernels import BACKEND
 
 __version__ = "0.1.0"

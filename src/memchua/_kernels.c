@@ -5,11 +5,14 @@
  * order, the same status and event codes, and the same abort, shadow and
  * divergence rules. Built with -ffp-contract=off (no fused multiply-add)
  * and without -ffast-math, every double they compute is the one the
- * Python kernels compute, so their outputs are bit-identical.
+ * Python kernels compute, so their outputs are bit-identical, up to the
+ * payload of a NaN, which IEEE 754 leaves open.
  *
  * memchua_rk4_trajectory runs one or two calls of _rk4_trajectory at once,
  * each in a lane of 2-wide vectors (the GCC and Clang vector extension):
  * the references of both lanes form one vector and their shadows another.
+ * Every argument of a call is its lane's own, its step size included, so
+ * any two calls can share a kernel call.
  * An RK4 step is a chain of dependent operations, so the kernel is bound
  * by their latency. Bare steps on a 2-CPU Intel Xeon VM (gcc 12, -O2):
  * one scalar chain took about 110 ns per step, two interleaved about
@@ -140,18 +143,30 @@ static inline void f(const Circuit *q, double a, double b, double c,
     *fc = -b / q->l;
 }
 
+/* A lane's row of doubles and its row of integers: _rk4_trajectory's
+ * arguments in their order, split by type. */
+enum {
+    R_P1, R_V1 = 10, R_V2, R_IL, R_DT, R_V_MIN, R_V_MAX, R_V_DIV, R_I_DIV,
+    R_D0, N_REALS
+};
+enum {
+    I_N_STEPS, I_REC_START, I_STRIDE, I_ABORT_ON_SOA, I_SHADOW,
+    I_RENORM_EVERY, I_TRANSIENT_STEPS, N_INTS
+};
+
 /* x[i] in lane 0 and x[offset + i] in lane 1 */
 static inline v2d pair(const double *x, int offset, int i)
 {
     return (v2d){x[i], x[offset + i]};
 }
 
-/* The per-lane state and outputs of memchua_rk4_trajectory. */
+/* The per-lane arguments, state and outputs of memchua_rk4_trajectory. */
 typedef struct {
     double *times, *states;
     Events ev;
-    double v1_start, v_min, v_max, v_div, i_div;
-    int64_t renorm_every;
+    double dt, d0, v_min, v_max, v_div, i_div;
+    int64_t n_steps, stride, renorm_every, transient_steps;
+    int abort_on_soa;
     int64_t until_record, until_renorm;  /* steps to the next of each */
     int recording, shadow, inside;
     int64_t j, status, ni, lyap_status;
@@ -166,21 +181,13 @@ typedef struct {
  * `k % renorm_every` tests; they match because each flag is on from step 1
  * until it goes off for good. `w` holds the lane's shadow state; returns 1
  * when it was renormalized. */
-static inline int advance(Lane *ln, int64_t k, double dt, int64_t stride,
-                          int abort_on_soa, int64_t transient_steps,
-                          double d0, double v1, double v2, double il,
-                          double *w)
+static inline int advance(Lane *ln, int64_t k, double v1, double v2,
+                          double il, double *w)
 {
     if (!(-ln->v_div <= v1 && v1 <= ln->v_div && -ln->v_div <= v2
           && v2 <= ln->v_div && -ln->i_div <= il && il <= ln->i_div)) {
         if (ln->recording) {
-            /* IEEE 754 leaves open which NaN a sum of two NaNs is, and
-             * compilers order the terms of a sum at will. From a NaN start
-             * the Python kernel's update `a + ...` gives its left term,
-             * the start's own NaN (CPython's specialized float addition
-             * keeps the left NaN); so does this */
-            push_event(&ln->ev, (double)k * dt, KIND_DIVERGED,
-                       k == 1 && isnan(ln->v1_start) ? ln->v1_start : v1);
+            push_event(&ln->ev, (double)k * ln->dt, KIND_DIVERGED, v1);
             ln->status = STATUS_DIVERGED;
         }
         if (ln->shadow)
@@ -190,12 +197,12 @@ static inline int advance(Lane *ln, int64_t k, double dt, int64_t stride,
     }
 
     if (ln->recording) {
-        const double t = (double)k * dt;
+        const double t = (double)k * ln->dt;
         const int now_inside = ln->v_min <= v1 && v1 <= ln->v_max;
         if (ln->inside && !now_inside) {
             push_event(&ln->ev, t,
                        v1 < ln->v_min ? KIND_SOA_LOW : KIND_SOA_HIGH, v1);
-            if (abort_on_soa) {
+            if (ln->abort_on_soa) {
                 ln->status = STATUS_SOA_ABORT;
                 ln->recording = 0;
                 if (!ln->shadow)
@@ -205,7 +212,7 @@ static inline int advance(Lane *ln, int64_t k, double dt, int64_t stride,
         ln->inside = now_inside;
 
         if (ln->recording && --ln->until_record == 0) {
-            ln->until_record = stride;
+            ln->until_record = ln->stride;
             record(ln->times, ln->states, ln->j, t, v1, v2, il);
             ln->j++;
         }
@@ -222,11 +229,11 @@ static inline int advance(Lane *ln, int64_t k, double dt, int64_t stride,
             ln->shadow = 0;
         } else {
             double s;
-            if (k - ln->renorm_every >= transient_steps) {
-                ln->acc += log(d / d0);
+            if (k - ln->renorm_every >= ln->transient_steps) {
+                ln->acc += log(d / ln->d0);
                 ln->ni++;
             }
-            s = d0 / d;
+            s = ln->d0 / d;
             w[0] = v1 + dx * s;
             w[1] = v2 + dy * s;
             w[2] = il + dz * s;
@@ -237,65 +244,68 @@ static inline int advance(Lane *ln, int64_t k, double dt, int64_t stride,
 }
 
 /* _rk4_trajectory for `lanes` (1 or 2) runs at once, each lane one run.
- * Lane l's inputs are circuit[10 l ..] (p1..p5, g, gn, c1, c2, l),
- * start[3 l ..] (v1, v2, il), limits[4 l ..] (v_min, v_max, v_div, i_div)
- * and renorm_every[l]; the other arguments are the lanes' shared ones.
- * times[l] holds the (n_steps - rec_start) / stride + 1 rows the Python
- * kernel would allocate, states[l] three times that, and the event buffers
- * ev_cap entries each. On return out[5 l ..] holds lane l's (rows recorded,
- * status, events seen, n_intervals, lyap_status) and acc[l] its summed log
- * stretch.
+ * Lane l's arguments are reals[N_REALS l ..] and ints[N_INTS l ..], laid
+ * out as the R_ and I_ enums say. times[l] holds the
+ * (n_steps - rec_start) / stride + 1 rows the Python kernel would
+ * allocate, states[l] three times that, and the event buffers ev_cap
+ * entries each. On return out[5 l ..] holds lane l's (rows recorded,
+ * status, events seen, n_intervals, lyap_status) and acc[l] its summed
+ * log stretch.
  *
  * Both lanes step together as 2-wide vectors, the references as one
- * vector and the shadows as another; a single lane fills the unused half
- * with a copy of itself. The bookkeeping stays scalar, per lane. A lane
- * that stopped keeps stepping, its values unused, until both have
- * stopped. */
+ * vector and the shadows as another, each lane with its own dt; a single
+ * lane fills the unused half with a copy of itself. The bookkeeping stays
+ * scalar, per lane. A lane that stopped, or ran its own n_steps, keeps
+ * stepping, its values unused, until both have stopped. */
 void memchua_rk4_trajectory(
-    int lanes, const double *circuit, const double *start,
-    const double *limits, const int64_t *renorm_every, double dt,
-    int64_t n_steps, int64_t rec_start, int64_t stride, int abort_on_soa,
-    int shadow, int64_t transient_steps, double d0,
+    int lanes, const double *reals, const int64_t *ints,
     double *const *times, double *const *states, double *const *ev_t,
     int64_t *const *ev_k, double *const *ev_v, int64_t ev_cap,
     int64_t *out, double *acc)
 {
-    /* lane 1 reads lane 0's inputs when there is one lane */
-    const int b = lanes > 1;
+    /* lane 1 reads lane 0's arguments when there is one lane */
+    const int b = (lanes > 1) * N_REALS;
     const Circuit2 q = {
-        pair(circuit, 10 * b, 0), pair(circuit, 10 * b, 1),
-        pair(circuit, 10 * b, 2), pair(circuit, 10 * b, 3),
-        pair(circuit, 10 * b, 4), pair(circuit, 10 * b, 5),
-        pair(circuit, 10 * b, 6), pair(circuit, 10 * b, 7),
-        pair(circuit, 10 * b, 8), pair(circuit, 10 * b, 9)};
-    const v2d vdt = {dt, dt}, vh = {0.5 * dt, 0.5 * dt};
-    v2d v1 = pair(start, 3 * b, 0), v2 = pair(start, 3 * b, 1);
-    v2d il = pair(start, 3 * b, 2);
-    v2d w1 = v1 + (v2d){d0, d0}, w2 = v2, wl = il;
+        pair(reals, b, R_P1), pair(reals, b, R_P1 + 1),
+        pair(reals, b, R_P1 + 2), pair(reals, b, R_P1 + 3),
+        pair(reals, b, R_P1 + 4), pair(reals, b, R_P1 + 5),
+        pair(reals, b, R_P1 + 6), pair(reals, b, R_P1 + 7),
+        pair(reals, b, R_P1 + 8), pair(reals, b, R_P1 + 9)};
+    const v2d vdt = pair(reals, b, R_DT), half = {0.5, 0.5};
+    const v2d vh = half * vdt;
+    v2d v1 = pair(reals, b, R_V1), v2 = pair(reals, b, R_V2);
+    v2d il = pair(reals, b, R_IL);
+    v2d w1 = v1 + pair(reals, b, R_D0), w2 = v2, wl = il;
     Lane ln[2];
     int64_t k;
     int l;
 
-    ln[1].recording = ln[1].shadow = 0;
+    ln[1].n_steps = 0;  /* with one lane, lane 1 stops before step 1 */
     for (l = 0; l < lanes; l++) {
-        const double *s = start + 3 * l;
-        const double *lim = limits + 4 * l;
+        const double *r = reals + N_REALS * l;
+        const int64_t *i = ints + N_INTS * l;
+        const int64_t rec_start = i[I_REC_START];
         Lane *n = &ln[l];
 
         n->times = times[l];
         n->states = states[l];
         n->ev = (Events){ev_t[l], ev_k[l], ev_v[l], 0, ev_cap};
-        n->v1_start = s[0];
-        n->v_min = lim[0];
-        n->v_max = lim[1];
-        n->v_div = lim[2];
-        n->i_div = lim[3];
-        n->renorm_every = renorm_every[l];
-        n->until_record = rec_start > 0 ? rec_start : stride;
-        n->until_renorm = renorm_every[l];
-        n->recording = rec_start <= n_steps;
-        n->shadow = shadow;
-        n->inside = n->v_min <= s[0] && s[0] <= n->v_max;
+        n->dt = r[R_DT];
+        n->d0 = r[R_D0];
+        n->v_min = r[R_V_MIN];
+        n->v_max = r[R_V_MAX];
+        n->v_div = r[R_V_DIV];
+        n->i_div = r[R_I_DIV];
+        n->n_steps = i[I_N_STEPS];
+        n->stride = i[I_STRIDE];
+        n->renorm_every = i[I_RENORM_EVERY];
+        n->transient_steps = i[I_TRANSIENT_STEPS];
+        n->abort_on_soa = i[I_ABORT_ON_SOA] != 0;
+        n->until_record = rec_start > 0 ? rec_start : n->stride;
+        n->until_renorm = n->renorm_every;
+        n->recording = rec_start <= n->n_steps;
+        n->shadow = i[I_SHADOW] != 0;
+        n->inside = n->v_min <= r[R_V1] && r[R_V1] <= n->v_max;
         n->j = 0;
         n->status = STATUS_OK;
         n->ni = 0;
@@ -304,19 +314,24 @@ void memchua_rk4_trajectory(
 
         if (n->recording && !n->inside) {
             push_event(&n->ev, 0.0,
-                       s[0] < n->v_min ? KIND_SOA_LOW : KIND_SOA_HIGH, s[0]);
-            if (abort_on_soa) {
+                       r[R_V1] < n->v_min ? KIND_SOA_LOW : KIND_SOA_HIGH,
+                       r[R_V1]);
+            if (n->abort_on_soa) {
                 n->status = STATUS_SOA_ABORT;
                 n->recording = 0;
             }
         }
         if (n->recording && rec_start == 0) {
-            record(n->times, n->states, n->j, 0.0, s[0], s[1], s[2]);
+            record(n->times, n->states, n->j, 0.0, r[R_V1], r[R_V2],
+                   r[R_IL]);
             n->j++;
         }
     }
 
-    for (k = 1; k <= n_steps; k++) {
+    for (k = 1;; k++) {
+        for (l = 0; l < 2; l++)
+            if (k > ln[l].n_steps)
+                ln[l].recording = ln[l].shadow = 0;
         if (!(ln[0].recording || ln[0].shadow || ln[1].recording
               || ln[1].shadow))
             break;
@@ -326,8 +341,7 @@ void memchua_rk4_trajectory(
         for (l = 0; l < 2; l++) {
             double w[3] = {w1[l], w2[l], wl[l]};
             if ((ln[l].recording || ln[l].shadow)
-                && advance(&ln[l], k, dt, stride, abort_on_soa,
-                           transient_steps, d0, v1[l], v2[l], il[l], w)) {
+                && advance(&ln[l], k, v1[l], v2[l], il[l], w)) {
                 w1[l] = w[0];
                 w2[l] = w[1];
                 wl[l] = w[2];

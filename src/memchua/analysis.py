@@ -11,6 +11,7 @@ variability.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -436,7 +437,9 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     (the bench experiment: only the device is reprogrammed); "redesign"
     recomputes the components per point. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
-    worker count. Per-point design failures and variability draws that
+    worker count. At most `workers` processes run the points, and no more
+    than there are pairs of points or CPUs; one runs them in this
+    process. Per-point design failures and variability draws that
     overflow are recorded as inconclusive, with the cause on
     SweepPoint.reason, without stopping the sweep; in
     "fixed" mode a reference design that fails its checks raises
@@ -464,6 +467,9 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     # in pairs, which the C kernels step together; a batch holds its points'
     # records at once, so it stays at two
     pairs = [tasks[k:k + 2] for k in range(0, len(tasks), 2)]
+    # a pool forks all of its processes at the first submit: no more than
+    # there are pairs to run or CPUs to run them
+    workers = min(workers, len(pairs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_points, pairs))

@@ -84,7 +84,8 @@ CONFIG_TABLE = {
         "dt": Key(float, 1.0e-6),
         "t_end": Key(float, 0.5),
         "t_transient": Key(float, 0.1),
-        "record_stride": Key(int, 10),
+        "record_stride": Key(int, 10, (lambda v: v <= 2**63 - 1,
+                                       "be <= 2**63 - 1")),
         "soa_policy": Key(str, "warn"),
         "abs_tol": Key(float, 1.0e-9),
         "rel_tol": Key(float, 1.0e-7),
@@ -108,11 +109,13 @@ CONFIG_TABLE = {
         "r_hi_frac": Key(float, 1.5, _FINITE_POSITIVE),
         "r_lo": Key(float, None),  # ohm; unset: r_lo_frac * r_prog
         "r_hi": Key(float, None),
-        "n_points": Key(int, 32, (lambda v: v >= 1, "be >= 1")),
+        # each point keeps its extrema until the CSV is written
+        "n_points": Key(int, 32, (lambda v: 1 <= v <= 100_000,
+                                  "be >= 1 and <= 100000")),
         "sigma": Key(float, 0.1, (lambda v: 0 <= v < math.inf,
                                   "be finite and >= 0")),
         "seed": Key(int, 20220926, (lambda v: v >= 0, "be >= 0")),
-        "workers": Key(int, 1),
+        "workers": Key(int, 1, (lambda v: v >= 1, "be >= 1")),
     },
     "out_dir": Key(str, "out"),
 }

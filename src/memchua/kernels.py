@@ -13,47 +13,45 @@ pure path a step costs two Python calls, not one per field evaluation. The
 DOPRI5 kernel reuses an accepted step's last stage as the next step's first.
 
 ``rk4_trajectories`` runs a list of RK4 calls. On the C backend it steps
-two calls at a time as the two lanes of one kernel call, which is how a
-sweep runs its points. An RK4 step is a chain of dependent floating-point
-operations, so the C kernel is bound by their latency rather than by
-their number. Timed as bare steps on a 2-CPU Intel Xeon VM (gcc 12, -O2),
-one trajectory took about 110 ns per step, two interleaved (a reference
-and its shadow) about 115 ns, and four about 185 ns. Packed as 2-wide
-vectors, the references of two calls form one chain and their shadows
-another, and the four trajectories took about 115 ns per step: 29 ns per
-trajectory, against 58 ns for a call of its own. Each lane does the
-scalar operations in the scalar order, so its results are bit for bit
-those of a call of its own.
+consecutive calls two at a time, whatever their arguments, as the two
+lanes of one kernel call, which is how a sweep runs its points. An RK4
+step is a chain of dependent floating-point operations, so the C kernel is
+bound by their latency rather than by their number. Timed as bare steps on
+a 2-CPU Intel Xeon VM (gcc 12, -O2), one trajectory took about 110 ns per
+step, two interleaved (a reference and its shadow) about 115 ns, and four
+about 185 ns. Packed as 2-wide vectors, the references of two calls form
+one chain and their shadows another, and the four trajectories took about
+115 ns per step: 29 ns per trajectory, against 58 ns for a call of its
+own. Each lane does the scalar operations in the scalar order, with its
+own step size and step count, so its results are bit for bit those of a
+call of its own.
 
 Kernel backends, chosen once at import and named by ``BACKEND``:
 
-``"numba"``
-    numba imports (the ``fast`` extra): the Python kernels below are
-    compiled with ``numba.njit``. They are written as scalar-unrolled loops
-    over the three circuit state variables for this.
 ``"c"``
-    otherwise, ``_kernels.c``, a C port of the same two kernels (the same
-    operations in the same order; its RK4 kernel steps one or two lanes),
-    built with the compiler Python was built with (the first word of
+    ``_kernels.c``, a C port of the same two kernels (the same operations
+    in the same order; its RK4 kernel steps one or two lanes), built with
+    the compiler Python was built with (the first word of
     ``sysconfig.get_config_var("CC")``, else ``cc``) and loaded through
     ctypes. It is compiled with ``-ffp-contract=off`` and without
     ``-ffast-math``: no multiply and add are fused into one rounding and no
     operation is reordered, so every double matches the Python kernels bit
-    for bit. The library is cached in this package's ``__pycache__`` as
-    ``_kernels-<toolchain>-<build>.so``, the first hash covering the
-    compiler and the machine, the second the source and the flags, so only
-    the first import after a change compiles. It is written under a
-    temporary name and renamed into place, which makes concurrent builds
-    safe, and each build removes the libraries that earlier builds for the
-    same toolchain left there; where ``__pycache__`` cannot be written it
-    is built in a temporary directory for this process alone.
+    for bit, up to the payload of a NaN. The library is cached in this
+    package's ``__pycache__`` as ``_kernels-<toolchain>-<build>.so``, the
+    first hash covering the compiler and the machine, the second the source
+    and the flags, so only the first import after a change compiles. It
+    is written under a temporary name and renamed into place, which makes
+    concurrent builds safe, and each build removes the libraries that
+    earlier builds for the same toolchain left there; where ``__pycache__``
+    cannot be written it is built in a temporary directory for this
+    process alone.
 ``"python"``
     when the C build fails (no compiler, a compile error, a library that
-    does not load): the Python kernels run as they are, correct but 10 to
-    40 times slower. ``C_BUILD_ERROR`` keeps the reason.
+    does not load): the Python kernels below run as they are, correct but
+    10 to 40 times slower. ``C_BUILD_ERROR`` keeps the reason.
 
-The undecorated Python kernels stay importable via ``PURE_KERNELS`` as the
-reference that the parity tests compare every other backend against.
+The Python kernels stay importable via ``PURE_KERNELS`` as the reference
+that the parity tests compare the C build against.
 
 Kernels return flat numpy arrays plus integer status/event codes; the
 wrapper layer in :mod:`memchua.integrate` and :mod:`memchua.analysis` turns
@@ -66,19 +64,14 @@ import math
 import os
 import platform
 import subprocess
-import struct
 import sysconfig
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-try:
-    import numba
-
-    USE_NUMBA = True
-except ImportError:
-    USE_NUMBA = False
+# no numba backend; perfbench/run.py's environment() records this flag
+USE_NUMBA = False
 
 # integration outcome codes
 STATUS_OK = 0
@@ -468,32 +461,13 @@ def _c_ints(*values):
             raise OverflowError(f"{v} does not fit the C kernels' int64")
 
 
-def _shared(args):
-    """The arguments the two lanes of a C RK4 call share: dt, n_steps,
-    rec_start, stride, abort_on_soa, shadow, transient_steps and d0, with
-    dt and d0 as their bytes, so that -0.0 and 0.0 differ."""
-    return (struct.pack("dd", args[13], args[25]), *args[14:17],
-            bool(args[21]), bool(args[22]), args[24])
-
-
-def _lane_groups(arg_tuples):
-    """rk4_trajectories' calls, completed with rk4_trajectory's defaults,
-    in order and in groups of one or two: two consecutive calls that share
-    the shared arguments form a group, the lanes of one C kernel call."""
-    calls = []
-    for a in arg_tuples:
-        if not 22 <= len(a) <= 26:
-            raise TypeError(f"rk4_trajectory takes 22 to 26 arguments, "
-                            f"got {len(a)}")
-        calls.append(tuple(a) + _RK4_DEFAULTS[len(a) - 22:])
-    groups = []
-    i = 0
-    while i < len(calls):
-        n = 2 if (i + 1 < len(calls)
-                  and _shared(calls[i]) == _shared(calls[i + 1])) else 1
-        groups.append(calls[i:i + n])
-        i += n
-    return groups
+def _full_args(args):
+    """An rk4_trajectories call's arguments with rk4_trajectory's defaults
+    filled in."""
+    if not 22 <= len(args) <= 26:
+        raise TypeError(f"rk4_trajectory takes 22 to 26 arguments, "
+                        f"got {len(args)}")
+    return tuple(args) + _RK4_DEFAULTS[len(args) - 22:]
 
 
 def _bind(lib):
@@ -509,8 +483,7 @@ def _bind(lib):
                            ctypes.c_void_p)
     i64_out = ctypes.POINTER(ctypes.c_int64)
     c_rk4 = lib.memchua_rk4_trajectory
-    c_rk4.argtypes = ([flag] + [ptr] * 4 + [f64] + [i64] * 3 + [flag] * 2
-                      + [i64, f64] + [ptr] * 5 + [i64, ptr, ptr])
+    c_rk4.argtypes = [flag] + [ptr] * 7 + [i64, ptr, ptr]
     c_rk4.restype = None
     c_dopri = lib.memchua_dopri_trajectory
     c_dopri.argtypes = ([f64] * 15 + [i64] + [f64] * 8 + [flag, i64]
@@ -522,31 +495,31 @@ def _bind(lib):
     c_free.restype = None
 
     def lanes(calls):
-        """One C call for one or two full rk4_trajectory argument tuples
-        that share dt, n_steps, rec_start, stride, abort_on_soa, shadow,
-        transient_steps and d0; each lane's return tuple, in order."""
+        """One C call for one or two full rk4_trajectory argument tuples;
+        each lane's return tuple, in order."""
+        bufs = []
         for a in calls:
-            _c_ints(*a[14:17], *a[23:25])
-            if a[16] < 1 or (a[22] and a[23] < 1):
+            n_steps, rec_start, stride = a[14:17]
+            _c_ints(n_steps, rec_start, stride, *a[23:25])
+            if stride < 1 or (a[22] and a[23] < 1):
                 raise ValueError("stride and renorm_every must be >= 1")
-        first = calls[0]
+            n_rec = ((n_steps - rec_start) // stride + 1
+                     if rec_start <= n_steps else 0)
+            bufs.append((np.empty(n_rec), np.empty((n_rec, 3)),
+                         np.empty(_EV_CAP), np.empty(_EV_CAP, np.int64),
+                         np.empty(_EV_CAP)))
         n = len(calls)
-        dt, n_steps, rec_start, stride = first[13:17]
-        recording = rec_start <= n_steps
-        n_rec = (n_steps - rec_start) // stride + 1 if recording else 0
-        bufs = [(np.empty(n_rec), np.empty((n_rec, 3)), np.empty(_EV_CAP),
-                 np.empty(_EV_CAP, np.int64), np.empty(_EV_CAP))
-                for _ in calls]
+        # each lane's doubles, then its integers, in argument order
+        reals = (f64 * (19 * n))(*(x for a in calls
+                                   for x in (*a[:14], *a[17:21], a[25])))
+        ints = (i64 * (7 * n))(*(x for a in calls
+                                 for x in (*a[14:17], bool(a[21]),
+                                           bool(a[22]), *a[23:25])))
         ptrs = [(ptr * n)(*(b[i].ctypes.data for b in bufs))
                 for i in range(5)]
         out = (ctypes.c_int64 * (5 * n))()
         acc = (ctypes.c_double * n)()
-        c_rk4(n, (f64 * (10 * n))(*(x for a in calls for x in a[:10])),
-              (f64 * (3 * n))(*(x for a in calls for x in a[10:13])),
-              (f64 * (4 * n))(*(x for a in calls for x in a[17:21])),
-              (i64 * n)(*(a[23] for a in calls)), dt, n_steps, rec_start,
-              stride, bool(first[21]), bool(first[22]), first[24],
-              first[25], *ptrs, _EV_CAP, out, acc)
+        c_rk4(n, reals, ints, *ptrs, _EV_CAP, out, acc)
         results = []
         for i, (times, states, ev_t, ev_k, ev_v) in enumerate(bufs):
             j, status, nev, ni, lyap_status = out[5 * i:5 * i + 5]
@@ -559,8 +532,9 @@ def _bind(lib):
 
     def rk4_trajectories(arg_tuples):
         """``rk4_trajectories`` run by the C build."""
-        return [out for group in _lane_groups(arg_tuples)
-                for out in lanes(group)]
+        calls = [_full_args(a) for a in arg_tuples]
+        return [out for i in range(0, len(calls), 2)
+                for out in lanes(calls[i:i + 2])]
 
     def rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                        v1, v2, il, dt, n_steps, rec_start, stride,
@@ -708,25 +682,17 @@ def rk4_trajectories(arg_tuples):
     two calls at a time.
 
     Each tuple holds rk4_trajectory's positional arguments, the defaulted
-    trailing ones optional. On the C backend two consecutive calls that
-    share dt, n_steps, rec_start, stride, abort_on_soa, shadow,
-    transient_steps and d0 run as the two lanes of one kernel call, in
-    about the time of one; any other call runs alone. Each result is the
-    one rk4_trajectory returns for its call, bit for bit.
+    trailing ones optional. On the C backend calls 1 and 2, 3 and 4, and
+    so on run as the two lanes of one kernel call, in about the time of
+    one, whatever their arguments. Each result is the one rk4_trajectory
+    returns for its call, bit for bit.
     """
     if _C_KERNELS is not None:
         return _C_KERNELS["rk4_trajectories"](arg_tuples)
     return [rk4_trajectory(*args) for args in arg_tuples]
 
 
-C_BUILD_ERROR = None
-_C_KERNELS = None
-if USE_NUMBA:
-    BACKEND = "numba"
-    rk4_trajectory = numba.njit(cache=True)(_rk4_trajectory)
-    dopri_trajectory = numba.njit(cache=True)(_dopri_trajectory)
-else:
-    _C_KERNELS, C_BUILD_ERROR = _load_c()
-    BACKEND = "c" if _C_KERNELS else "python"
-    rk4_trajectory = (_C_KERNELS or PURE_KERNELS)["rk4_trajectory"]
-    dopri_trajectory = (_C_KERNELS or PURE_KERNELS)["dopri_trajectory"]
+_C_KERNELS, C_BUILD_ERROR = _load_c()
+BACKEND = "c" if _C_KERNELS else "python"
+rk4_trajectory = (_C_KERNELS or PURE_KERNELS)["rk4_trajectory"]
+dopri_trajectory = (_C_KERNELS or PURE_KERNELS)["dopri_trajectory"]

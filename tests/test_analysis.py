@@ -458,6 +458,37 @@ class TestSweep:
             assert ps.verdict == pp.verdict
             assert np.array_equal(ps.extrema, pp.extrema)
 
+    @pytest.mark.parametrize("workers, n_points, cpus, started", [
+        (5000, 5, 2, 2), (5000, 5, 64, 3), (2, 5, 64, 2), (5000, 2, 64, None),
+        (5000, 5, None, None), (1, 5, 64, None)])
+    def test_pool_size_is_bounded(self, ref_state, spec, monkeypatch,
+                                  workers, n_points, cpus, started):
+        # no more processes than pairs of points or CPUs, and none for one
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        table = m.StateTable((ref_state,))
+        icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.005)
+        pts = m.sweep(table, spec, icfg, m.AnalysisConfig(),
+                      0.5 * ref_state.r_prog, 1.1 * ref_state.r_prog,
+                      n_points, sigma=0.05, seed=3, workers=workers)
+        assert len(pts) == n_points
+        assert pools == ([] if started is None else [started])
+
     @pytest.mark.parametrize("mode", ["fixed", "redesign"])
     def test_paired_points_match_lone_runs(self, ref_state, spec, tmp_path,
                                            mode):

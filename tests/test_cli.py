@@ -602,6 +602,15 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
      "config.design.v_eq: expected a number, got True"),
     ({"out_dir": None}, "config.out_dir: expected a string, got None"),
     ({"sweep": {"seed": -1}}, "config.sweep.seed must be >= 0, got -1"),
+    ({"sweep": {"workers": 0}}, "config.sweep.workers must be >= 1, got 0"),
+    # integers that once ended in an OverflowError or a numpy allocation
+    # error: a traceback, exit 1
+    ({"integration": {"record_stride": 10**30}},
+     f"config.integration.record_stride must be <= 2**63 - 1, got {10**30}"),
+    ({"sweep": {"n_points": 3_000_000_000}},
+     "config.sweep.n_points must be >= 1 and <= 100000, got 3000000000"),
+    ({"sweep": {"n_points": 10**23}},
+     f"config.sweep.n_points must be >= 1 and <= 100000, got {10**23}"),
     ({"schema": 2}, "config.schema must be 1, got 2"),
     ({"integration": {"method": "euler"}},
      "config.integration.method must be rk4|rk45, got 'euler'"),
@@ -637,7 +646,8 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
     ({"components": {**COMPONENTS, "c1": -1.0e-8}},
      "config.components: c1, c2 and l must be positive"),
 ], ids=["n-fraction", "stride-fraction", "workers-bool", "schema-bool",
-        "v_eq-bool", "out_dir-null", "seed-negative", "schema-2",
+        "v_eq-bool", "out_dir-null", "seed-negative", "workers-zero",
+        "stride-huge", "n-huge", "n-huger", "schema-2",
         "method", "components-extra", "components-missing",
         "components-empty", "v_set-unread", "r_lo_frac-unread",
         "r_lo_frac-negative", "coefficients-short", "init-short",

@@ -1,8 +1,10 @@
+import ctypes
 import importlib
 import math
 import shutil
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,11 +267,18 @@ class TestKernelPathParity:
 
 def assert_identical(got, want):
     """Every returned array byte for byte, with its dtype and shape, and
-    every scalar equal and of the same type."""
+    every scalar equal and of the same type. A NaN matches any NaN at the
+    same index: IEEE 754 leaves open which NaN an operation on NaNs gives,
+    and the pure kernel itself writes 0xfff8... or 0x7ff8... for the same
+    NaN start depending on whether CPython has specialized its closure."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape
+            if b.dtype.kind == "f":
+                nan = np.isnan(b)
+                assert np.array_equal(np.isnan(a), nan)
+                a, b = a[~nan], b[~nan]
             assert a.tobytes() == b.tobytes()
         else:
             assert type(a) is type(b) and a == b
@@ -355,10 +364,11 @@ class TestRk4Oracle:
         assert out[5] == kernels.STATUS_OK
         assert out[8] == kernels.STATUS_SHADOW_FAIL
         # a NaN reference start is recorded, then diverges at the first step
-        out = self.run_both(pair, p, (math.nan, 0.0, 0.0), 1e-6, 0, 1, False,
-                            True)
-        assert out[5] == kernels.STATUS_DIVERGED
-        assert len(out[0]) == 1
+        for start in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0),
+                      (0.0, 0.0, math.nan)):
+            out = self.run_both(pair, p, start, 1e-6, 0, 1, False, True)
+            assert out[5] == kernels.STATUS_DIVERGED
+            assert len(out[0]) == 1 and math.isnan(out[4][-1])
 
 
 class TestRk4CParity:
@@ -382,47 +392,79 @@ class TestRk4CParity:
         self.run_case(pair, designed, **case)
 
 
+class CountLanes:
+    """memchua_rk4_trajectory, recording the lane count of each call."""
+
+    def __init__(self, fn):
+        self.__dict__.update(fn=fn, lanes=[])
+
+    def __setattr__(self, name, value):  # argtypes and restype
+        setattr(self.fn, name, value)
+
+    def __call__(self, lanes, *args):
+        self.lanes.append(lanes)
+        return self.fn(lanes, *args)
+
+
+@pytest.fixture(scope="module")
+def lane_kernels(c_kernels, tmp_path_factory):
+    """(CountLanes, the C kernels bound to a library whose RK4 kernel it
+    counts)"""
+    path = tmp_path_factory.mktemp("lanes") / "_kernels.so"
+    found, reason = kernels._compile_and_bind(kernels._compiler(), path)
+    assert found is not None, reason
+    lib = ctypes.CDLL(str(path))
+    counter = CountLanes(lib.memchua_rk4_trajectory)
+    return counter, kernels._bind(SimpleNamespace(
+        memchua_rk4_trajectory=counter,
+        memchua_dopri_trajectory=lib.memchua_dopri_trajectory,
+        memchua_free=lib.memchua_free))
+
+
 class TestRk4Lanes:
     """kernels.rk4_trajectories on the C build, whose lanes step two runs
     at once, against a separate call of the pure kernel for each run: every
     returned array byte for byte and every scalar equal."""
 
     @staticmethod
-    def call(params, init=(0.1, 0.0, 0.0), n_steps=3000, rec_start=500,
-             stride=3, abort=False, shadow=True, renorm_every=50, d0=1e-8):
+    def call(params, init=(0.1, 0.0, 0.0), dt=1e-6, n_steps=3000,
+             rec_start=500, stride=3, abort=False, shadow=True,
+             renorm_every=50, transient_steps=750, d0=1e-8):
         d = params.device
-        return (*params.kernel_args, *init, 1e-6, n_steps, rec_start, stride,
+        return (*params.kernel_args, *init, dt, n_steps, rec_start, stride,
                 d.v_min, d.v_max, 1e3 * params.voltage_scale,
                 1e3 * params.current_scale, abort, shadow, renorm_every,
-                n_steps // 4, d0)
+                transient_steps, d0)
 
     @staticmethod
-    def run(c_kernels, calls, groups):
-        """The C results of `calls`, which must run in lane groups of the
-        sizes `groups`."""
-        assert [len(g) for g in kernels._lane_groups(calls)] == groups
+    def run(lane_kernels, calls, lanes):
+        """The C results of `calls`, which must take C calls of `lanes`
+        lanes each."""
+        counter, c_kernels = lane_kernels
+        counter.lanes.clear()
         got = c_kernels["rk4_trajectories"](calls)
+        assert counter.lanes == lanes
         assert len(got) == len(calls)
         for out, args in zip(got, calls):
             assert_identical(out, kernels.PURE_KERNELS["rk4_trajectory"](*args))
         return got
 
-    def test_one_lane_diverges(self, c_kernels, designed):
+    def test_one_lane_diverges(self, lane_kernels, designed):
         p = designed.params
         hot = replace(p, g_n=p.g_n * 1e3)
         for calls in ([self.call(p), self.call(hot)],
                       [self.call(hot), self.call(p)]):
-            got = self.run(c_kernels, calls, [2])
+            got = self.run(lane_kernels, calls, [2])
             assert sorted(out[5] for out in got) == [kernels.STATUS_OK,
                                                      kernels.STATUS_DIVERGED]
 
     @pytest.mark.parametrize("shadow", [False, True])
-    def test_one_lane_aborts(self, c_kernels, designed, shadow):
+    def test_one_lane_aborts(self, lane_kernels, designed, shadow):
         p = designed.params
         d = p.device
         narrow = replace(p, device=m.DevicePoly(
             d.p1, d.p2, d.p3, d.p4, d.p5, v_min=-0.5, v_max=0.5))
-        got = self.run(c_kernels, [
+        got = self.run(lane_kernels, [
             self.call(narrow, abort=True, shadow=shadow),
             self.call(p, abort=True, shadow=shadow)], [2])
         assert got[0][5] == kernels.STATUS_SOA_ABORT
@@ -432,49 +474,45 @@ class TestRk4Lanes:
 
     @pytest.mark.parametrize("rec_start", [500, 3001], ids=["record",
                                                            "no-record"])
-    def test_one_shadow_collapses(self, c_kernels, designed, rec_start):
+    def test_one_shadow_collapses(self, lane_kernels, designed, rec_start):
         # v1 + 1e-300 == v1: the shadow of the first lane starts on its
         # reference; the second lane never renormalizes
         p = designed.params
-        got = self.run(c_kernels, [
+        got = self.run(lane_kernels, [
             self.call(p, rec_start=rec_start, d0=1e-300),
             self.call(p, init=(0.2, 0.0, 0.0), rec_start=rec_start,
                       renorm_every=3001, d0=1e-300)], [2])
         assert got[0][8] == kernels.STATUS_SHADOW_FAIL
         assert got[1][8] == kernels.STATUS_OK and got[1][7] == 0
 
-    def test_lanes_renormalize_apart(self, c_kernels, designed):
+    def test_lanes_renormalize_apart(self, lane_kernels, designed):
         p = designed.params
-        got = self.run(c_kernels, [self.call(p, renorm_every=50),
+        got = self.run(lane_kernels, [self.call(p, renorm_every=50),
                                    self.call(p, renorm_every=77)], [2])
         assert got[0][7] != got[1][7]
         assert got[0][0].tobytes() == got[1][0].tobytes()
 
-    def test_batches_of_one_and_three(self, c_kernels, designed):
+    def test_batches_of_one_and_three(self, lane_kernels, designed):
         p = designed.params
         calls = [self.call(replace(p, device=m.perturb(p.device, 0.1, seed)))
                  for seed in range(3)]
-        self.run(c_kernels, calls[:1], [1])
-        self.run(c_kernels, calls, [2, 1])
-        self.run(c_kernels, [], [])
+        self.run(lane_kernels, calls[:1], [1])
+        self.run(lane_kernels, calls, [2, 1])
+        self.run(lane_kernels, [], [])
 
-    @pytest.mark.parametrize("shared", [
-        dict(n_steps=2999), dict(rec_start=499), dict(stride=4),
-        dict(abort=True), dict(shadow=False), dict(d0=2e-8)],
-        ids=["n_steps", "rec_start", "stride", "abort", "shadow", "d0"])
-    def test_unshared_arguments_run_alone(self, c_kernels, designed, shared):
-        p = designed.params
-        self.run(c_kernels, [self.call(p), self.call(p, **shared)], [1, 1])
-
-    def test_dt_and_transient_are_shared(self, designed):
-        # dt and d0 are compared by their bytes: 0.0 and -0.0 differ
-        base = self.call(designed.params)
-        for index, value, other in ((13, 0.0, -0.0), (13, 1e-6, 2e-6),
-                                    (24, 750, 0), (25, 0.0, -0.0)):
-            a = base[:index] + (value,) + base[index + 1:]
-            b = base[:index] + (other,) + base[index + 1:]
-            assert [len(g) for g in kernels._lane_groups([a, a])] == [2]
-            assert [len(g) for g in kernels._lane_groups([a, b])] == [1, 1]
+    @pytest.mark.parametrize("own", [
+        dict(dt=2e-6), dict(dt=-0.0), dict(n_steps=1200), dict(rec_start=499),
+        dict(stride=4), dict(abort=True), dict(shadow=False),
+        dict(transient_steps=0), dict(d0=2e-8), dict(d0=-0.0)],
+        ids=["dt", "dt-negative-zero", "n_steps", "rec_start", "stride",
+             "abort", "shadow", "transient_steps", "d0", "d0-negative-zero"])
+    def test_lanes_take_their_own_arguments(self, lane_kernels, designed,
+                                            own):
+        # two calls that differ in one argument share a C call, in either
+        # order; with n_steps=1200 one lane stops while the other runs on
+        a, b = self.call(designed.params), self.call(designed.params, **own)
+        self.run(lane_kernels, [a, b], [2])
+        self.run(lane_kernels, [b, a], [2])
 
     def test_python_fallback_runs_each_call(self, designed, monkeypatch):
         pure = kernels.PURE_KERNELS["rk4_trajectory"]

@@ -2,8 +2,8 @@
 the library cache, and concurrent builders.
 
 Each test imports a copy of the package, with an empty cache, in a fresh
-interpreter where numba does not import, so it selects between the C and
-the Python kernels as a numba-less install does.
+interpreter, so it selects between the C and the Python kernels as a
+fresh install does.
 """
 
 import json
@@ -23,8 +23,7 @@ needs_cc = pytest.mark.skipif(shutil.which(CC) is None,
                               reason="no C compiler on PATH")
 
 PROBE = """
-import json, sys
-sys.modules["numba"] = None  # numba takes precedence over C: hide it
+import json
 import memchua
 from memchua import kernels
 print(json.dumps([memchua.BACKEND, kernels.C_BUILD_ERROR]))
