@@ -122,7 +122,9 @@ class EquilibriumPoint:
     """An equilibrium with its spectrum. v2 is 0 and iL = -g*v1 exactly."""
 
     state: StateVector
-    label: str  # "P0", "P+" or "P-"
+    # "P0", else "P+"/"P-" numbered outward from the origin on each side:
+    # "P+", "P+2", "P+3", ...
+    label: str
     eigenvalues: tuple
     stable: bool
     in_window: bool
@@ -171,6 +173,8 @@ def find_equilibria(params: CircuitParams) -> list:
     the one with the smaller residual (the lower on a tie); roots outside
     the unpadded window are kept but flagged via in_window=False. An
     identically zero quartic (a linear network) yields the origin alone.
+    Off-origin points are labelled outward from the origin on each side:
+    P+, P+2, P+3, ... and P-, P-2, ...
     """
     d = params.device
     width = d.v_max - d.v_min
@@ -213,10 +217,13 @@ def find_equilibria(params: CircuitParams) -> list:
             residual=float(abs(_equilibrium_residual(params, v))),
         )
 
+    # min keeps the first of equal residuals, the lowest v1
+    picked = [min(group, key=lambda u: abs(_equilibrium_residual(params, u)))
+              for group in groups]
     points = [make_point(0.0, "P0")]
-    for group in groups:
-        # min keeps the first of equal residuals, the lowest v1
-        v = min(group, key=lambda u: abs(_equilibrium_residual(params, u)))
-        points.append(make_point(v, "P+" if v > 0 else "P-"))
+    for sign, side in (("-", [v for v in reversed(picked) if v < 0]),
+                       ("+", [v for v in picked if v > 0])):
+        for k, v in enumerate(side, 1):  # nearest the origin first
+            points.append(make_point(v, f"P{sign}{k if k > 1 else ''}"))
     points.sort(key=lambda p: p.state.v1)
     return points

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -386,26 +387,35 @@ def cmd_simulate(args) -> int:
 
     stiff = None
     lam = None
-    if rc.method == "rk45":
-        try:
-            traj = integrate_adaptive(params, rc.initial_state, rc.integration)
-        except IntegrationError as exc:
-            traj = getattr(exc, "trajectory", None)
-            if traj is None:
-                raise
-            stiff = str(exc)
-        if not traj.diverged and stiff is None:
+    exponent = None
+    # a C kernel call releases the GIL, so under rk45 the exponent pass
+    # runs on a second CPU while this thread records the run and writes
+    # its CSVs; leaving the block joins the thread, also on an exception
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if rc.method == "rk45":
+            exponent = pool.submit(largest_lyapunov, params,
+                                   rc.initial_state, rc.integration,
+                                   d0=rc.lyap_d0)
             try:
-                lam = largest_lyapunov(params, rc.initial_state,
-                                       rc.integration, d0=rc.lyap_d0)
+                traj = integrate_adaptive(params, rc.initial_state,
+                                          rc.integration)
+            except IntegrationError as exc:
+                traj = getattr(exc, "trajectory", None)
+                if traj is None:
+                    raise
+                stiff = str(exc)
+        else:
+            traj, lam = trajectory_and_lyapunov(params, rc.initial_state,
+                                                rc.integration,
+                                                d0=rc.lyap_d0)
+
+        write_trajectory_csv(out / "trajectory.csv", traj)
+        write_events_csv(out / "events.csv", traj)
+        if exponent is not None and not traj.diverged and stiff is None:
+            try:
+                lam = exponent.result()
             except LyapunovError:
                 lam = None
-    else:
-        traj, lam = trajectory_and_lyapunov(params, rc.initial_state,
-                                            rc.integration, d0=rc.lyap_d0)
-
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    write_events_csv(out / "events.csv", traj)
     if traj.events_dropped:
         print(f"warning: {traj.events_dropped} events past the event buffer "
               "cap are missing from events.csv", file=sys.stderr)

@@ -177,6 +177,20 @@ class TestFindEquilibria:
         assert v1s[0] == 0.0
         assert v1s[1:] == pytest.approx([0.7, 0.72], abs=1e-9)
 
+    def test_same_sign_roots_numbered_outward(self):
+        # 1e-3 (v + 1.5)(v + 0.7)(v - 0.5)(v - 1.0): two equilibria on
+        # each side of the origin, inside the +-2 V window
+        g, g_n = 1e-4, 1e-3
+        poly = m.DevicePoly(1e-3 * 0.525 - g + g_n, 1e-3 * -0.475,
+                            1e-3 * -1.75, 1e-3 * 0.7, 1e-3,
+                            v_min=-2.0, v_max=2.0)
+        params = m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=g, g_n=g_n,
+                                 device=poly)
+        eqs = m.find_equilibria(params)
+        assert [e.label for e in eqs] == ["P-2", "P-", "P0", "P+", "P+2"]
+        assert [e.state.v1 for e in eqs] == pytest.approx(
+            [-1.5, -0.7, 0.0, 0.5, 1.0], abs=1e-9)
+
     def test_odd_cubic_mirror_symmetry(self):
         g = 1e-4
         params = odd_cubic_params(g, g_n=g + 8.1e-6)

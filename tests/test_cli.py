@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import yaml
 
 import memchua as m
 from memchua import analysis, circuit, cli, design, kernels
+from memchua.integrate import integrate_adaptive, write_trajectory_csv
 
 from conftest import REF_COEFFS, make_samples
 
@@ -798,6 +801,124 @@ class TestPinnedOutputs:
             "ef0e159e3ed2f8b41be182f8df8b2aed9e77b01726492d34bfff8a3fca235316")
         assert sha256(out / "events.csv") == (
             "11f19886e0af659342e470ee610221d646d4ff43039108a2b6af18209aa62708")
+
+
+RK45 = {"method": "rk45", "t_end": 0.02, "t_transient": 0.005}
+# a linear 0.1 mS device against g_n = 1.46 mS: the net negative
+# conductance makes the start swing outward until it diverges
+DIVERGENT = {"device": {"coefficients": [1.0e-4, 0.0, 0.0, 0.0, 0.0]},
+             "components": {"r": 7643.0, "r_n": 685.6, "l": 0.41,
+                            "c1": 1.0e-8, "c2": 1.0e-7},
+             "integration": {**RK45, "t_transient": 0.0}}
+
+
+class TestRk45Overlap:
+    """rk45 `simulate` runs its exponent pass on a helper thread while the
+    main thread records the run and writes its CSVs. Outputs, exit codes
+    and stderr are those of the serial calls, and the thread is joined
+    before the command returns, on every path."""
+
+    @pytest.fixture(params=["default", "pure"])
+    def backend(self, request, monkeypatch):
+        if request.param == "pure":
+            for name in ("rk4_trajectory", "dopri_trajectory"):
+                monkeypatch.setattr(kernels, name, kernels.PURE_KERNELS[name])
+        return request.param
+
+    def simulate(self, tmp_path, capsys, **overrides):
+        """(exit code, classification.json or None, stderr) of one run,
+        with the count of live threads checked around it."""
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        threads = threading.active_count()
+        code = cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert threading.active_count() == threads
+        summary = tmp_path / "out" / "classification.json"
+        return (code, json.loads(summary.read_text()) if summary.exists()
+                else None, capsys.readouterr().err)
+
+    def test_outputs_match_serial_calls(self, tmp_path, capsys, backend):
+        code, _, err = self.simulate(tmp_path, capsys, integration=RK45)
+        assert (code, err) == (0, "")
+        rc = cli.load_config(tmp_path / "c.yaml")
+        params, eqs = cli._resolve_circuit(rc)
+        traj = integrate_adaptive(params, rc.initial_state, rc.integration)
+        lam = analysis.largest_lyapunov(params, rc.initial_state,
+                                        rc.integration, d0=rc.lyap_d0)
+        verdict = analysis.classify(traj, eqs, rc.analysis,
+                                    lambda1=lam.lambda1,
+                                    time_unit=params.time_unit)
+        cli._write_json(tmp_path / "serial.json", {
+            **verdict.as_dict(), "lambda1_dimensionless": lam.dimensionless,
+            "n_events": len(traj.events), "n_samples": len(traj.times)})
+        write_trajectory_csv(tmp_path / "serial.csv", traj)
+        out = tmp_path / "out"
+        assert ((out / "classification.json").read_bytes()
+                == (tmp_path / "serial.json").read_bytes())
+        assert ((out / "trajectory.csv").read_bytes()
+                == (tmp_path / "serial.csv").read_bytes())
+
+    def test_exponent_pass_runs_on_a_helper_thread(self, tmp_path, capsys,
+                                                   monkeypatch):
+        callers = []
+
+        def recording(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return analysis.largest_lyapunov(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "largest_lyapunov", recording)
+        code, summary, _ = self.simulate(tmp_path, capsys, integration=RK45)
+        assert code == 0 and summary["lambda1_per_s"] is not None
+        assert len(callers) == 1 and callers[0] != threading.get_ident()
+
+    def test_step_limit_keeps_its_failure(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(cli, "integrate_adaptive", lambda p, x, cfg: (
+            integrate_adaptive(p, x, dataclasses.replace(cfg, max_steps=300))))
+        code, summary, err = self.simulate(tmp_path, capsys,
+                                           integration=RK45)
+        failure = "exceeded max_steps=300 before reaching t_end"
+        assert code == 5
+        assert summary["integration_failure"] == failure
+        assert summary["lambda1_per_s"] is None
+        assert err == f"runtime failure: {failure}\n"
+
+    def test_divergent_run_has_no_exponent(self, tmp_path, capsys):
+        code, summary, err = self.simulate(tmp_path, capsys, **DIVERGENT)
+        assert code == 5 and err == "runtime failure: diverged\n"
+        assert "integration_failure" not in summary
+        assert summary["lambda1_per_s"] is None
+
+    def test_no_complete_interval_has_no_exponent(self, tmp_path, capsys):
+        # the renormalization interval R*C2 is about 0.76 ms
+        code, summary, err = self.simulate(
+            tmp_path, capsys, integration={**RK45, "t_end": 0.001,
+                                           "t_transient": 0.0005})
+        assert (code, err) == (0, "")
+        assert summary["lambda1_per_s"] is None
+
+    @pytest.mark.parametrize("overrides, code, err", [
+        ({"integration": RK45}, 5, "runtime failure: exponent failed\n"),
+        (DIVERGENT, 5, "runtime failure: diverged\n"),
+    ], ids=["surfaces", "discarded-after-divergence"])
+    def test_other_exponent_errors(self, tmp_path, capsys, monkeypatch,
+                                   overrides, code, err):
+        def failing(*args, **kwargs):
+            raise m.IntegrationError("exponent failed")
+
+        monkeypatch.setattr(cli, "largest_lyapunov", failing)
+        got_code, _, got_err = self.simulate(tmp_path, capsys, **overrides)
+        assert (got_code, got_err) == (code, err)
+
+    def test_record_pass_error_joins_the_thread(self, tmp_path, capsys,
+                                                monkeypatch):
+        def failing(*args):
+            raise m.IntegrationError("record failed")
+
+        monkeypatch.setattr(cli, "integrate_adaptive", failing)
+        assert self.simulate(tmp_path, capsys, integration=RK45) == (
+            5, None, "runtime failure: record failed\n")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 class TestOneEquilibriumSolve:
