@@ -144,10 +144,11 @@ static inline void f(const Circuit *q, double a, double b, double c,
 }
 
 /* A lane's row of doubles and its row of integers: _rk4_trajectory's
- * arguments in their order, split by type. */
+ * arguments in their order, split by type. kernels.py's _RK4_REALS and
+ * _RK4_INTS name them in the same order. */
 enum {
-    R_P1, R_V1 = 10, R_V2, R_IL, R_DT, R_V_MIN, R_V_MAX, R_V_DIV, R_I_DIV,
-    R_D0, N_REALS
+    R_P1, R_P2, R_P3, R_P4, R_P5, R_G, R_GN, R_C1, R_C2, R_L, R_V1, R_V2,
+    R_IL, R_DT, R_V_MIN, R_V_MAX, R_V_DIV, R_I_DIV, R_D0, N_REALS
 };
 enum {
     I_N_STEPS, I_REC_START, I_STRIDE, I_ABORT_ON_SOA, I_SHADOW,
@@ -266,11 +267,10 @@ void memchua_rk4_trajectory(
     /* lane 1 reads lane 0's arguments when there is one lane */
     const int b = (lanes > 1) * N_REALS;
     const Circuit2 q = {
-        pair(reals, b, R_P1), pair(reals, b, R_P1 + 1),
-        pair(reals, b, R_P1 + 2), pair(reals, b, R_P1 + 3),
-        pair(reals, b, R_P1 + 4), pair(reals, b, R_P1 + 5),
-        pair(reals, b, R_P1 + 6), pair(reals, b, R_P1 + 7),
-        pair(reals, b, R_P1 + 8), pair(reals, b, R_P1 + 9)};
+        pair(reals, b, R_P1), pair(reals, b, R_P2), pair(reals, b, R_P3),
+        pair(reals, b, R_P4), pair(reals, b, R_P5), pair(reals, b, R_G),
+        pair(reals, b, R_GN), pair(reals, b, R_C1), pair(reals, b, R_C2),
+        pair(reals, b, R_L)};
     const v2d vdt = pair(reals, b, R_DT), half = {0.5, 0.5};
     const v2d vh = half * vdt;
     v2d v1 = pair(reals, b, R_V1), v2 = pair(reals, b, R_V2);

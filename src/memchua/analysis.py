@@ -255,32 +255,36 @@ class LyapunovResult:
     n_intervals: int
     d0: float
 
-def _shadow_args(params: CircuitParams, cfg: IntegrationConfig, d0: float,
-                 renorm_interval: Optional[float]) -> tuple:
-    """Trailing (shadow) arguments of kernels.rk4_trajectory."""
+def _shadow_call(params: CircuitParams, init, cfg: IntegrationConfig,
+                 d0: float, renorm_interval: Optional[float],
+                 record: bool = True) -> kernels.Rk4Call:
+    """The kernels.Rk4Call of a run with the shadow on; record=False turns
+    the recorder off."""
     if not 0 < d0 < math.inf:
         raise ValueError(f"d0 must be finite and positive, got {d0}")
     tau = float(renorm_interval) if renorm_interval else params.time_unit
     renorm_every = max(1, _steps_for(tau, cfg.dt))
-    return True, renorm_every, _steps_for(cfg.t_transient, cfg.dt), d0
+    return _rk4_args(params, init, cfg, record)._replace(
+        shadow=True, renorm_every=renorm_every,
+        transient_steps=_steps_for(cfg.t_transient, cfg.dt), d0=d0)
 
 
-def _lyapunov_result(params: CircuitParams, cfg: IntegrationConfig,
-                     shadow: tuple, out: tuple) -> LyapunovResult:
-    """The exponent from the shadow half of a kernels.rk4_trajectory call."""
-    acc, ni, status = out[6:9]
-    if status == kernels.STATUS_DIVERGED:
+def _lyapunov_result(params: CircuitParams, call: kernels.Rk4Call,
+                     out: kernels.Rk4Out) -> LyapunovResult:
+    """The exponent from the shadow half of the kernel's `out` for
+    `call`."""
+    if out.lyap_status == kernels.STATUS_DIVERGED:
         raise LyapunovError("reference trajectory diverged; no exponent")
-    if status == kernels.STATUS_SHADOW_FAIL:
+    if out.lyap_status == kernels.STATUS_SHADOW_FAIL:
         raise LyapunovError("shadow separation collapsed or became non-finite")
-    if ni == 0:
+    if out.n_intervals == 0:
         raise LyapunovError(
             "no complete renormalization interval after the transient; "
             "extend t_end or shrink the renormalization interval")
-    _, renorm_every, _, d0 = shadow
-    lam = acc / (ni * renorm_every * cfg.dt)
+    lam = out.lyap_sum / (out.n_intervals * call.renorm_every * call.dt)
     return LyapunovResult(lambda1=lam, dimensionless=lam * params.time_unit,
-                          time_unit=params.time_unit, n_intervals=ni, d0=d0)
+                          time_unit=params.time_unit,
+                          n_intervals=out.n_intervals, d0=call.d0)
 
 
 def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
@@ -292,27 +296,18 @@ def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
     every renorm_interval (default: the circuit time unit R*C2); the mean
     log stretch per interval after t_transient is the exponent estimate.
     """
-    shadow = _shadow_args(params, cfg, d0, renorm_interval)
-    out = kernels.rk4_trajectory(
-        *_rk4_args(params, init, cfg, record=False), *shadow)
-    return _lyapunov_result(params, cfg, shadow, out)
+    call = _shadow_call(params, init, cfg, d0, renorm_interval, record=False)
+    (out,) = kernels.rk4_trajectories([call])
+    return _lyapunov_result(params, call, out)
 
 
-def _fused_args(params: CircuitParams, init, cfg: IntegrationConfig,
-                d0: float, renorm_interval: Optional[float]) -> tuple:
-    """kernels.rk4_trajectory arguments with the recorder and the shadow
-    both on."""
-    shadow = _shadow_args(params, cfg, d0, renorm_interval)
-    return (*_rk4_args(params, init, cfg), *shadow)
-
-
-def _fused_result(params: CircuitParams, cfg: IntegrationConfig,
-                  args: tuple, out: tuple):
+def _fused_result(params: CircuitParams, call: kernels.Rk4Call,
+                  out: kernels.Rk4Out):
     """trajectory_and_lyapunov's result from the kernel's `out` for
-    `args`."""
-    traj = _build(*out[:6], out[9])
+    `call`."""
+    traj = _build(out)
     try:
-        lyap = _lyapunov_result(params, cfg, args[-4:], out)
+        lyap = _lyapunov_result(params, call, out)
     except LyapunovError:
         lyap = None
     return traj, lyap
@@ -330,8 +325,9 @@ def trajectory_and_lyapunov(
     (the reference diverged, the shadow collapsed, or no interval
     completed after the transient).
     """
-    args = _fused_args(params, init, cfg, d0, renorm_interval)
-    return _fused_result(params, cfg, args, kernels.rk4_trajectory(*args))
+    call = _shadow_call(params, init, cfg, d0, renorm_interval)
+    (out,) = kernels.rk4_trajectories([call])
+    return _fused_result(params, call, out)
 
 
 def perturb(poly: DevicePoly, sigma: float, seed) -> DevicePoly:
@@ -372,8 +368,8 @@ def _unrun_point(r, seed_k, reason):
                       seed_k, False, reason=reason)
 
 def _prepare_point(task):
-    """A sweep task's circuit, its equilibria and its fused kernel
-    arguments, or its _unrun_point when it stops before integration."""
+    """A sweep task's circuit, its equilibria and its fused kernels.Rk4Call,
+    or its _unrun_point when it stops before integration."""
     (r, table, spec, icfg, acfg, mode, sigma, seed_k, init, ref_params,
      d0) = task
     state = state_at(table, r)
@@ -394,13 +390,13 @@ def _prepare_point(task):
         except DesignError as exc:
             return _unrun_point(r, seed_k, f"design failure: {exc}")
         params, eqs = report.params, report.equilibria
-    return params, eqs, _fused_args(params, init, icfg, d0, None)
+    return params, eqs, _shadow_call(params, init, icfg, d0, None)
 
 
-def _sweep_point(task, params, eqs, args, out):
-    """A sweep point from the kernel's `out` for its fused `args`."""
-    r, _, _, icfg, acfg, _, _, seed_k, _, _, _ = task
-    traj, lyap = _fused_result(params, icfg, args, out)
+def _sweep_point(task, params, eqs, call, out):
+    """A sweep point from the kernel's `out` for its `call`."""
+    r, _, _, _, acfg, _, _, seed_k, _, _, _ = task
+    traj, lyap = _fused_result(params, call, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
     extrema = (local_extrema(traj.times, traj.v1) if len(traj.times) >= 3
                else [])
@@ -421,7 +417,7 @@ def _sweep_points(tasks):
     points that run two at a time (kernels.rk4_trajectories)."""
     prepared = [_prepare_point(task) for task in tasks]
     ran = [p for p in prepared if not isinstance(p, SweepPoint)]
-    outs = iter(kernels.rk4_trajectories([args for *_, args in ran]))
+    outs = iter(kernels.rk4_trajectories([call for *_, call in ran]))
     return [p if isinstance(p, SweepPoint)
             else _sweep_point(task, *p, next(outs))
             for task, p in zip(tasks, prepared)]

@@ -133,16 +133,18 @@ def _init_tuple(init):
     return float(v[0]), float(v[1]), float(v[2])
 
 
-def _build(times, states, ev_t, ev_k, ev_v, status, dropped) -> Trajectory:
+def _build(out) -> Trajectory:
+    """The Trajectory of a kernel's Rk4Out or DopriOut."""
     events = tuple(Event(float(t), _KIND_NAMES[int(k)], float(v))
-                   for t, k, v in zip(ev_t, ev_k, ev_v))
-    return Trajectory(times=times, states=states, events=events, status=status,
-                      events_dropped=int(dropped))
+                   for t, k, v in zip(out.ev_t, out.ev_k, out.ev_v))
+    return Trajectory(times=out.times, states=out.states, events=events,
+                      status=out.status,
+                      events_dropped=int(out.events_dropped))
 
 
 def _rk4_args(params: CircuitParams, init, cfg: IntegrationConfig,
-              record: bool = True) -> tuple:
-    """Leading arguments of kernels.rk4_trajectory.
+              record: bool = True) -> kernels.Rk4Call:
+    """The kernels.Rk4Call of a run, with the shadow off.
 
     record=False turns the recorder off, window checks included. A recorded
     run that would keep more than MAX_RECORDED_ROWS samples raises
@@ -159,15 +161,17 @@ def _rk4_args(params: CircuitParams, init, cfg: IntegrationConfig,
             "t_end - t_transient")
     v_div, i_div = _divergence_bounds(params)
     d = params.device
-    return (*params.kernel_args, v1, v2, il, cfg.dt, n_steps, rec_start,
-            cfg.record_stride, d.v_min, d.v_max, v_div, i_div,
-            cfg.soa_policy == "abort")
+    return kernels.Rk4Call(
+        *params.kernel_args, v1=v1, v2=v2, il=il, dt=cfg.dt, n_steps=n_steps,
+        rec_start=rec_start, stride=cfg.record_stride, v_min=d.v_min,
+        v_max=d.v_max, v_div=v_div, i_div=i_div,
+        abort_on_soa=cfg.soa_policy == "abort")
 
 
 def integrate(params: CircuitParams, init, cfg: IntegrationConfig) -> Trajectory:
     """Fixed-step RK4 over [0, t_end]; deterministic for identical inputs."""
-    out = kernels.rk4_trajectory(*_rk4_args(params, init, cfg))
-    return _build(*out[:6], out[9])
+    (out,) = kernels.rk4_trajectories([_rk4_args(params, init, cfg)])
+    return _build(out)
 
 
 def integrate_adaptive(params: CircuitParams, init,
@@ -182,13 +186,13 @@ def integrate_adaptive(params: CircuitParams, init,
     v_div, i_div = _divergence_bounds(params)
     d = params.device
     h_max = cfg.t_end / 50.0
-    h0 = min(h_max, cfg.t_end * 1e-4)
-    out = kernels.dopri_trajectory(
-        *params.kernel_args, v1, v2, il, cfg.t_end, cfg.t_transient,
-        cfg.record_stride, cfg.abs_tol, cfg.rel_tol, h0, h_max,
-        d.v_min, d.v_max, v_div, i_div, cfg.soa_policy == "abort",
-        cfg.max_steps)
-    traj = _build(*out)
+    traj = _build(kernels.dopri_trajectory(kernels.DopriCall(
+        *params.kernel_args, v1=v1, v2=v2, il=il, t_end=cfg.t_end,
+        t_transient=cfg.t_transient, stride=cfg.record_stride,
+        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
+        h0=min(h_max, cfg.t_end * 1e-4), h_max=h_max, v_min=d.v_min,
+        v_max=d.v_max, v_div=v_div, i_div=i_div,
+        abort_on_soa=cfg.soa_policy == "abort", max_steps=cfg.max_steps)))
     if traj.status == kernels.STATUS_STEP_UNDERFLOW:
         t_reached = traj.times[-1] if len(traj.times) else 0.0
         exc = IntegrationError(

@@ -64,12 +64,15 @@ those into the public result types.
 
 import ctypes
 import hashlib
+import inspect
 import math
 import os
 import platform
 import subprocess
 import sysconfig
 import tempfile
+from collections import namedtuple
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,13 @@ KIND_DIVERGED = 2
 # sample); the buffer cap just bounds worst-case memory
 _EV_CAP = 4096
 
+# what the kernels return, in order; events past _EV_CAP are counted in
+# events_dropped, not stored
+Rk4Out = namedtuple("Rk4Out", "times states ev_t ev_k ev_v status lyap_sum "
+                    "n_intervals lyap_status events_dropped")
+DopriOut = namedtuple("DopriOut",
+                      "times states ev_t ev_k ev_v status events_dropped")
+
 
 def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                     v1, v2, il, dt, n_steps, rec_start, stride,
@@ -116,9 +126,7 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     any state magnitude beyond its v_div/i_div ceiling; both ceilings must
     be finite) stops both.
 
-    Returns (times, states, ev_t, ev_k, ev_v, status, lyap_sum,
-    n_intervals, lyap_status, events_dropped); events past _EV_CAP are
-    counted, not stored.
+    Returns an Rk4Out.
     """
 
     h = 0.5 * dt
@@ -241,9 +249,9 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                 wl = il + dz * s
 
     kept = min(nev, _EV_CAP)
-    return (times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
-            ev_k[:kept].copy(), ev_v[:kept].copy(), status,
-            acc, ni, lyap_status, nev - kept)
+    return Rk4Out(times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
+                  ev_k[:kept].copy(), ev_v[:kept].copy(), status,
+                  acc, ni, lyap_status, nev - kept)
 
 
 def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
@@ -255,9 +263,8 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     Accepts a step when each component's embedded error estimate is below
     abs_tol + rel_tol*|state|. Records every `stride`-th accepted step whose
     end time is past t_transient. Event semantics match the fixed-step
-    kernel, events past _EV_CAP included (counted as the last return
-    value); additionally reports step underflow (h < 1e-15 s) and an
-    iteration cap.
+    kernel, events past _EV_CAP included; additionally reports step
+    underflow (h < 1e-15 s) and an iteration cap. Returns a DopriOut.
     """
 
     def f(a, b, c):
@@ -432,13 +439,28 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
             h = h * fac
 
     kept = min(nev, _EV_CAP)
-    return (times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
-            ev_k[:kept].copy(), ev_v[:kept].copy(), status, nev - kept)
+    return DopriOut(times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
+                    ev_k[:kept].copy(), ev_v[:kept].copy(), status,
+                    nev - kept)
 
 
+def _call_type(name, kernel):
+    """A namedtuple of `kernel`'s parameters, in order, with its defaults."""
+    params = inspect.signature(kernel).parameters.values()
+    return namedtuple(name, [p.name for p in params],
+                      defaults=[p.default for p in params
+                                if p.default is not p.empty])
+
+
+# a kernel call's arguments by name, in the pure kernel's order
+Rk4Call = _call_type("Rk4Call", _rk4_trajectory)
+DopriCall = _call_type("DopriCall", _dopri_trajectory)
+
+
+# the Python backend's entry points, one kernel call per named call
 PURE_KERNELS = {
-    "rk4_trajectory": _rk4_trajectory,
-    "dopri_trajectory": _dopri_trajectory,
+    "rk4_trajectories": lambda calls: [_rk4_trajectory(*c) for c in calls],
+    "dopri_trajectory": lambda call: _dopri_trajectory(*call),
 }
 
 _C_SOURCE = Path(__file__).with_name("_kernels.c")
@@ -447,9 +469,17 @@ _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _C_LIBS = ("-lm",)
 _C_BUILD_TIMEOUT_S = 300
 _I64_MIN, _I64_MAX = -2**63, 2**63 - 1
-# rk4_trajectory's defaulted trailing arguments: shadow, renorm_every,
-# transient_steps, d0
-_RK4_DEFAULTS = (False, 1, 0, 1e-8)
+# a lane's row of doubles and its row of integers in the C RK4 kernel: the
+# fields of an Rk4Call split by type, in the order of _kernels.c's R_ and
+# I_ enums
+_RK4_REALS = ("p1", "p2", "p3", "p4", "p5", "g", "gn", "c1", "c2", "l",
+              "v1", "v2", "il", "dt", "v_min", "v_max", "v_div", "i_div",
+              "d0")
+_RK4_INTS = ("n_steps", "rec_start", "stride", "abort_on_soa", "shadow",
+             "renorm_every", "transient_steps")
+# the integer parameters of the C DOPRI5 kernel; the rest are doubles
+_DOPRI_INTS = {"stride": ctypes.c_int64, "abort_on_soa": ctypes.c_int,
+               "max_steps": ctypes.c_int64}
 
 
 def _compiler():
@@ -465,113 +495,88 @@ def _c_ints(*values):
             raise OverflowError(f"{v} does not fit the C kernels' int64")
 
 
-def _full_args(args):
-    """An rk4_trajectories call's arguments with rk4_trajectory's defaults
-    filled in."""
-    if not 22 <= len(args) <= 26:
-        raise TypeError(f"rk4_trajectory takes 22 to 26 arguments, "
-                        f"got {len(args)}")
-    return tuple(args) + _RK4_DEFAULTS[len(args) - 22:]
-
-
 def _bind(lib):
-    """The kernels of a loaded ``_kernels.c`` library, behind wrappers with
-    the Python kernels' signatures, defaults and return values.
+    """The kernels of a loaded ``_kernels.c`` library, behind entry points
+    that take and return the named tuples that ``PURE_KERNELS``'s do.
 
     The wrappers allocate every buffer the C code writes to, with sizes
     computed here as the Python kernels compute them, and reject a stride
     or renormalization interval below 1, which the C code's countdowns
     would misread. Raises AttributeError when a symbol is missing.
     """
-    f64, i64, flag, ptr = (ctypes.c_double, ctypes.c_int64, ctypes.c_int,
-                           ctypes.c_void_p)
-    i64_out = ctypes.POINTER(ctypes.c_int64)
+    f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     c_rk4 = lib.memchua_rk4_trajectory
-    c_rk4.argtypes = [flag] + [ptr] * 7 + [i64, ptr, ptr]
+    c_rk4.argtypes = [ctypes.c_int] + [ptr] * 7 + [i64, ptr, ptr]
     c_rk4.restype = None
     c_dopri = lib.memchua_dopri_trajectory
-    c_dopri.argtypes = ([f64] * 15 + [i64] + [f64] * 8 + [flag, i64]
+    c_dopri.argtypes = ([_DOPRI_INTS.get(name, f64)
+                         for name in DopriCall._fields]
                         + [ptr] * 3 + [i64] + [ctypes.POINTER(ptr)] * 2
-                        + [i64_out])
+                        + [ctypes.POINTER(i64)])
     c_dopri.restype = ctypes.c_int
     c_free = lib.memchua_free
     c_free.argtypes = [ptr]
     c_free.restype = None
+    reals_of, ints_of = attrgetter(*_RK4_REALS), attrgetter(*_RK4_INTS)
 
     def lanes(calls):
-        """One C call for one or two full rk4_trajectory argument tuples;
-        each lane's return tuple, in order."""
+        """One C call for one or two Rk4Calls; each lane's Rk4Out, in
+        order."""
         bufs = []
-        for a in calls:
-            n_steps, rec_start, stride = a[14:17]
-            _c_ints(n_steps, rec_start, stride, *a[23:25])
-            if stride < 1 or (a[22] and a[23] < 1):
+        for c in calls:
+            _c_ints(*ints_of(c))
+            if c.stride < 1 or (c.shadow and c.renorm_every < 1):
                 raise ValueError("stride and renorm_every must be >= 1")
-            n_rec = ((n_steps - rec_start) // stride + 1
-                     if rec_start <= n_steps else 0)
+            n_rec = ((c.n_steps - c.rec_start) // c.stride + 1
+                     if c.rec_start <= c.n_steps else 0)
             bufs.append((np.empty(n_rec), np.empty((n_rec, 3)),
                          np.empty(_EV_CAP), np.empty(_EV_CAP, np.int64),
                          np.empty(_EV_CAP)))
         n = len(calls)
-        # each lane's doubles, then its integers, in argument order
-        reals = (f64 * (19 * n))(*(x for a in calls
-                                   for x in (*a[:14], *a[17:21], a[25])))
-        ints = (i64 * (7 * n))(*(x for a in calls
-                                 for x in (*a[14:17], bool(a[21]),
-                                           bool(a[22]), *a[23:25])))
-        ptrs = [(ptr * n)(*(b[i].ctypes.data for b in bufs))
-                for i in range(5)]
-        out = (ctypes.c_int64 * (5 * n))()
-        acc = (ctypes.c_double * n)()
-        c_rk4(n, reals, ints, *ptrs, _EV_CAP, out, acc)
+        reals = ((f64 * len(_RK4_REALS)) * n)(*map(reals_of, calls))
+        # the flags as 0 or 1, whatever truth value a call holds
+        ints = ((i64 * len(_RK4_INTS)) * n)(*(
+            ints_of(c._replace(abort_on_soa=bool(c.abort_on_soa),
+                               shadow=bool(c.shadow))) for c in calls))
+        ptrs = [(ptr * n)(*(a.ctypes.data for a in column))
+                for column in zip(*bufs)]
+        # each lane's rows recorded, status, events seen, n_intervals and
+        # lyap_status, and its summed log stretch
+        counts = ((i64 * 5) * n)()
+        acc = (f64 * n)()
+        c_rk4(n, reals, ints, *ptrs, _EV_CAP, counts, acc)
         results = []
-        for i, (times, states, ev_t, ev_k, ev_v) in enumerate(bufs):
-            j, status, nev, ni, lyap_status = out[5 * i:5 * i + 5]
+        for buf, (j, status, nev, ni, lyap_status), lyap_sum in zip(
+                bufs, counts, acc):
+            times, states, ev_t, ev_k, ev_v = buf
             kept = min(nev, _EV_CAP)
-            results.append((times[:j].copy(), states[:j].copy(),
-                            ev_t[:kept].copy(), ev_k[:kept].copy(),
-                            ev_v[:kept].copy(), status, acc[i], ni,
-                            lyap_status, nev - kept))
+            results.append(Rk4Out(times[:j].copy(), states[:j].copy(),
+                                  ev_t[:kept].copy(), ev_k[:kept].copy(),
+                                  ev_v[:kept].copy(), status, lyap_sum, ni,
+                                  lyap_status, nev - kept))
         return results
 
-    def rk4_trajectories(arg_tuples):
-        """``rk4_trajectories`` run by the C build."""
-        calls = [_full_args(a) for a in arg_tuples]
+    def rk4_trajectories(calls):
+        """``rk4_trajectories`` run by the C build, two calls at a time."""
         return [out for i in range(0, len(calls), 2)
                 for out in lanes(calls[i:i + 2])]
 
-    def rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
-                       v1, v2, il, dt, n_steps, rec_start, stride,
-                       v_min, v_max, v_div, i_div, abort_on_soa,
-                       shadow=False, renorm_every=1, transient_steps=0,
-                       d0=1e-8):
-        """``_rk4_trajectory`` run by the C build, as one lane."""
-        return lanes([(p1, p2, p3, p4, p5, g, gn, c1, c2, l, v1, v2, il, dt,
-                       n_steps, rec_start, stride, v_min, v_max, v_div,
-                       i_div, abort_on_soa, shadow, renorm_every,
-                       transient_steps, d0)])[0]
-
-    def dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
-                         v1, v2, il, t_end, t_transient, stride,
-                         abs_tol, rel_tol, h0, h_max,
-                         v_min, v_max, v_div, i_div, abort_on_soa, max_steps):
-        """``_dopri_trajectory`` run by the C build."""
-        _c_ints(stride, max_steps)
-        if stride < 1:
+    def dopri_trajectory(call):
+        """``dopri_trajectory`` run by the C build."""
+        _c_ints(call.stride, call.max_steps)
+        if call.stride < 1:
             raise ValueError("stride must be >= 1")
         ev_t = np.empty(_EV_CAP)
         ev_k = np.empty(_EV_CAP, np.int64)
         ev_v = np.empty(_EV_CAP)
         times_p, states_p = ctypes.c_void_p(), ctypes.c_void_p()
-        out = (ctypes.c_int64 * 3)()
-        if c_dopri(p1, p2, p3, p4, p5, g, gn, c1, c2, l, v1, v2, il, t_end,
-                   t_transient, stride, abs_tol, rel_tol, h0, h_max, v_min,
-                   v_max, v_div, i_div, bool(abort_on_soa), max_steps,
+        counts = (i64 * 3)()
+        if c_dopri(*call._replace(abort_on_soa=bool(call.abort_on_soa)),
                    ev_t.ctypes.data, ev_k.ctypes.data, ev_v.ctypes.data,
                    _EV_CAP, ctypes.byref(times_p), ctypes.byref(states_p),
-                   out) != 0:
+                   counts) != 0:
             raise MemoryError("no memory for the DOPRI5 record")
-        j, status, nev = out
+        j, status, nev = counts
         try:
             times = np.empty(j)
             states = np.empty((j, 3))
@@ -581,11 +586,11 @@ def _bind(lib):
             c_free(times_p)
             c_free(states_p)
         kept = min(nev, _EV_CAP)
-        return (times, states, ev_t[:kept].copy(), ev_k[:kept].copy(),
-                ev_v[:kept].copy(), status, nev - kept)
+        return DopriOut(times, states, ev_t[:kept].copy(),
+                        ev_k[:kept].copy(), ev_v[:kept].copy(), status,
+                        nev - kept)
 
-    return {"rk4_trajectory": rk4_trajectory,
-            "rk4_trajectories": rk4_trajectories,
+    return {"rk4_trajectories": rk4_trajectories,
             "dopri_trajectory": dopri_trajectory}
 
 
@@ -681,22 +686,8 @@ def _prune_cache(keep):
                 pass
 
 
-def rk4_trajectories(arg_tuples):
-    """``[rk4_trajectory(*args) for args in arg_tuples]``, on the C backend
-    two calls at a time.
-
-    Each tuple holds rk4_trajectory's positional arguments, the defaulted
-    trailing ones optional. On the C backend calls 1 and 2, 3 and 4, and
-    so on run as the two lanes of one kernel call, in about the time of
-    one, whatever their arguments. Each result is the one rk4_trajectory
-    returns for its call, bit for bit.
-    """
-    if _C_KERNELS is not None:
-        return _C_KERNELS["rk4_trajectories"](arg_tuples)
-    return [rk4_trajectory(*args) for args in arg_tuples]
-
-
 _C_KERNELS, C_BUILD_ERROR = _load_c()
 BACKEND = "c" if _C_KERNELS else "python"
-rk4_trajectory = (_C_KERNELS or PURE_KERNELS)["rk4_trajectory"]
+# a list of Rk4Calls to their Rk4Outs, and a DopriCall to its DopriOut
+rk4_trajectories = (_C_KERNELS or PURE_KERNELS)["rk4_trajectories"]
 dopri_trajectory = (_C_KERNELS or PURE_KERNELS)["dopri_trajectory"]

@@ -354,8 +354,8 @@ class TestSimulate:
             components={"r": 7643.0, "r_n": 6856.0, "l": 0.41,
                         "c1": 1e-8, "c2": 1e-7},
             integration={"t_end": 0.02, "t_transient": 0.0})
-        monkeypatch.setattr(kernels, "rk4_trajectory",
-                            kernels.PURE_KERNELS["rk4_trajectory"])
+        monkeypatch.setattr(kernels, "rk4_trajectories",
+                            kernels.PURE_KERNELS["rk4_trajectories"])
         monkeypatch.setattr(kernels, "_EV_CAP", 2)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -821,7 +821,7 @@ class TestRk45Overlap:
     @pytest.fixture(params=["default", "pure"])
     def backend(self, request, monkeypatch):
         if request.param == "pure":
-            for name in ("rk4_trajectory", "dopri_trajectory"):
+            for name in ("rk4_trajectories", "dopri_trajectory"):
                 monkeypatch.setattr(kernels, name, kernels.PURE_KERNELS[name])
         return request.param
 

@@ -237,32 +237,44 @@ class TestAdaptive:
             m.integrate_adaptive(designed.params, (0.1, 0.0, 0.0), cfg)
 
 
+def one_call(rk4_trajectories):
+    """An RK4 entry point as a function of one Rk4Call."""
+    def run(call):
+        (out,) = rk4_trajectories([call])
+        return out
+    return run
+
+
 class TestKernelPathParity:
     def test_pure_python_path_matches_selected_path(self, designed):
         p = designed.params
         d = p.device
-        args = (*p.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000, 0, 10,
-                d.v_min, d.v_max, 1e3 * p.voltage_scale,
-                1e3 * p.current_scale, False)
-        selected = kernels.rk4_trajectory(*args)
-        pure = kernels.PURE_KERNELS["rk4_trajectory"](*args)
-        assert np.array_equal(selected[0], pure[0])
-        assert np.array_equal(selected[1], pure[1])
-        assert selected[5] == pure[5]
+        call = kernels.Rk4Call(*p.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000, 0,
+                               10, d.v_min, d.v_max, 1e3 * p.voltage_scale,
+                               1e3 * p.current_scale, False)
+        selected = one_call(kernels.rk4_trajectories)(call)
+        pure = one_call(kernels.PURE_KERNELS["rk4_trajectories"])(call)
+        assert np.array_equal(selected.times, pure.times)
+        assert np.array_equal(selected.states, pure.states)
+        assert selected.status == pure.status
 
     def test_benettin_parity(self, designed):
         # the fused call: recorder and shadow both on
         p = designed.params
         d = p.device
-        args = (*p.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000, 5000, 10,
-                d.v_min, d.v_max, 1e3 * p.voltage_scale,
-                1e3 * p.current_scale, False, True, 764, 5000, 1e-8)
-        sel = kernels.rk4_trajectory(*args)
-        pure = kernels.PURE_KERNELS["rk4_trajectory"](*args)
-        assert np.array_equal(sel[0], pure[0])
-        assert np.array_equal(sel[1], pure[1])
-        assert sel[5:] == pure[5:]
-        assert pure[7] > 0 and pure[8] == kernels.STATUS_OK
+        call = kernels.Rk4Call(*p.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000,
+                               5000, 10, d.v_min, d.v_max,
+                               1e3 * p.voltage_scale, 1e3 * p.current_scale,
+                               False, True, 764, 5000, 1e-8)
+        sel = one_call(kernels.rk4_trajectories)(call)
+        pure = one_call(kernels.PURE_KERNELS["rk4_trajectories"])(call)
+        assert np.array_equal(sel.times, pure.times)
+        assert np.array_equal(sel.states, pure.states)
+        assert ((sel.status, sel.lyap_sum, sel.n_intervals, sel.lyap_status,
+                 sel.events_dropped)
+                == (pure.status, pure.lyap_sum, pure.n_intervals,
+                    pure.lyap_status, pure.events_dropped))
+        assert pure.n_intervals > 0 and pure.lyap_status == kernels.STATUS_OK
 
 
 def assert_identical(got, want):
@@ -312,19 +324,22 @@ class TestRk4Oracle:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        """(kernel under test, reference kernel)"""
-        return kernels.PURE_KERNELS["rk4_trajectory"], rk4_oracle
+        """(kernel under test, reference kernel), each a function of one
+        Rk4Call"""
+        return (one_call(kernels.PURE_KERNELS["rk4_trajectories"]),
+                lambda call: rk4_oracle(*call))
 
     def run_both(self, pair, params, init, dt, rec_start, stride, abort,
                  shadow, d0=1e-8, n_steps=N_STEPS):
         d = params.device
-        args = (*params.kernel_args, *init, dt, n_steps, rec_start, stride,
-                d.v_min, d.v_max, 1e3 * params.voltage_scale,
-                1e3 * params.current_scale, abort, shadow, 50,
-                n_steps // 4, d0)
-        got = pair[0](*args)
-        assert len(got) == 10
-        assert_identical(got, pair[1](*args))
+        call = kernels.Rk4Call(*params.kernel_args, *init, dt, n_steps,
+                               rec_start, stride, d.v_min, d.v_max,
+                               1e3 * params.voltage_scale,
+                               1e3 * params.current_scale, abort, shadow, 50,
+                               n_steps // 4, d0)
+        got = pair[0](call)
+        assert type(got) is kernels.Rk4Out
+        assert_identical(got, pair[1](call))
         return got
 
     def run_case(self, pair, designed, seed, sigma, v1, v2, il, dt,
@@ -350,10 +365,10 @@ class TestRk4Oracle:
         hot = self.run_both(pair, replace(p, g_n=p.g_n * 1e3),
                             (0.1, 0.0, 0.0), 1e-6, 0, 1, abort, True)
         # under abort the record stops at the start; the shadow runs on
-        assert far[5] == (kernels.STATUS_SOA_ABORT if abort
-                          else kernels.STATUS_DIVERGED)
-        assert far[8] == kernels.STATUS_DIVERGED
-        assert hot[8] == kernels.STATUS_DIVERGED
+        assert far.status == (kernels.STATUS_SOA_ABORT if abort
+                              else kernels.STATUS_DIVERGED)
+        assert far.lyap_status == kernels.STATUS_DIVERGED
+        assert hot.lyap_status == kernels.STATUS_DIVERGED
 
     def test_nan_starts(self, pair, designed):
         p = designed.params
@@ -361,14 +376,14 @@ class TestRk4Oracle:
         # renormalization
         out = self.run_both(pair, p, (0.1, 0.0, 0.0), 1e-6, 0, 7, False,
                             True, d0=math.nan)
-        assert out[5] == kernels.STATUS_OK
-        assert out[8] == kernels.STATUS_SHADOW_FAIL
+        assert out.status == kernels.STATUS_OK
+        assert out.lyap_status == kernels.STATUS_SHADOW_FAIL
         # a NaN reference start is recorded, then diverges at the first step
         for start in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0),
                       (0.0, 0.0, math.nan)):
             out = self.run_both(pair, p, start, 1e-6, 0, 1, False, True)
-            assert out[5] == kernels.STATUS_DIVERGED
-            assert len(out[0]) == 1 and math.isnan(out[4][-1])
+            assert out.status == kernels.STATUS_DIVERGED
+            assert len(out.times) == 1 and math.isnan(out.ev_v[-1])
 
 
 class TestRk4CParity:
@@ -377,8 +392,8 @@ class TestRk4CParity:
 
     @pytest.fixture(scope="class")
     def pair(self, c_kernels):
-        return (c_kernels["rk4_trajectory"],
-                kernels.PURE_KERNELS["rk4_trajectory"])
+        return (one_call(c_kernels["rk4_trajectories"]),
+                one_call(kernels.PURE_KERNELS["rk4_trajectories"]))
 
     run_both = TestRk4Oracle.run_both
     run_case = TestRk4Oracle.run_case
@@ -431,10 +446,11 @@ class TestRk4Lanes:
              rec_start=500, stride=3, abort=False, shadow=True,
              renorm_every=50, transient_steps=750, d0=1e-8):
         d = params.device
-        return (*params.kernel_args, *init, dt, n_steps, rec_start, stride,
-                d.v_min, d.v_max, 1e3 * params.voltage_scale,
-                1e3 * params.current_scale, abort, shadow, renorm_every,
-                transient_steps, d0)
+        return kernels.Rk4Call(*params.kernel_args, *init, dt, n_steps,
+                               rec_start, stride, d.v_min, d.v_max,
+                               1e3 * params.voltage_scale,
+                               1e3 * params.current_scale, abort, shadow,
+                               renorm_every, transient_steps, d0)
 
     @staticmethod
     def run(lane_kernels, calls, lanes):
@@ -445,8 +461,9 @@ class TestRk4Lanes:
         got = c_kernels["rk4_trajectories"](calls)
         assert counter.lanes == lanes
         assert len(got) == len(calls)
-        for out, args in zip(got, calls):
-            assert_identical(out, kernels.PURE_KERNELS["rk4_trajectory"](*args))
+        for out, call in zip(got, calls):
+            assert type(out) is kernels.Rk4Out
+            assert_identical(out, kernels._rk4_trajectory(*call))
         return got
 
     def test_one_lane_diverges(self, lane_kernels, designed):
@@ -455,8 +472,8 @@ class TestRk4Lanes:
         for calls in ([self.call(p), self.call(hot)],
                       [self.call(hot), self.call(p)]):
             got = self.run(lane_kernels, calls, [2])
-            assert sorted(out[5] for out in got) == [kernels.STATUS_OK,
-                                                     kernels.STATUS_DIVERGED]
+            assert sorted(out.status for out in got) == [
+                kernels.STATUS_OK, kernels.STATUS_DIVERGED]
 
     @pytest.mark.parametrize("shadow", [False, True])
     def test_one_lane_aborts(self, lane_kernels, designed, shadow):
@@ -467,10 +484,10 @@ class TestRk4Lanes:
         got = self.run(lane_kernels, [
             self.call(narrow, abort=True, shadow=shadow),
             self.call(p, abort=True, shadow=shadow)], [2])
-        assert got[0][5] == kernels.STATUS_SOA_ABORT
-        assert got[1][5] == kernels.STATUS_OK
-        assert len(got[0][0]) < len(got[1][0])
-        assert (got[0][7] > 0) == shadow
+        assert got[0].status == kernels.STATUS_SOA_ABORT
+        assert got[1].status == kernels.STATUS_OK
+        assert len(got[0].times) < len(got[1].times)
+        assert (got[0].n_intervals > 0) == shadow
 
     @pytest.mark.parametrize("rec_start", [500, 3001], ids=["record",
                                                            "no-record"])
@@ -482,15 +499,16 @@ class TestRk4Lanes:
             self.call(p, rec_start=rec_start, d0=1e-300),
             self.call(p, init=(0.2, 0.0, 0.0), rec_start=rec_start,
                       renorm_every=3001, d0=1e-300)], [2])
-        assert got[0][8] == kernels.STATUS_SHADOW_FAIL
-        assert got[1][8] == kernels.STATUS_OK and got[1][7] == 0
+        assert got[0].lyap_status == kernels.STATUS_SHADOW_FAIL
+        assert (got[1].lyap_status == kernels.STATUS_OK
+                and got[1].n_intervals == 0)
 
     def test_lanes_renormalize_apart(self, lane_kernels, designed):
         p = designed.params
         got = self.run(lane_kernels, [self.call(p, renorm_every=50),
                                    self.call(p, renorm_every=77)], [2])
-        assert got[0][7] != got[1][7]
-        assert got[0][0].tobytes() == got[1][0].tobytes()
+        assert got[0].n_intervals != got[1].n_intervals
+        assert got[0].times.tobytes() == got[1].times.tobytes()
 
     def test_batches_of_one_and_three(self, lane_kernels, designed):
         p = designed.params
@@ -514,14 +532,19 @@ class TestRk4Lanes:
         self.run(lane_kernels, [a, b], [2])
         self.run(lane_kernels, [b, a], [2])
 
-    def test_python_fallback_runs_each_call(self, designed, monkeypatch):
-        pure = kernels.PURE_KERNELS["rk4_trajectory"]
-        monkeypatch.setattr(kernels, "_C_KERNELS", None)
-        monkeypatch.setattr(kernels, "rk4_trajectory", pure)
+    def test_python_fallback_runs_each_call(self, designed):
+        # the Python entry point makes one kernel call per Rk4Call; a call
+        # that leaves the shadow settings out takes the kernel's defaults
+        pure = kernels.PURE_KERNELS["rk4_trajectories"]
         p = designed.params
-        calls = [self.call(p), self.call(p, renorm_every=77)[:22]]
-        for out, args in zip(kernels.rk4_trajectories(calls), calls):
-            assert_identical(out, pure(*args))
+        full = self.call(p, renorm_every=77)
+        required = {name: getattr(full, name) for name in kernels.Rk4Call._fields
+                    if name not in kernels.Rk4Call._field_defaults}
+        calls = [self.call(p), kernels.Rk4Call(**required)]
+        got = pure(calls)
+        assert len(got) == 2
+        assert_identical(got[0], kernels._rk4_trajectory(*calls[0]))
+        assert_identical(got[1], kernels._rk4_trajectory(**required))
 
 
 class TestDopriCParity:
@@ -533,13 +556,14 @@ class TestDopriCParity:
                  t_transient=0.0, stride=1, tol=(1e-9, 1e-7), abort=False,
                  max_steps=20_000_000, div_factor=1e3):
         d = params.device
-        args = (*params.kernel_args, *init, t_end, t_transient, stride, *tol,
-                min(t_end / 50.0, t_end * 1e-4), t_end / 50.0, d.v_min,
-                d.v_max, div_factor * params.voltage_scale,
-                div_factor * params.current_scale, abort, max_steps)
-        got = c_kernels["dopri_trajectory"](*args)
-        assert len(got) == 7
-        assert_identical(got, kernels.PURE_KERNELS["dopri_trajectory"](*args))
+        call = kernels.DopriCall(
+            *params.kernel_args, *init, t_end, t_transient, stride, *tol,
+            min(t_end / 50.0, t_end * 1e-4), t_end / 50.0, d.v_min, d.v_max,
+            div_factor * params.voltage_scale,
+            div_factor * params.current_scale, abort, max_steps)
+        got = c_kernels["dopri_trajectory"](call)
+        assert type(got) is kernels.DopriOut
+        assert_identical(got, kernels.PURE_KERNELS["dopri_trajectory"](call))
         return got
 
     @staticmethod
@@ -566,12 +590,12 @@ class TestDopriCParity:
 
     def test_record_grows_past_first_buffer(self, c_kernels, designed):
         out = self.run_both(c_kernels, designed.params, t_end=0.06)
-        assert len(out[0]) > 1024 and out[5] == kernels.STATUS_OK
+        assert len(out.times) > 1024 and out.status == kernels.STATUS_OK
 
     def test_abort_at_window_crossing(self, c_kernels, designed):
         out = self.run_both(c_kernels, self.windowed(designed.params, 0.5),
                             abort=True)
-        assert out[5] == kernels.STATUS_SOA_ABORT and len(out[2]) == 1
+        assert out.status == kernels.STATUS_SOA_ABORT and len(out.ev_t) == 1
 
     def test_divergence(self, c_kernels, designed):
         # a device whose current pushes v1 outward blows up in finite time;
@@ -581,30 +605,32 @@ class TestDopriCParity:
         outward = replace(p, device=m.DevicePoly(
             -d.p1, -d.p2, -d.p3, -d.p4, -d.p5, v_min=d.v_min, v_max=d.v_max))
         out = self.run_both(c_kernels, outward, div_factor=100.0)
-        assert out[5] == kernels.STATUS_DIVERGED
-        assert out[3][-1] == kernels.KIND_DIVERGED
+        assert out.status == kernels.STATUS_DIVERGED
+        assert out.ev_k[-1] == kernels.KIND_DIVERGED
 
     def test_step_underflow(self, c_kernels, designed):
         out = self.run_both(c_kernels, designed.params, tol=(1e-300, 1e-300))
-        assert out[5] == kernels.STATUS_STEP_UNDERFLOW
+        assert out.status == kernels.STATUS_STEP_UNDERFLOW
 
     def test_step_limit(self, c_kernels, designed):
         out = self.run_both(c_kernels, designed.params, max_steps=300)
-        assert out[5] == kernels.STATUS_STEP_LIMIT
+        assert out.status == kernels.STATUS_STEP_LIMIT
 
     def test_events_past_cap(self, c_kernels, designed, monkeypatch):
         # a +-50 mV window that the double scroll crosses on every swing
         params = self.windowed(designed.params, 0.05)
         monkeypatch.setattr(kernels, "_EV_CAP", 3)
         out = self.run_both(c_kernels, params)
-        assert len(out[2]) == 3 and out[6] > 0
+        assert len(out.ev_t) == 3 and out.events_dropped > 0
         d = params.device
-        rk4_args = (*params.kernel_args, 0.1, 0.0, 0.0, 1e-6, 20000, 0, 10,
-                    d.v_min, d.v_max, 1e3 * params.voltage_scale,
-                    1e3 * params.current_scale, False)
-        got = c_kernels["rk4_trajectory"](*rk4_args)
-        assert_identical(got, kernels.PURE_KERNELS["rk4_trajectory"](*rk4_args))
-        assert len(got[2]) == 3 and got[9] > 0
+        call = kernels.Rk4Call(*params.kernel_args, 0.1, 0.0, 0.0, 1e-6,
+                               20000, 0, 10, d.v_min, d.v_max,
+                               1e3 * params.voltage_scale,
+                               1e3 * params.current_scale, False)
+        got = one_call(c_kernels["rk4_trajectories"])(call)
+        assert_identical(
+            got, one_call(kernels.PURE_KERNELS["rk4_trajectories"])(call))
+        assert len(got.ev_t) == 3 and got.events_dropped > 0
 
 
 class TestCsvExport:
@@ -631,7 +657,7 @@ class TestSampleCap:
         def never(*args):
             raise AssertionError("kernel reached past the sample cap")
 
-        monkeypatch.setattr(kernels, "rk4_trajectory", never)
+        monkeypatch.setattr(kernels, "rk4_trajectories", never)
         cfg = m.IntegrationConfig(t_end=1000.0, record_stride=1)
         cap = str(integrate_mod.MAX_RECORDED_ROWS)
         with pytest.raises(IntegrationError, match="999900001") as info:
@@ -661,8 +687,8 @@ class TestDroppedEvents:
         full = m.integrate(params, (0.1, 0.0, 0.0), cfg)
         assert len(full.events) > 3 and full.events_dropped == 0
 
-        monkeypatch.setattr(kernels, "rk4_trajectory",
-                            kernels.PURE_KERNELS["rk4_trajectory"])
+        monkeypatch.setattr(kernels, "rk4_trajectories",
+                            kernels.PURE_KERNELS["rk4_trajectories"])
         monkeypatch.setattr(kernels, "_EV_CAP", 3)
         capped = m.integrate(params, (0.1, 0.0, 0.0), cfg)
         assert capped.events == full.events[:3]
