@@ -74,6 +74,15 @@ static inline void push_event(Events *ev, double t, int64_t kind, double v)
     ev->n++;
 }
 
+/* The divergence test of both kernels: no state magnitude beyond its
+ * ceiling, and no NaN. */
+static inline int bounded(double v_div, double i_div, double v1, double v2,
+                          double il)
+{
+    return -v_div <= v1 && v1 <= v_div && -v_div <= v2 && v2 <= v_div
+           && -i_div <= il && il <= i_div;
+}
+
 static inline void record(double *times, double *states, int64_t j,
                           double t, double v1, double v2, double il)
 {
@@ -185,8 +194,7 @@ typedef struct {
 static inline int advance(Lane *ln, int64_t k, double v1, double v2,
                           double il, double *w)
 {
-    if (!(-ln->v_div <= v1 && v1 <= ln->v_div && -ln->v_div <= v2
-          && v2 <= ln->v_div && -ln->i_div <= il && il <= ln->i_div)) {
+    if (!bounded(ln->v_div, ln->i_div, v1, v2, il)) {
         if (ln->recording) {
             push_event(&ln->ev, (double)k * ln->dt, KIND_DIVERGED, v1);
             ln->status = STATUS_DIVERGED;
@@ -417,6 +425,12 @@ int memchua_dopri_trajectory(
         if (abort_on_soa)
             status = STATUS_SOA_ABORT;
     }
+    /* a start past the divergence bounds has diverged, as an accepted step
+     * past them has */
+    if (status == STATUS_OK && !bounded(v_div, i_div, v1, v2, il)) {
+        push_event(&ev, 0.0, KIND_DIVERGED, v1);
+        status = STATUS_DIVERGED;
+    }
 
     if (status == STATUS_OK && t_transient <= 0.0) {
         record(times, states, j, 0.0, v1, v2, il);
@@ -513,8 +527,7 @@ int memchua_dopri_trajectory(
             k1b = k7b;
             k1c = k7c;
 
-            if (!(-v_div <= v1 && v1 <= v_div && -v_div <= v2 && v2 <= v_div
-                  && -i_div <= il && il <= i_div)) {
+            if (!bounded(v_div, i_div, v1, v2, il)) {
                 push_event(&ev, t, KIND_DIVERGED, v1);
                 status = STATUS_DIVERGED;
                 break;

@@ -39,8 +39,10 @@ class IntegrationConfig:
 
     dt applies to the fixed-step path; abs_tol (applied to every component,
     volts or amps alike) and rel_tol drive the adaptive controller.
-    States are recorded every record_stride-th accepted step once past
-    t_transient.
+    max_steps caps the steps of both: the adaptive controller's iterations,
+    and the t_end / dt steps of a fixed-step run, which is refused before
+    it starts. States are recorded every record_stride-th accepted step
+    once past t_transient.
     """
 
     dt: float = 1e-6
@@ -110,6 +112,8 @@ class Trajectory:
 
 def _steps_for(duration: float, dt: float) -> int:
     x = duration / dt
+    if math.isinf(x):
+        return x  # past every step cap
     r = round(x)
     if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
         return int(r)
@@ -147,8 +151,9 @@ def _rk4_args(params: CircuitParams, init, cfg: IntegrationConfig,
     """The kernels.Rk4Call of a run, with the shadow off.
 
     record=False turns the recorder off, window checks included. A recorded
-    run that would keep more than MAX_RECORDED_ROWS samples raises
-    IntegrationError before anything is allocated.
+    run that would keep more than MAX_RECORDED_ROWS samples, and a run of
+    more than cfg.max_steps steps (at most 2**63 - 1, the C kernels'
+    int64), raise IntegrationError before anything is allocated.
     """
     v1, v2, il = _init_tuple(init)
     n_steps = _steps_for(cfg.t_end, cfg.dt)
@@ -159,6 +164,11 @@ def _rk4_args(params: CircuitParams, init, cfg: IntegrationConfig,
             f"run would record {rows} samples, above the cap of "
             f"{MAX_RECORDED_ROWS}; raise record_stride or shorten "
             "t_end - t_transient")
+    max_steps = min(cfg.max_steps, kernels._I64_MAX)
+    if n_steps > max_steps:
+        raise IntegrationError(
+            f"run would take {n_steps} RK4 steps, above the cap of "
+            f"{max_steps} (max_steps); raise dt or shorten t_end")
     v_div, i_div = _divergence_bounds(params)
     d = params.device
     return kernels.Rk4Call(

@@ -1,30 +1,42 @@
 """Hot integration kernels.
 
-Two kernels: fixed-step RK4 (``rk4_trajectory``) and the adaptive
-Dormand-Prince pair (``dopri_trajectory``). The RK4 kernel records the
-reference trajectory and, when asked, advances the shadow trajectory of the
-largest-exponent estimator in the same loop, so one call both records a run
-and estimates its exponent: ``integrate`` calls it with the shadow off,
-``largest_lyapunov`` with the recorder off, and
-``analysis.trajectory_and_lyapunov`` with both on. Its step is written once,
-as the closure ``step`` with the field spelled out at each of the four
-stages, and the reference and the shadow each call it once per step: on the
-pure path a step costs two Python calls, not one per field evaluation. The
-DOPRI5 kernel reuses an accepted step's last stage as the next step's first.
+Two kernels: fixed-step RK4 (``_rk4_trajectory``) and the adaptive
+Dormand-Prince pair (``_dopri_trajectory``), written in Python with flat
+arguments, which makes them the reference the C build is tested against.
+Callers name what they pass and get: ``Rk4Call`` and ``DopriCall`` are
+namedtuples of the kernels' arguments, their fields and defaults read from
+those two signatures, and ``Rk4Out`` and ``DopriOut`` of the kernels'
+results. Both backends have the same two entry points:
+``rk4_trajectories`` maps a list of Rk4Calls to their Rk4Outs, and
+``dopri_trajectory`` a DopriCall to its DopriOut.
 
-``rk4_trajectories`` runs a list of RK4 calls. On the C backend it steps
-consecutive calls two at a time, whatever their arguments, as the two
-lanes of one kernel call, which is how a sweep runs its points. An RK4
-step is a chain of dependent floating-point operations, so the C kernel is
-bound by their latency rather than by their number. Timed as bare steps on
-a 2-CPU Intel Xeon VM (gcc 12, -O2), one trajectory took about 110 ns per
-step, two interleaved (a reference and its shadow) about 115 ns, and four
-about 185 ns. Packed as 2-wide vectors, the references of two calls form
-one chain and their shadows another, and the four trajectories took about
-115 ns per step: 29 ns per trajectory, against 58 ns for a call of its
-own. Each lane does the scalar operations in the scalar order, with its
-own step size and step count, so its results are bit for bit those of a
-call of its own.
+The RK4 kernel records the reference trajectory and, when asked, advances
+the shadow trajectory of the largest-exponent estimator in the same loop,
+so one call both records a run and estimates its exponent: ``integrate``
+runs it with the shadow off, ``largest_lyapunov`` with the recorder off,
+and ``analysis.trajectory_and_lyapunov`` with both on, the shadow settings
+set with ``call._replace(shadow=True, ...)``. Its step is written once, as
+the closure ``step`` with the field spelled out at each of the four
+stages, and the reference and the shadow each call it once per step: on
+the pure path a step costs two Python calls, not one per field evaluation.
+The DOPRI5 kernel reuses an accepted step's last stage as the next step's
+first.
+
+On the C backend ``rk4_trajectories`` steps consecutive calls two at a
+time, whatever their arguments, as the two lanes of one kernel call, which
+is how a sweep runs its points. An RK4 step is a chain of dependent
+floating-point operations, so the C kernel is bound by their latency
+rather than by their number. Timed as bare steps on a 2-CPU Intel Xeon VM
+(gcc 12, -O2), one trajectory took about 110 ns per step, two interleaved
+(a reference and its shadow) about 115 ns, and four about 185 ns. Packed
+as 2-wide vectors, the references of two calls form one chain and their
+shadows another, and the four trajectories took about 115 ns per step:
+29 ns per trajectory, against 58 ns for a call of its own. Each lane does
+the scalar operations in the scalar order, with its own step size and step
+count, so its results are bit for bit those of a call of its own. The
+binding packs a lane's arguments by field name into a row of doubles and a
+row of integers, whose order ``_RK4_REALS`` and ``_RK4_INTS`` share with
+the R_ and I_ enums of ``_kernels.c``.
 
 Kernel backends, chosen once at import and named by ``BACKEND``:
 
@@ -54,12 +66,12 @@ Kernel backends, chosen once at import and named by ``BACKEND``:
     does not load): the Python kernels below run as they are, correct but
     10 to 40 times slower. ``C_BUILD_ERROR`` keeps the reason.
 
-The Python kernels stay importable via ``PURE_KERNELS`` as the reference
-that the parity tests compare the C build against.
+``PURE_KERNELS`` keeps the Python backend's two entry points importable
+as the reference that the parity tests compare the C build against.
 
-Kernels return flat numpy arrays plus integer status/event codes; the
-wrapper layer in :mod:`memchua.integrate` and :mod:`memchua.analysis` turns
-those into the public result types.
+A kernel's result holds numpy arrays plus integer status and event codes;
+:mod:`memchua.integrate` and :mod:`memchua.analysis` turn it into the
+public result types.
 """
 
 import ctypes
@@ -263,7 +275,9 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     Accepts a step when each component's embedded error estimate is below
     abs_tol + rel_tol*|state|. Records every `stride`-th accepted step whose
     end time is past t_transient. Event semantics match the fixed-step
-    kernel, events past _EV_CAP included; additionally reports step
+    kernel, events past _EV_CAP included, except that a start past the
+    divergence ceilings diverges at t=0 (after its window check, and
+    unrecorded, like an accepted step past them). Additionally reports step
     underflow (h < 1e-15 s) and an iteration cap. Returns a DopriOut.
     """
 
@@ -290,6 +304,17 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
         nev += 1
         if abort_on_soa:
             status = STATUS_SOA_ABORT
+    # a start past the divergence bounds has diverged, as an accepted step
+    # past them has
+    if status == STATUS_OK and not (-v_div <= v1 <= v_div
+                                    and -v_div <= v2 <= v_div
+                                    and -i_div <= il <= i_div):
+        if nev < _EV_CAP:
+            ev_t[nev] = 0.0
+            ev_k[nev] = KIND_DIVERGED
+            ev_v[nev] = v1
+        nev += 1
+        status = STATUS_DIVERGED
 
     rec_count = -1
     if status == STATUS_OK and t_transient <= 0.0:
@@ -534,10 +559,7 @@ def _bind(lib):
                          np.empty(_EV_CAP)))
         n = len(calls)
         reals = ((f64 * len(_RK4_REALS)) * n)(*map(reals_of, calls))
-        # the flags as 0 or 1, whatever truth value a call holds
-        ints = ((i64 * len(_RK4_INTS)) * n)(*(
-            ints_of(c._replace(abort_on_soa=bool(c.abort_on_soa),
-                               shadow=bool(c.shadow))) for c in calls))
+        ints = ((i64 * len(_RK4_INTS)) * n)(*map(ints_of, calls))
         ptrs = [(ptr * n)(*(a.ctypes.data for a in column))
                 for column in zip(*bufs)]
         # each lane's rows recorded, status, events seen, n_intervals and
@@ -571,10 +593,9 @@ def _bind(lib):
         ev_v = np.empty(_EV_CAP)
         times_p, states_p = ctypes.c_void_p(), ctypes.c_void_p()
         counts = (i64 * 3)()
-        if c_dopri(*call._replace(abort_on_soa=bool(call.abort_on_soa)),
-                   ev_t.ctypes.data, ev_k.ctypes.data, ev_v.ctypes.data,
-                   _EV_CAP, ctypes.byref(times_p), ctypes.byref(states_p),
-                   counts) != 0:
+        if c_dopri(*call, ev_t.ctypes.data, ev_k.ctypes.data,
+                   ev_v.ctypes.data, _EV_CAP, ctypes.byref(times_p),
+                   ctypes.byref(states_p), counts) != 0:
             raise MemoryError("no memory for the DOPRI5 record")
         j, status, nev = counts
         try:

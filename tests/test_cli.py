@@ -921,6 +921,50 @@ class TestRk45Overlap:
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+class TestRunLimits:
+    """Runs that would never end, or end in a traceback, exit 5 with a
+    message."""
+
+    @pytest.mark.parametrize("integration", [
+        {"method": "rk45", "dt": 1.0e-20},
+        {"method": "rk4", "dt": 1.0e-20, "record_stride": 10**18},
+        {"method": "rk45", "dt": 1.0e-30},
+    ], ids=["rk45", "rk4-no-row-cap", "rk45-past-int64"])
+    def test_step_cap_refuses_before_the_kernel(self, tmp_path, capsys,
+                                                monkeypatch, integration):
+        def never(calls):
+            raise AssertionError("RK4 kernel ran past the step cap")
+
+        monkeypatch.setattr(kernels, "rk4_trajectories", never)
+        cfg = write_config(tmp_path / "c.yaml", integration={
+            "t_end": 0.02, "t_transient": 0.005, **integration})
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: run would take ")
+        assert "RK4 steps, above the cap of 20000000 (max_steps)" in err
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_start_past_divergence_bounds(self, tmp_path, capsys, method):
+        # 3 kV is past the reference design's 2.6 kV ceiling; before, rk45
+        # went on to a step size underflow
+        cfg = write_config(tmp_path / "c.yaml",
+                           initial_state=[3000.0, 0.0, 0.0],
+                           integration={**RK45, "method": method,
+                                        "t_transient": 0.0})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 5
+        assert capsys.readouterr().err == "runtime failure: diverged\n"
+        summary = json.loads((out / "classification.json").read_text())
+        assert "integration_failure" not in summary
+        assert summary["lambda1_per_s"] is None
+        events = (out / "events.csv").read_text().splitlines()
+        assert events[1] == "0.0,soa_high,3000.0"
+        assert events[-1].split(",")[1] == "diverged"
+        if method == "rk45":
+            assert events[2:] == ["0.0,diverged,3000.0"]
+
+
 class TestOneEquilibriumSolve:
     """Each command solves for a circuit's equilibria once: the design
     report carries the points its checks used."""

@@ -1,6 +1,7 @@
 import ctypes
 import importlib
 import math
+import re
 import shutil
 import sys
 from dataclasses import replace
@@ -538,7 +539,8 @@ class TestRk4Lanes:
         pure = kernels.PURE_KERNELS["rk4_trajectories"]
         p = designed.params
         full = self.call(p, renorm_every=77)
-        required = {name: getattr(full, name) for name in kernels.Rk4Call._fields
+        required = {name: getattr(full, name)
+                    for name in kernels.Rk4Call._fields
                     if name not in kernels.Rk4Call._field_defaults}
         calls = [self.call(p), kernels.Rk4Call(**required)]
         got = pure(calls)
@@ -616,6 +618,25 @@ class TestDopriCParity:
         out = self.run_both(c_kernels, designed.params, max_steps=300)
         assert out.status == kernels.STATUS_STEP_LIMIT
 
+    @pytest.mark.parametrize("init, abort, status, kinds", [
+        ((3000.0, 0.0, 0.0), False, kernels.STATUS_DIVERGED,
+         [kernels.KIND_SOA_HIGH, kernels.KIND_DIVERGED]),
+        ((3000.0, 0.0, 0.0), True, kernels.STATUS_SOA_ABORT,
+         [kernels.KIND_SOA_HIGH]),
+        ((0.1, 0.0, 1e3), False, kernels.STATUS_DIVERGED,
+         [kernels.KIND_DIVERGED]),
+        ((0.1, math.nan, 0.0), False, kernels.STATUS_DIVERGED,
+         [kernels.KIND_DIVERGED]),
+    ], ids=["v1-warn", "v1-abort", "il", "nan"])
+    def test_start_past_divergence_bounds(self, c_kernels, designed, init,
+                                          abort, status, kinds):
+        # 3 kV and 1 kA are past the design's 1000x ceilings: the start
+        # diverges at t=0, unrecorded, unless its window check aborted
+        out = self.run_both(c_kernels, designed.params, init=init,
+                            abort=abort)
+        assert out.status == status and len(out.times) == 0
+        assert list(out.ev_k) == kinds and not out.ev_t.any()
+
     def test_events_past_cap(self, c_kernels, designed, monkeypatch):
         # a +-50 mV window that the double scroll crosses on every swing
         params = self.windowed(designed.params, 0.05)
@@ -631,6 +652,56 @@ class TestDopriCParity:
         assert_identical(
             got, one_call(kernels.PURE_KERNELS["rk4_trajectories"])(call))
         assert len(got.ev_t) == 3 and got.events_dropped > 0
+
+
+class TestKernelNames:
+    """The binding's names for the C kernels' arguments against
+    _kernels.c: a lane's row of doubles and row of integers (the R_ and
+    I_ enums) and the DOPRI5 kernel's parameters."""
+
+    SOURCE = re.sub(r"/\*.*?\*/", "", kernels._C_SOURCE.read_text(),
+                    flags=re.S)
+
+    @classmethod
+    def enum(cls, prefix):
+        """{name: index} of the C enum whose first name starts with
+        `prefix`."""
+        for body in re.findall(r"enum\s*\{([^}]*)\}", cls.SOURCE):
+            entries = [e.strip() for e in body.split(",") if e.strip()]
+            if entries[0].startswith(prefix):
+                found, index = {}, 0
+                for entry in entries:
+                    name, _, value = entry.partition("=")
+                    index = int(value) if value else index
+                    found[name.strip()] = index
+                    index += 1
+                return found
+        raise AssertionError(f"no {prefix} enum in _kernels.c")
+
+    @pytest.mark.parametrize("prefix, count, names", [
+        ("R_", "N_REALS", kernels._RK4_REALS),
+        ("I_", "N_INTS", kernels._RK4_INTS)], ids=["reals", "ints"])
+    def test_rows_match_enums(self, prefix, count, names):
+        found = self.enum(prefix)
+        assert found.pop(count) == len(names)
+        assert found == {prefix + name.upper(): i
+                         for i, name in enumerate(names)}
+
+    def test_every_rk4_field_in_one_row(self):
+        assert (sorted(kernels._RK4_REALS + kernels._RK4_INTS)
+                == sorted(kernels.Rk4Call._fields))
+
+    def test_dopri_parameters(self):
+        params = re.search(r"int memchua_dopri_trajectory\((.*?)\)\s*\{",
+                           self.SOURCE, re.S).group(1).split(",")
+        declared = [p.split() for p in params]
+        n = len(kernels.DopriCall._fields)
+        assert [words[-1] for words in declared[:n]] == list(
+            kernels.DopriCall._fields)
+        c_types = {ctypes.c_int64: "int64_t", ctypes.c_int: "int"}
+        assert {words[-1]: words[0] for words in declared[:n]
+                if words[0] != "double"} == {
+            name: c_types[t] for name, t in kernels._DOPRI_INTS.items()}
 
 
 class TestCsvExport:
@@ -675,6 +746,44 @@ class TestSampleCap:
         monkeypatch.setattr(integrate_mod, "MAX_RECORDED_ROWS", 1000)
         with pytest.raises(IntegrationError, match="1001 samples"):
             m.integrate(designed.params, (0.1, 0.0, 0.0), cfg)
+
+
+class TestStepCap:
+    """A fixed-step run of more than max_steps steps is refused before the
+    kernel runs, with the recorder on or off."""
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def never(calls):
+            raise AssertionError("kernel ran past the step cap")
+
+        monkeypatch.setattr(kernels, "rk4_trajectories", never)
+
+    @pytest.mark.parametrize("run", [m.integrate, m.largest_lyapunov,
+                                     m.trajectory_and_lyapunov],
+                             ids=["record", "shadow", "both"])
+    def test_cap_is_inclusive(self, designed, monkeypatch, run):
+        cfg = m.IntegrationConfig(t_end=1e-3, t_transient=0.0,
+                                  record_stride=100, max_steps=1000)
+        run(designed.params, (0.1, 0.0, 0.0), cfg)
+        with pytest.raises(IntegrationError,
+                           match=r"1000 RK4 steps, above the cap of 999 "):
+            run(designed.params, (0.1, 0.0, 0.0), replace(cfg, max_steps=999))
+
+    @pytest.mark.parametrize("dt, steps, runs", [
+        (1e-20, "2000000000000000256", (m.integrate, m.largest_lyapunov)),
+        (1e-30, "19999999999999999166", (m.largest_lyapunov,)),
+        (1e-320, "inf", (m.integrate, m.largest_lyapunov))],
+        ids=["1e-20", "1e-30", "1e-320"])
+    def test_huge_counts_refused(self, designed, no_kernel, dt, steps, runs):
+        # past int64 (1e-30), and past any float: t_end / dt overflows
+        # (1e-320); a recorded 1e-30 run meets the row cap first
+        cfg = m.IntegrationConfig(dt=dt, t_end=0.02, t_transient=0.0,
+                                  record_stride=10**18)
+        for run in runs:
+            with pytest.raises(IntegrationError,
+                               match=f"would take {steps}"):
+                run(designed.params, (0.1, 0.0, 0.0), cfg)
 
 
 class TestDroppedEvents:
