@@ -8,6 +8,11 @@
  * Python kernels compute, so their outputs are bit-identical, up to the
  * payload of a NaN, which IEEE 754 leaves open.
  *
+ * The circuit's vector field is written once, as the macro FIELD over
+ * double and v2d operands, and serves every stage of both kernels;
+ * push_event, push_crossing and record mirror kernels.py's _push_event,
+ * _push_crossing and _record.
+ *
  * memchua_rk4_trajectory runs one or two calls of _rk4_trajectory at once,
  * each in a lane of 2-wide vectors (the GCC and Clang vector extension):
  * the references of both lanes form one vector and their shadows another.
@@ -74,6 +79,14 @@ static inline void push_event(Events *ev, double t, int64_t kind, double v)
     ev->n++;
 }
 
+/* push_event for a window crossing by v1 at time t: below v_min, or else
+ * above v_max. */
+static inline void push_crossing(Events *ev, double t, double v1,
+                                 double v_min)
+{
+    push_event(ev, t, v1 < v_min ? KIND_SOA_LOW : KIND_SOA_HIGH, v1);
+}
+
 /* The divergence test of both kernels: no state magnitude beyond its
  * ceiling, and no NaN. */
 static inline int bounded(double v_div, double i_div, double v1, double v2,
@@ -83,14 +96,33 @@ static inline int bounded(double v_div, double i_div, double v1, double v2,
            && -i_div <= il && il <= i_div;
 }
 
-static inline void record(double *times, double *states, int64_t j,
-                          double t, double v1, double v2, double il)
+/* Write row j of a record; returns j + 1. */
+static inline int64_t record(double *times, double *states, int64_t j,
+                             double t, double v1, double v2, double il)
 {
     times[j] = t;
     states[3 * j] = v1;
     states[3 * j + 1] = v2;
     states[3 * j + 2] = il;
+    return j + 1;
 }
+
+/* The circuit's field at (x, y, z) into (fa, fb, fc), for double and v2d
+ * operands alike: the coupling current u = (y - x) * g feeds both
+ * capacitor rows. No kernel local may share a temporary's name, field_*:
+ * -Wshadow would flag it. */
+#define FIELD(q, x, y, z, fa, fb, fc)                                        \
+    do {                                                                     \
+        const __typeof__(x) field_x = (x), field_y = (y), field_z = (z);     \
+        const __typeof__(x) field_ir =                                       \
+            field_x * ((q)->p1 + field_x * ((q)->p2 + field_x * ((q)->p3     \
+            + field_x * ((q)->p4 + field_x * (q)->p5))))                     \
+            - (q)->gn * field_x;                                             \
+        const __typeof__(x) field_u = (field_y - field_x) * (q)->g;          \
+        (fa) = (field_u - field_ir) / (q)->c1;                               \
+        (fb) = (field_z - field_u) / (q)->c2;                                \
+        (fc) = -field_y / (q)->l;                                            \
+    } while (0)
 
 /* The closure `step` of _rk4_trajectory: one RK4 step in place, in both
  * lanes at once. Each lane sees the scalar operations in the scalar order. */
@@ -99,57 +131,15 @@ static inline void step(const Circuit2 *q, v2d dt, v2d h,
 {
     const v2d two = {2.0, 2.0}, six = {6.0, 6.0};
     const v2d a = *pa, b = *pb, c = *pc;
-    v2d ir, u, x, y, z;
     v2d k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c;
 
-    ir = a * (q->p1 + a * (q->p2 + a * (q->p3 + a * (q->p4 + a * q->p5))))
-         - q->gn * a;
-    u = (b - a) * q->g;
-    k1a = (u - ir) / q->c1;
-    k1b = (c - u) / q->c2;
-    k1c = -b / q->l;
-    x = a + h * k1a;
-    y = b + h * k1b;
-    z = c + h * k1c;
-    ir = x * (q->p1 + x * (q->p2 + x * (q->p3 + x * (q->p4 + x * q->p5))))
-         - q->gn * x;
-    u = (y - x) * q->g;
-    k2a = (u - ir) / q->c1;
-    k2b = (z - u) / q->c2;
-    k2c = -y / q->l;
-    x = a + h * k2a;
-    y = b + h * k2b;
-    z = c + h * k2c;
-    ir = x * (q->p1 + x * (q->p2 + x * (q->p3 + x * (q->p4 + x * q->p5))))
-         - q->gn * x;
-    u = (y - x) * q->g;
-    k3a = (u - ir) / q->c1;
-    k3b = (z - u) / q->c2;
-    k3c = -y / q->l;
-    x = a + dt * k3a;
-    y = b + dt * k3b;
-    z = c + dt * k3c;
-    ir = x * (q->p1 + x * (q->p2 + x * (q->p3 + x * (q->p4 + x * q->p5))))
-         - q->gn * x;
-    u = (y - x) * q->g;
-    k4a = (u - ir) / q->c1;
-    k4b = (z - u) / q->c2;
-    k4c = -y / q->l;
+    FIELD(q, a, b, c, k1a, k1b, k1c);
+    FIELD(q, a + h * k1a, b + h * k1b, c + h * k1c, k2a, k2b, k2c);
+    FIELD(q, a + h * k2a, b + h * k2b, c + h * k2c, k3a, k3b, k3c);
+    FIELD(q, a + dt * k3a, b + dt * k3b, c + dt * k3c, k4a, k4b, k4c);
     *pa = a + dt * (k1a + two * (k2a + k3a) + k4a) / six;
     *pb = b + dt * (k1b + two * (k2b + k3b) + k4b) / six;
     *pc = c + dt * (k1c + two * (k2c + k3c) + k4c) / six;
-}
-
-/* The closure `f` of _dopri_trajectory: the circuit's vector field. */
-static inline void f(const Circuit *q, double a, double b, double c,
-                     double *fa, double *fb, double *fc)
-{
-    const double ir =
-        a * (q->p1 + a * (q->p2 + a * (q->p3 + a * (q->p4 + a * q->p5))))
-        - q->gn * a;
-    *fa = ((b - a) * q->g - ir) / q->c1;
-    *fb = ((a - b) * q->g + c) / q->c2;
-    *fc = -b / q->l;
 }
 
 /* A lane's row of doubles and its row of integers: _rk4_trajectory's
@@ -209,8 +199,7 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
         const double t = (double)k * ln->dt;
         const int now_inside = ln->v_min <= v1 && v1 <= ln->v_max;
         if (ln->inside && !now_inside) {
-            push_event(&ln->ev, t,
-                       v1 < ln->v_min ? KIND_SOA_LOW : KIND_SOA_HIGH, v1);
+            push_crossing(&ln->ev, t, v1, ln->v_min);
             if (ln->abort_on_soa) {
                 ln->status = STATUS_SOA_ABORT;
                 ln->recording = 0;
@@ -222,8 +211,7 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
 
         if (ln->recording && --ln->until_record == 0) {
             ln->until_record = ln->stride;
-            record(ln->times, ln->states, ln->j, t, v1, v2, il);
-            ln->j++;
+            ln->j = record(ln->times, ln->states, ln->j, t, v1, v2, il);
         }
     }
 
@@ -254,12 +242,11 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
 
 /* _rk4_trajectory for `lanes` (1 or 2) runs at once, each lane one run.
  * Lane l's arguments are reals[N_REALS l ..] and ints[N_INTS l ..], laid
- * out as the R_ and I_ enums say. times[l] holds the
- * (n_steps - rec_start) / stride + 1 rows the Python kernel would
- * allocate, states[l] three times that, and the event buffers ev_cap
- * entries each. On return out[5 l ..] holds lane l's (rows recorded,
- * status, events seen, n_intervals, lyap_status) and acc[l] its summed
- * log stretch.
+ * out as the R_ and I_ enums say. times[l] holds the rows the Python
+ * kernel would allocate (kernels._record_rows), states[l] three times
+ * that, and the event buffers ev_cap entries each. On return out[5 l ..]
+ * holds lane l's (rows recorded, status, events seen, n_intervals,
+ * lyap_status) and acc[l] its summed log stretch.
  *
  * Both lanes step together as 2-wide vectors, the references as one
  * vector and the shadows as another, each lane with its own dt; a single
@@ -321,18 +308,15 @@ void memchua_rk4_trajectory(
         n->acc = 0.0;
 
         if (n->recording && !n->inside) {
-            push_event(&n->ev, 0.0,
-                       r[R_V1] < n->v_min ? KIND_SOA_LOW : KIND_SOA_HIGH,
-                       r[R_V1]);
+            push_crossing(&n->ev, 0.0, r[R_V1], n->v_min);
             if (n->abort_on_soa) {
                 n->status = STATUS_SOA_ABORT;
                 n->recording = 0;
             }
         }
         if (n->recording && rec_start == 0) {
-            record(n->times, n->states, n->j, 0.0, r[R_V1], r[R_V2],
-                   r[R_IL]);
-            n->j++;
+            n->j = record(n->times, n->states, n->j, 0.0, r[R_V1],
+                          r[R_V2], r[R_IL]);
         }
     }
 
@@ -421,7 +405,7 @@ int memchua_dopri_trajectory(
         goto out_of_memory;
 
     if (!inside) {
-        push_event(&ev, 0.0, v1 < v_min ? KIND_SOA_LOW : KIND_SOA_HIGH, v1);
+        push_crossing(&ev, 0.0, v1, v_min);
         if (abort_on_soa)
             status = STATUS_SOA_ABORT;
     }
@@ -433,14 +417,13 @@ int memchua_dopri_trajectory(
     }
 
     if (status == STATUS_OK && t_transient <= 0.0) {
-        record(times, states, j, 0.0, v1, v2, il);
-        j++;
+        j = record(times, states, j, 0.0, v1, v2, il);
         rec_count = 0;
     }
 
     /* first same as last: an accepted step's k7 is the next step's k1, and
      * a rejected step leaves the state, and so k1, unchanged */
-    f(&q, v1, v2, il, &k1a, &k1b, &k1c);
+    FIELD(&q, v1, v2, il, k1a, k1b, k1c);
     while (status == STATUS_OK && t < t_end) {
         iters++;
         if (iters > max_steps) {
@@ -457,25 +440,25 @@ int memchua_dopri_trajectory(
         x = v1 + h * 0.2 * k1a;
         y = v2 + h * 0.2 * k1b;
         z = il + h * 0.2 * k1c;
-        f(&q, x, y, z, &k2a, &k2b, &k2c);
+        FIELD(&q, x, y, z, k2a, k2b, k2c);
         x = v1 + h * (0.075 * k1a + 0.225 * k2a);
         y = v2 + h * (0.075 * k1b + 0.225 * k2b);
         z = il + h * (0.075 * k1c + 0.225 * k2c);
-        f(&q, x, y, z, &k3a, &k3b, &k3c);
+        FIELD(&q, x, y, z, k3a, k3b, k3c);
         x = v1 + h * ((44.0 / 45.0) * k1a - (56.0 / 15.0) * k2a
                       + (32.0 / 9.0) * k3a);
         y = v2 + h * ((44.0 / 45.0) * k1b - (56.0 / 15.0) * k2b
                       + (32.0 / 9.0) * k3b);
         z = il + h * ((44.0 / 45.0) * k1c - (56.0 / 15.0) * k2c
                       + (32.0 / 9.0) * k3c);
-        f(&q, x, y, z, &k4a, &k4b, &k4c);
+        FIELD(&q, x, y, z, k4a, k4b, k4c);
         x = v1 + h * ((19372.0 / 6561.0) * k1a - (25360.0 / 2187.0) * k2a
                       + (64448.0 / 6561.0) * k3a - (212.0 / 729.0) * k4a);
         y = v2 + h * ((19372.0 / 6561.0) * k1b - (25360.0 / 2187.0) * k2b
                       + (64448.0 / 6561.0) * k3b - (212.0 / 729.0) * k4b);
         z = il + h * ((19372.0 / 6561.0) * k1c - (25360.0 / 2187.0) * k2c
                       + (64448.0 / 6561.0) * k3c - (212.0 / 729.0) * k4c);
-        f(&q, x, y, z, &k5a, &k5b, &k5c);
+        FIELD(&q, x, y, z, k5a, k5b, k5c);
         x = v1 + h * ((9017.0 / 3168.0) * k1a - (355.0 / 33.0) * k2a
                       + (46732.0 / 5247.0) * k3a + (49.0 / 176.0) * k4a
                       - (5103.0 / 18656.0) * k5a);
@@ -485,7 +468,7 @@ int memchua_dopri_trajectory(
         z = il + h * ((9017.0 / 3168.0) * k1c - (355.0 / 33.0) * k2c
                       + (46732.0 / 5247.0) * k3c + (49.0 / 176.0) * k4c
                       - (5103.0 / 18656.0) * k5c);
-        f(&q, x, y, z, &k6a, &k6b, &k6c);
+        FIELD(&q, x, y, z, k6a, k6b, k6c);
         nv1 = v1 + h * ((35.0 / 384.0) * k1a + (500.0 / 1113.0) * k3a
                         + (125.0 / 192.0) * k4a - (2187.0 / 6784.0) * k5a
                         + (11.0 / 84.0) * k6a);
@@ -495,7 +478,7 @@ int memchua_dopri_trajectory(
         nil = il + h * ((35.0 / 384.0) * k1c + (500.0 / 1113.0) * k3c
                         + (125.0 / 192.0) * k4c - (2187.0 / 6784.0) * k5c
                         + (11.0 / 84.0) * k6c);
-        f(&q, nv1, nv2, nil, &k7a, &k7b, &k7c);
+        FIELD(&q, nv1, nv2, nil, k7a, k7b, k7c);
         e1 = h * ((71.0 / 57600.0) * k1a - (71.0 / 16695.0) * k3a
                   + (71.0 / 1920.0) * k4a - (17253.0 / 339200.0) * k5a
                   + (22.0 / 525.0) * k6a - 0.025 * k7a);
@@ -535,8 +518,7 @@ int memchua_dopri_trajectory(
 
             now_inside = v_min <= v1 && v1 <= v_max;
             if (inside && !now_inside) {
-                push_event(&ev, t, v1 < v_min ? KIND_SOA_LOW : KIND_SOA_HIGH,
-                           v1);
+                push_crossing(&ev, t, v1, v_min);
                 if (abort_on_soa) {
                     status = STATUS_SOA_ABORT;
                     break;
@@ -549,8 +531,7 @@ int memchua_dopri_trajectory(
                 if (rec_count % stride == 0) {
                     if (j >= cap && grow(&times, &states, &cap) != 0)
                         goto out_of_memory;
-                    record(times, states, j, t, v1, v2, il);
-                    j++;
+                    j = record(times, states, j, t, v1, v2, il);
                 }
             }
 

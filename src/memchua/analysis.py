@@ -185,20 +185,20 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
 
     When lambda1 is None the exponent condition is skipped (only the
     cluster count decides periodicity); when given, time_unit must be
-    given too. Trajectories with fewer than min_samples samples, or too
-    few extrema to characterize, come back inconclusive. `extrema`, when
-    given, must be local_extrema(traj.times, traj.v1); it saves computing
-    them again.
+    given too. A run that diverged is labelled so however few samples it
+    kept; others with fewer than min_samples samples, or too few extrema
+    to characterize, come back inconclusive. `extrema`, when given, must
+    be local_extrema(traj.times, traj.v1); it saves computing them again.
     """
     if lambda1 is not None and time_unit is None:
         raise ValueError("time_unit is required when lambda1 is given")
 
+    if traj.diverged or any(ev.kind == "diverged" for ev in traj.events):
+        return TrajectoryClass(Label.DIVERGED, Side.NONE, lambda1, 0)
+
     n = len(traj.times)
     if n < cfg.min_samples:
         return TrajectoryClass(Label.INCONCLUSIVE, Side.NONE, lambda1, 0)
-
-    if traj.diverged or any(ev.kind == "diverged" for ev in traj.events):
-        return TrajectoryClass(Label.DIVERGED, Side.NONE, lambda1, 0)
 
     w = _current_weight(equilibria)
 

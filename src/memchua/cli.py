@@ -32,7 +32,7 @@ from .device import (DevicePoly, DeviceState, StateTable, fit_poly,
                      resistance_at_low_bias, save_state_table, state_at)
 from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
-from .integrate import (IntegrationConfig, integrate_adaptive,
+from .integrate import (IntegrationConfig, _rk4_args, integrate_adaptive,
                         write_events_csv, write_trajectory_csv)
 
 EXIT_OK = 0
@@ -383,6 +383,10 @@ def cmd_equilibria(args) -> int:
 def cmd_simulate(args) -> int:
     rc = load_config(_config_path(args))
     params, eqs = _resolve_circuit(rc)
+    if rc.method == "rk45":
+        # the RK4 step cap of the exponent pass, checked before either pass
+        # starts or a file is written
+        _rk4_args(params, rc.initial_state, rc.integration, record=False)
     out = _out_dir(args, rc)
 
     stiff = None

@@ -158,7 +158,7 @@ def _rk4_args(params: CircuitParams, init, cfg: IntegrationConfig,
     v1, v2, il = _init_tuple(init)
     n_steps = _steps_for(cfg.t_end, cfg.dt)
     rec_start = _steps_for(cfg.t_transient, cfg.dt) if record else n_steps + 1
-    rows = (n_steps - rec_start) // cfg.record_stride + 1
+    rows = kernels._record_rows(n_steps, rec_start, cfg.record_stride)
     if rows > MAX_RECORDED_ROWS:
         raise IntegrationError(
             f"run would record {rows} samples, above the cap of "

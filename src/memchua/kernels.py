@@ -15,28 +15,33 @@ the shadow trajectory of the largest-exponent estimator in the same loop,
 so one call both records a run and estimates its exponent: ``integrate``
 runs it with the shadow off, ``largest_lyapunov`` with the recorder off,
 and ``analysis.trajectory_and_lyapunov`` with both on, the shadow settings
-set with ``call._replace(shadow=True, ...)``. Its step is written once, as
-the closure ``step`` with the field spelled out at each of the four
-stages, and the reference and the shadow each call it once per step: on
-the pure path a step costs two Python calls, not one per field evaluation.
-The DOPRI5 kernel reuses an accepted step's last stage as the next step's
-first.
+set with ``call._replace(shadow=True, ...)``.
+
+Both kernels evaluate the circuit's field in one form: the coupling
+current u = (v2 - v1) * g feeds both capacitor rows. The RK4 step, the
+closure ``step`` that the reference and the shadow each call once per
+step, spells the field out at its four stages: with a field function
+called per stage, 20k shadowed steps took a median 0.118 s against
+0.096 s (20 interleaved runs, 2-CPU Intel Xeon VM, Python 3.11.7). The
+DOPRI5 kernel calls its field ``f`` per stage and reuses an accepted
+step's last stage as the next step's first. The C port writes the field
+once, as its macro ``FIELD``. Each event rule and the record row are
+written once per backend (here ``_push_event``, ``_push_crossing`` and
+``_record``), and the C binding shares the buffer helpers.
 
 On the C backend ``rk4_trajectories`` steps consecutive calls two at a
 time, whatever their arguments, as the two lanes of one kernel call, which
 is how a sweep runs its points. An RK4 step is a chain of dependent
 floating-point operations, so the C kernel is bound by their latency
-rather than by their number. Timed as bare steps on a 2-CPU Intel Xeon VM
-(gcc 12, -O2), one trajectory took about 110 ns per step, two interleaved
-(a reference and its shadow) about 115 ns, and four about 185 ns. Packed
-as 2-wide vectors, the references of two calls form one chain and their
-shadows another, and the four trajectories took about 115 ns per step:
-29 ns per trajectory, against 58 ns for a call of its own. Each lane does
-the scalar operations in the scalar order, with its own step size and step
-count, so its results are bit for bit those of a call of its own. The
-binding packs a lane's arguments by field name into a row of doubles and a
-row of integers, whose order ``_RK4_REALS`` and ``_RK4_INTS`` share with
-the R_ and I_ enums of ``_kernels.c``.
+rather than by their number: packed as 2-wide vectors, the references of
+two calls form one chain and their shadows another, and the four
+trajectories step in about the time of one call's two (the header of
+``_kernels.c`` has the timings). Each lane does the scalar operations in
+the scalar order, with its own step size and step count, so its results
+are bit for bit those of a call of its own. The binding packs a lane's
+arguments by field name into a row of doubles and a row of integers,
+whose order ``_RK4_REALS`` and ``_RK4_INTS`` share with the R_ and I_
+enums of ``_kernels.c``.
 
 Kernel backends, chosen once at import and named by ``BACKEND``:
 
@@ -117,6 +122,49 @@ DopriOut = namedtuple("DopriOut",
                       "times states ev_t ev_k ev_v status events_dropped")
 
 
+def _record_rows(n_steps, rec_start, stride):
+    """Rows of a fixed-step record: every stride-th step from rec_start."""
+    return (n_steps - rec_start) // stride + 1 if rec_start <= n_steps else 0
+
+
+def _record(times, states, j, t, v1, v2, il):
+    """Write row j of a kernel's record; returns j + 1."""
+    times[j] = t
+    states[j, 0] = v1
+    states[j, 1] = v2
+    states[j, 2] = il
+    return j + 1
+
+
+def _event_buffers():
+    """Empty buffers for a kernel call's events: times, kinds, values."""
+    return np.empty(_EV_CAP), np.empty(_EV_CAP, np.int64), np.empty(_EV_CAP)
+
+
+def _push_event(ev, n, t, kind, v):
+    """Store event number `n` in the buffers `ev` unless it is past
+    _EV_CAP; returns the count of events seen, this one included."""
+    if n < _EV_CAP:
+        ev[0][n] = t
+        ev[1][n] = kind
+        ev[2][n] = v
+    return n + 1
+
+
+def _push_crossing(ev, n, t, v1, v_min):
+    """_push_event for v1 leaving the window [v_min, v_max] at time t."""
+    return _push_event(ev, n, t,
+                       KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH, v1)
+
+
+def _stored_events(ev, n):
+    """The event fields of an Rk4Out or DopriOut, from the buffers `ev`
+    after `n` events: copies of those stored, and the count of the rest."""
+    kept = min(n, _EV_CAP)
+    return dict(ev_t=ev[0][:kept].copy(), ev_k=ev[1][:kept].copy(),
+                ev_v=ev[2][:kept].copy(), events_dropped=n - kept)
+
+
 def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                     v1, v2, il, dt, n_steps, rec_start, stride,
                     v_min, v_max, v_div, i_div, abort_on_soa,
@@ -166,12 +214,10 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                 c + dt * (k1c + 2.0 * (k2c + k3c) + k4c) / 6.0)
 
     recording = rec_start <= n_steps
-    n_rec = (n_steps - rec_start) // stride + 1 if recording else 0
+    n_rec = _record_rows(n_steps, rec_start, stride)
     times = np.empty(n_rec)
     states = np.empty((n_rec, 3))
-    ev_t = np.empty(_EV_CAP)
-    ev_k = np.empty(_EV_CAP, np.int64)
-    ev_v = np.empty(_EV_CAP)
+    ev = _event_buffers()
     nev = 0
     j = 0
     status = STATUS_OK
@@ -184,20 +230,12 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
 
     inside = v_min <= v1 <= v_max
     if recording and not inside:
-        if nev < _EV_CAP:
-            ev_t[nev] = 0.0
-            ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
-            ev_v[nev] = v1
-        nev += 1
+        nev = _push_crossing(ev, nev, 0.0, v1, v_min)
         if abort_on_soa:
             status = STATUS_SOA_ABORT
             recording = False
     if recording and rec_start == 0:
-        times[j] = 0.0
-        states[j, 0] = v1
-        states[j, 1] = v2
-        states[j, 2] = il
-        j += 1
+        j = _record(times, states, j, 0.0, v1, v2, il)
 
     last = n_steps if recording or shadow else 0
     for k in range(1, last + 1):
@@ -208,11 +246,7 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
         if not (-v_div <= v1 <= v_div and -v_div <= v2 <= v_div
                 and -i_div <= il <= i_div):
             if recording:
-                if nev < _EV_CAP:
-                    ev_t[nev] = k * dt
-                    ev_k[nev] = KIND_DIVERGED
-                    ev_v[nev] = v1
-                nev += 1
+                nev = _push_event(ev, nev, k * dt, KIND_DIVERGED, v1)
                 status = STATUS_DIVERGED
             if shadow:
                 lyap_status = STATUS_DIVERGED
@@ -222,11 +256,7 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
             t = k * dt
             now_inside = v_min <= v1 <= v_max
             if inside and not now_inside:
-                if nev < _EV_CAP:
-                    ev_t[nev] = t
-                    ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
-                    ev_v[nev] = v1
-                nev += 1
+                nev = _push_crossing(ev, nev, t, v1, v_min)
                 if abort_on_soa:
                     status = STATUS_SOA_ABORT
                     recording = False
@@ -235,11 +265,7 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
             inside = now_inside
 
             if recording and k >= rec_start and (k - rec_start) % stride == 0:
-                times[j] = t
-                states[j, 0] = v1
-                states[j, 1] = v2
-                states[j, 2] = il
-                j += 1
+                j = _record(times, states, j, t, v1, v2, il)
 
         if shadow and k % renorm_every == 0:
             dx = w1 - v1
@@ -260,10 +286,9 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                 w2 = v2 + dy * s
                 wl = il + dz * s
 
-    kept = min(nev, _EV_CAP)
-    return Rk4Out(times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
-                  ev_k[:kept].copy(), ev_v[:kept].copy(), status,
-                  acc, ni, lyap_status, nev - kept)
+    return Rk4Out(times=times[:j].copy(), states=states[:j].copy(),
+                  status=status, lyap_sum=acc, n_intervals=ni,
+                  lyap_status=lyap_status, **_stored_events(ev, nev))
 
 
 def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
@@ -283,25 +308,19 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
 
     def f(a, b, c):
         ir = a * (p1 + a * (p2 + a * (p3 + a * (p4 + a * p5)))) - gn * a
-        return ((b - a) * g - ir) / c1, ((a - b) * g + c) / c2, -b / l
+        u = (b - a) * g
+        return (u - ir) / c1, (c - u) / c2, -b / l
 
-    cap = 1024
-    times = np.empty(cap)
-    states = np.empty((cap, 3))
-    ev_t = np.empty(_EV_CAP)
-    ev_k = np.empty(_EV_CAP, np.int64)
-    ev_v = np.empty(_EV_CAP)
+    times = np.empty(1024)
+    states = np.empty((1024, 3))
+    ev = _event_buffers()
     nev = 0
     j = 0
     status = STATUS_OK
 
     inside = v_min <= v1 <= v_max
     if not inside:
-        if nev < _EV_CAP:
-            ev_t[nev] = 0.0
-            ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
-            ev_v[nev] = v1
-        nev += 1
+        nev = _push_crossing(ev, nev, 0.0, v1, v_min)
         if abort_on_soa:
             status = STATUS_SOA_ABORT
     # a start past the divergence bounds has diverged, as an accepted step
@@ -309,20 +328,12 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     if status == STATUS_OK and not (-v_div <= v1 <= v_div
                                     and -v_div <= v2 <= v_div
                                     and -i_div <= il <= i_div):
-        if nev < _EV_CAP:
-            ev_t[nev] = 0.0
-            ev_k[nev] = KIND_DIVERGED
-            ev_v[nev] = v1
-        nev += 1
+        nev = _push_event(ev, nev, 0.0, KIND_DIVERGED, v1)
         status = STATUS_DIVERGED
 
     rec_count = -1
     if status == STATUS_OK and t_transient <= 0.0:
-        times[j] = 0.0
-        states[j, 0] = v1
-        states[j, 1] = v2
-        states[j, 2] = il
-        j += 1
+        j = _record(times, states, j, 0.0, v1, v2, il)
         rec_count = 0
 
     t = 0.0
@@ -408,21 +419,13 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
 
             if not (-v_div <= v1 <= v_div and -v_div <= v2 <= v_div
                     and -i_div <= il <= i_div):
-                if nev < _EV_CAP:
-                    ev_t[nev] = t
-                    ev_k[nev] = KIND_DIVERGED
-                    ev_v[nev] = v1
-                nev += 1
+                nev = _push_event(ev, nev, t, KIND_DIVERGED, v1)
                 status = STATUS_DIVERGED
                 break
 
             now_inside = v_min <= v1 <= v_max
             if inside and not now_inside:
-                if nev < _EV_CAP:
-                    ev_t[nev] = t
-                    ev_k[nev] = KIND_SOA_LOW if v1 < v_min else KIND_SOA_HIGH
-                    ev_v[nev] = v1
-                nev += 1
+                nev = _push_crossing(ev, nev, t, v1, v_min)
                 if abort_on_soa:
                     status = STATUS_SOA_ABORT
                     break
@@ -431,20 +434,10 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
             if t >= t_transient:
                 rec_count += 1
                 if rec_count % stride == 0:
-                    if j >= cap:
-                        ncap = cap * 2
-                        nt = np.empty(ncap)
-                        nt[:cap] = times
-                        times = nt
-                        ns = np.empty((ncap, 3))
-                        ns[:cap] = states
-                        states = ns
-                        cap = ncap
-                    times[j] = t
-                    states[j, 0] = v1
-                    states[j, 1] = v2
-                    states[j, 2] = il
-                    j += 1
+                    if j == len(times):  # full: double the record
+                        times = np.resize(times, 2 * j)
+                        states = np.resize(states, (2 * j, 3))
+                    j = _record(times, states, j, t, v1, v2, il)
 
             if r == 0.0:
                 fac = 5.0
@@ -463,10 +456,8 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                 fac = 0.2
             h = h * fac
 
-    kept = min(nev, _EV_CAP)
-    return DopriOut(times[:j].copy(), states[:j].copy(), ev_t[:kept].copy(),
-                    ev_k[:kept].copy(), ev_v[:kept].copy(), status,
-                    nev - kept)
+    return DopriOut(times=times[:j].copy(), states=states[:j].copy(),
+                    status=status, **_stored_events(ev, nev))
 
 
 def _call_type(name, kernel):
@@ -552,11 +543,9 @@ def _bind(lib):
             _c_ints(*ints_of(c))
             if c.stride < 1 or (c.shadow and c.renorm_every < 1):
                 raise ValueError("stride and renorm_every must be >= 1")
-            n_rec = ((c.n_steps - c.rec_start) // c.stride + 1
-                     if c.rec_start <= c.n_steps else 0)
+            n_rec = _record_rows(c.n_steps, c.rec_start, c.stride)
             bufs.append((np.empty(n_rec), np.empty((n_rec, 3)),
-                         np.empty(_EV_CAP), np.empty(_EV_CAP, np.int64),
-                         np.empty(_EV_CAP)))
+                         *_event_buffers()))
         n = len(calls)
         reals = ((f64 * len(_RK4_REALS)) * n)(*map(reals_of, calls))
         ints = ((i64 * len(_RK4_INTS)) * n)(*map(ints_of, calls))
@@ -568,14 +557,12 @@ def _bind(lib):
         acc = (f64 * n)()
         c_rk4(n, reals, ints, *ptrs, _EV_CAP, counts, acc)
         results = []
-        for buf, (j, status, nev, ni, lyap_status), lyap_sum in zip(
-                bufs, counts, acc):
-            times, states, ev_t, ev_k, ev_v = buf
-            kept = min(nev, _EV_CAP)
-            results.append(Rk4Out(times[:j].copy(), states[:j].copy(),
-                                  ev_t[:kept].copy(), ev_k[:kept].copy(),
-                                  ev_v[:kept].copy(), status, lyap_sum, ni,
-                                  lyap_status, nev - kept))
+        for (times, states, *ev), out, lyap_sum in zip(bufs, counts, acc):
+            j, status, nev, ni, lyap_status = out
+            results.append(Rk4Out(
+                times=times[:j].copy(), states=states[:j].copy(),
+                status=status, lyap_sum=lyap_sum, n_intervals=ni,
+                lyap_status=lyap_status, **_stored_events(ev, nev)))
         return results
 
     def rk4_trajectories(calls):
@@ -588,14 +575,12 @@ def _bind(lib):
         _c_ints(call.stride, call.max_steps)
         if call.stride < 1:
             raise ValueError("stride must be >= 1")
-        ev_t = np.empty(_EV_CAP)
-        ev_k = np.empty(_EV_CAP, np.int64)
-        ev_v = np.empty(_EV_CAP)
+        ev = _event_buffers()
         times_p, states_p = ctypes.c_void_p(), ctypes.c_void_p()
         counts = (i64 * 3)()
-        if c_dopri(*call, ev_t.ctypes.data, ev_k.ctypes.data,
-                   ev_v.ctypes.data, _EV_CAP, ctypes.byref(times_p),
-                   ctypes.byref(states_p), counts) != 0:
+        if c_dopri(*call, *(a.ctypes.data for a in ev), _EV_CAP,
+                   ctypes.byref(times_p), ctypes.byref(states_p),
+                   counts) != 0:
             raise MemoryError("no memory for the DOPRI5 record")
         j, status, nev = counts
         try:
@@ -606,10 +591,8 @@ def _bind(lib):
         finally:
             c_free(times_p)
             c_free(states_p)
-        kept = min(nev, _EV_CAP)
-        return DopriOut(times, states, ev_t[:kept].copy(),
-                        ev_k[:kept].copy(), ev_v[:kept].copy(), status,
-                        nev - kept)
+        return DopriOut(times=times, states=states, status=status,
+                        **_stored_events(ev, nev))
 
     return {"rk4_trajectories": rk4_trajectories,
             "dopri_trajectory": dopri_trajectory}

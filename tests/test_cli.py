@@ -473,7 +473,8 @@ class TestSweep:
         ({"mode": "foo"}, "sweep.mode must be fixed|redesign"),
         ({"sigma": -0.5}, "sweep.sigma must be finite and >= 0"),
         ({"sigma": float("nan")}, "sweep.sigma must be finite and >= 0"),
-        # finite, but a lognormal factor of the second point overflows
+        # finite, but a lognormal factor of the second point overflows;
+        # the first point's huge coefficients diverge
         ({"sigma": 1000.0, "n_points": 2}, None),
     ], ids=["n0", "n-text", "range", "mode", "sigma-neg", "sigma-nan",
             "sigma-huge"])
@@ -488,10 +489,16 @@ class TestSweep:
             assert len(err) == 1 and err[0].startswith("input error:")
             assert error in err[0]
         else:
-            assert rc == 5
-            assert len(err) == 2
-            assert err[1].endswith("inconclusive: perturbed coefficients "
+            # a diverged point is a verdict, so the sweep succeeds and only
+            # the overflow point, still inconclusive, gives its reason
+            assert rc == 0
+            assert len(err) == 1
+            assert err[0].endswith("inconclusive: perturbed coefficients "
                                    "not finite: overflow encountered in exp")
+            summary = json.loads((tmp_path / "out" / "sweep_summary.json")
+                                 .read_text())
+            assert [p["label"] for p in summary] == ["diverged",
+                                                     "inconclusive"]
 
     def test_failed_reference_design_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", design=FAILED_DESIGN,
@@ -932,10 +939,13 @@ class TestRunLimits:
     ], ids=["rk45", "rk4-no-row-cap", "rk45-past-int64"])
     def test_step_cap_refuses_before_the_kernel(self, tmp_path, capsys,
                                                 monkeypatch, integration):
-        def never(calls):
-            raise AssertionError("RK4 kernel ran past the step cap")
+        # rk45 checks the cap of its RK4 exponent pass before its DOPRI5
+        # record pass starts
+        def never(*args):
+            raise AssertionError("a kernel ran past the step cap")
 
         monkeypatch.setattr(kernels, "rk4_trajectories", never)
+        monkeypatch.setattr(cli, "integrate_adaptive", never)
         cfg = write_config(tmp_path / "c.yaml", integration={
             "t_end": 0.02, "t_transient": 0.005, **integration})
         assert cli.main(["simulate", "--config", cfg,
@@ -943,11 +953,13 @@ class TestRunLimits:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: run would take ")
         assert "RK4 steps, above the cap of 20000000 (max_steps)" in err
+        assert not list(tmp_path.glob("out/*.csv"))
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_start_past_divergence_bounds(self, tmp_path, capsys, method):
         # 3 kV is past the reference design's 2.6 kV ceiling; before, rk45
-        # went on to a step size underflow
+        # went on to a step size underflow. The run kept fewer than
+        # min_samples samples, and is labelled diverged all the same
         cfg = write_config(tmp_path / "c.yaml",
                            initial_state=[3000.0, 0.0, 0.0],
                            integration={**RK45, "method": method,
@@ -956,6 +968,7 @@ class TestRunLimits:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 5
         assert capsys.readouterr().err == "runtime failure: diverged\n"
         summary = json.loads((out / "classification.json").read_text())
+        assert summary["label"] == "diverged"
         assert "integration_failure" not in summary
         assert summary["lambda1_per_s"] is None
         events = (out / "events.csv").read_text().splitlines()

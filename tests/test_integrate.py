@@ -307,6 +307,12 @@ def c_kernels():
     return found
 
 
+# v1 == v2 and iL == -0.0: the one kind of start at which the field's
+# coupling-current form, (iL - (v2 - v1) * g) / c2, and the algebraically
+# equal ((v1 - v2) * g + iL) / c2 differ, in the sign of a zero
+SIGNED_ZERO_STARTS = [(0.0, 0.0, -0.0), (0.25, 0.25, -0.0)]
+
+
 class TestRk4Oracle:
     """The pure RK4 kernel, whose step is one closure shared by the
     reference and the shadow, against the earlier eight-call kernel kept
@@ -406,6 +412,12 @@ class TestRk4CParity:
     @given(case=TestRk4Oracle.CASES)
     def test_matches_pure_kernel(self, pair, designed, case):
         self.run_case(pair, designed, **case)
+
+    @pytest.mark.parametrize("start", SIGNED_ZERO_STARTS)
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_signed_zero_starts(self, pair, designed, start, shadow):
+        self.run_both(pair, designed.params, start, 1e-6, 0, 1, False,
+                      shadow)
 
 
 class CountLanes:
@@ -589,6 +601,10 @@ class TestDopriCParity:
                          g_n=p.g_n * gn_scale)
         self.run_both(c_kernels, params, (v1, v2, il), 0.005, t_transient,
                       stride, (1e-9, rel_tol), abort)
+
+    @pytest.mark.parametrize("init", SIGNED_ZERO_STARTS)
+    def test_signed_zero_starts(self, c_kernels, designed, init):
+        self.run_both(c_kernels, designed.params, init=init)
 
     def test_record_grows_past_first_buffer(self, c_kernels, designed):
         out = self.run_both(c_kernels, designed.params, t_end=0.06)
