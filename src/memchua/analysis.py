@@ -12,9 +12,10 @@ variability.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from functools import partial
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -263,8 +264,11 @@ def _shadow_call(params: CircuitParams, init, cfg: IntegrationConfig,
     if not 0 < d0 < math.inf:
         raise ValueError(f"d0 must be finite and positive, got {d0}")
     tau = float(renorm_interval) if renorm_interval else params.time_unit
-    renorm_every = max(1, _steps_for(tau, cfg.dt))
-    return _rk4_args(params, init, cfg, record)._replace(
+    call = _rk4_args(params, init, cfg, record)
+    # an interval longer than the run completes none, whatever its length,
+    # so n_steps + 1 steps stand in for any longer one, an infinite one too
+    renorm_every = min(max(1, _steps_for(tau, cfg.dt)), call.n_steps + 1)
+    return call._replace(
         shadow=True, renorm_every=renorm_every,
         transient_steps=_steps_for(cfg.t_transient, cfg.dt), d0=d0)
 
@@ -367,40 +371,54 @@ def _unrun_point(r, seed_k, reason):
                       TrajectoryClass(Label.INCONCLUSIVE, Side.NONE, None, 0),
                       seed_k, False, reason=reason)
 
-def _prepare_point(task):
-    """A sweep task's circuit, its equilibria and its fused kernels.Rk4Call,
-    or its _unrun_point when it stops before integration."""
-    (r, table, spec, icfg, acfg, mode, sigma, seed_k, init, ref_params,
-     d0) = task
-    state = state_at(table, r)
+class _SweepRun(NamedTuple):
+    """The settings that every point of one sweep shares."""
+    table: StateTable
+    spec: DesignSpec
+    icfg: IntegrationConfig
+    acfg: AnalysisConfig
+    mode: str
+    sigma: float
+    init: tuple
+    ref_params: Optional[CircuitParams]
+    d0: float
+
+
+def _prepare_point(run: _SweepRun, r, seed_k):
+    """The circuit of the point at `r`, its equilibria and its fused
+    kernels.Rk4Call, or its _unrun_point when it stops before
+    integration."""
+    state = state_at(run.table, r)
     try:
-        poly = perturb(state.poly, sigma, seed_k)
+        poly = perturb(state.poly, run.sigma, seed_k)
     except FloatingPointError as exc:
         return _unrun_point(r, seed_k,
                             f"perturbed coefficients not finite: {exc}")
 
-    if mode == "fixed":
-        params = replace(ref_params, device=poly)
-        eqs = find_equilibria(params)
+    if run.mode == "fixed":
+        params = replace(run.ref_params, device=poly)
+        try:
+            eqs = find_equilibria(params)
+        except ValueError as exc:
+            return _unrun_point(r, seed_k, f"equilibria: {exc}")
     else:
         try:
             report = design_circuit(
                 DeviceState(r, state.v_set_mag, state.v_stop, poly),
-                spec).require_ok()
+                run.spec).require_ok()
         except DesignError as exc:
             return _unrun_point(r, seed_k, f"design failure: {exc}")
         params, eqs = report.params, report.equilibria
-    return params, eqs, _shadow_call(params, init, icfg, d0, None)
+    return params, eqs, _shadow_call(params, run.init, run.icfg, run.d0, None)
 
 
-def _sweep_point(task, params, eqs, call, out):
-    """A sweep point from the kernel's `out` for its `call`."""
-    r, _, _, _, acfg, _, _, seed_k, _, _, _ = task
+def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
+    """The sweep point at `r` from the kernel's `out` for its `call`."""
     traj, lyap = _fused_result(params, call, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
     extrema = (local_extrema(traj.times, traj.v1) if len(traj.times) >= 3
                else [])
-    verdict = classify(traj, eqs, acfg,
+    verdict = classify(traj, eqs, run.acfg,
                        lambda1=lyap.lambda1 if lyap else None,
                        time_unit=params.time_unit, extrema=extrema)
     values = np.array([e.value for e in extrema]) if extrema else np.empty(0)
@@ -412,15 +430,15 @@ def _sweep_point(task, params, eqs, call, out):
     return SweepPoint(r, values, verdict, seed_k, soa, reason)
 
 
-def _sweep_points(tasks):
-    """The sweep points of a few tasks, in order; the kernels step the
-    points that run two at a time (kernels.rk4_trajectories)."""
-    prepared = [_prepare_point(task) for task in tasks]
+def _sweep_points(run: _SweepRun, points):
+    """The sweep points of a few (r, seed) pairs, in order; the kernels
+    step the points that run two at a time (kernels.rk4_trajectories)."""
+    prepared = [_prepare_point(run, r, seed_k) for r, seed_k in points]
     ran = [p for p in prepared if not isinstance(p, SweepPoint)]
     outs = iter(kernels.rk4_trajectories([call for *_, call in ran]))
     return [p if isinstance(p, SweepPoint)
-            else _sweep_point(task, *p, next(outs))
-            for task, p in zip(tasks, prepared)]
+            else _sweep_point(run, r, seed_k, *p, next(outs))
+            for (r, seed_k), p in zip(points, prepared)]
 
 def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
           acfg: AnalysisConfig, r_lo: float, r_hi: float, n_points: int,
@@ -433,13 +451,15 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     (the bench experiment: only the device is reprogrammed); "redesign"
     recomputes the components per point. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
-    worker count. At most `workers` processes run the points, and no more
-    than there are pairs of points or CPUs; one runs them in this
-    process. Per-point design failures and variability draws that
-    overflow are recorded as inconclusive, with the cause on
-    SweepPoint.reason, without stopping the sweep; in
-    "fixed" mode a reference design that fails its checks raises
-    DesignError before any point runs.
+    worker count. At most `workers` threads of this process run the
+    points, and no more than there are pairs of points or CPUs; one runs
+    them on the calling thread. The threads run at once only on the C
+    backend, whose kernel calls (ctypes.CDLL) release the GIL; on the
+    Python backend they take turns. Per-point design failures, variability
+    draws that overflow and fixed-mode points whose Jacobian overflows are
+    recorded as inconclusive, with the cause on SweepPoint.reason, without
+    stopping the sweep; in "fixed" mode a reference design that fails its
+    checks raises DesignError before any point runs.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -455,22 +475,21 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
         ref_params = design_circuit(state_at(table, ref_r),
                                     spec).require_ok().params
 
-    rs = np.geomspace(r_lo, r_hi, n_points)
-    tasks = [(float(r), table, spec, icfg, acfg, mode, sigma,
-              int(seed) + k, tuple(init), ref_params, d0)
-             for k, r in enumerate(rs)]
-
+    run = partial(_sweep_points, _SweepRun(table, spec, icfg, acfg, mode,
+                                           sigma, tuple(init), ref_params,
+                                           d0))
+    points = [(float(r), int(seed) + k)
+              for k, r in enumerate(np.geomspace(r_lo, r_hi, n_points))]
     # in pairs, which the C kernels step together; a batch holds its points'
     # records at once, so it stays at two
-    pairs = [tasks[k:k + 2] for k in range(0, len(tasks), 2)]
-    # a pool forks all of its processes at the first submit: no more than
-    # there are pairs to run or CPUs to run them
+    pairs = [points[k:k + 2] for k in range(0, len(points), 2)]
+    # more threads than pairs would idle, and more than CPUs take turns
     workers = min(workers, len(pairs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_sweep_points, pairs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(run, pairs))
     else:
-        batches = [_sweep_points(pair) for pair in pairs]
+        batches = map(run, pairs)
     return [point for batch in batches for point in batch]
 
 def write_bifurcation_csv(path, points):

@@ -149,7 +149,7 @@ def classify_stability(eq_or_eigs) -> StabilityVerdict:
                     and abs(pair_b.imag) > tol
                     and abs(real_eig.real) > tol
                     and abs(pair_a.real) > tol
-                    and real_eig.real * pair_a.real < 0)
+                    and (real_eig.real < 0) != (pair_a.real < 0))
     return StabilityVerdict(unstable=unstable, saddle_focus=saddle_focus,
                             max_real_part=float(np.max(eigs.real)))
 
@@ -173,6 +173,7 @@ def find_equilibria(params: CircuitParams) -> list:
     the one with the smaller residual (the lower on a tie); roots outside
     the unpadded window are kept but flagged via in_window=False. An
     identically zero quartic (a linear network) yields the origin alone.
+    A Jacobian with an entry past the float range raises ValueError.
     Off-origin points are labelled outward from the origin on each side:
     P+, P+2, P+3, ... and P-, P-2, ...
     """
@@ -207,7 +208,11 @@ def find_equilibria(params: CircuitParams) -> list:
 
     def make_point(v, label):
         v = float(v)
-        eigs = np.linalg.eigvals(jacobian(params, (v, 0.0, 0.0)))
+        jac = jacobian(params, (v, 0.0, 0.0))
+        if not np.isfinite(jac).all():
+            raise ValueError(f"the Jacobian at v1={v!r} V is not finite: "
+                             "the circuit's rates overflow")
+        eigs = np.linalg.eigvals(jac)
         return EquilibriumPoint(
             state=StateVector(v, 0.0, -params.g * v),
             label=label,

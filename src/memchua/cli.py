@@ -58,6 +58,7 @@ class Key(NamedTuple):
 
 
 _FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "be finite and > 0")
+_FINITE = (math.isfinite, "be finite")
 _NONZERO = (lambda v: v != 0, "be nonzero")
 
 # every config key: block -> key -> Key. A check runs on the converted
@@ -282,7 +283,7 @@ def _resolve_circuit(rc: RunConfig):
         params = _in_block("components", CircuitParams, c1=comp["c1"],
                            c2=comp["c2"], l=comp["l"], g=1.0 / comp["r"],
                            g_n=1.0 / comp["r_n"], device=rc.state.poly)
-        return params, find_equilibria(params)
+        return params, _in_block("components", find_equilibria, params)
     report = design_circuit(rc.state, rc.spec).require_ok()
     return report.params, report.equilibria
 
@@ -307,6 +308,7 @@ def _write_json(path, payload):
 
 def _report_dict(report):
     p = report.params
+    lgg = p.l * p.g * p.g  # underflows to 0 for a tiny g: beta is then null
     return {
         "r_ohm": report.r,
         "r_n_ohm": report.r_n,
@@ -316,7 +318,7 @@ def _report_dict(report):
         "g_S": p.g,
         "g_n_S": p.g_n,
         "alpha": p.c2 / p.c1,
-        "beta": p.c2 / (p.l * p.g * p.g),
+        "beta": p.c2 / lgg if lgg else None,
         "ok": report.ok,
         "checks": [{"name": c.name, "passed": c.passed, "value": c.value,
                     "note": c.note} for c in report.checks],
@@ -324,6 +326,13 @@ def _report_dict(report):
 
 
 def cmd_fit(args) -> int:
+    for flag, value, (ok, must) in (
+            ("--v-set", args.v_set, _FINITE_POSITIVE),
+            ("--v-stop", args.v_stop, _FINITE_POSITIVE),
+            ("--window-lo", args.window_lo, _FINITE),
+            ("--window-hi", args.window_hi, _FINITE)):
+        if value is not None and not ok(value):
+            raise InputFormatError(f"{flag} must {must}, got {value!r}")
     samples = load_iv_csv(args.iv)
     if not samples:
         raise InputFormatError("I-V file holds no samples", line=2)

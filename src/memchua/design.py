@@ -117,13 +117,20 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
 
     poly = state.poly
     g = design_g(poly, spec)
-    c2, l = design_reactive(spec.c1, g, spec)
-    g_n = design_gn(g, spec.c1, c2, poly.p1)
     try:
+        c2, l = design_reactive(spec.c1, g, spec)
+        g_n = design_gn(g, spec.c1, c2, poly.p1)
         params = CircuitParams(c1=spec.c1, c2=c2, l=l, g=g, g_n=g_n,
                                device=poly)
+        eqs = find_equilibria(params)
+    except ZeroDivisionError as exc:
+        # a tiny g underflows g * g to 0, or a tiny alpha * c1 c2
+        raise DesignError("component-range",
+                          f"a sized component underflows to 0 (g={g!r} S, "
+                          f"c1={spec.c1!r} F)") from exc
     except ValueError as exc:
-        # a huge coefficient overflows g * g and leaves l = 0
+        # a huge coefficient overflows g * g and leaves l = 0; a tiny l or
+        # c1 overflows a rate of the Jacobian
         raise DesignError("component-range", str(exc)) from exc
 
     checks = []
@@ -138,7 +145,6 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
         "trace-zero", abs(tr) < tr_tol, value=tr,
         note=f"|trace at origin| < {tr_tol:.3e}"))
 
-    eqs = find_equilibria(params)
     checks.append(DesignCheck(
         "three-equilibria", len(eqs) == 3, value=float(len(eqs)),
         note="origin plus both off-origin points"))

@@ -52,9 +52,10 @@ Kernel backends, chosen once at import and named by ``BACKEND``:
     ``sysconfig.get_config_var("CC")``, else ``cc``) and loaded through
     ``ctypes.CDLL``, so a kernel call releases the GIL: ``memchua
     simulate`` with rk45 runs its exponent pass on a helper thread beside
-    the DOPRI5 record pass and the CSV writes. Loading it with
-    ``ctypes.PyDLL``, which holds the GIL, would silently serialise the two
-    passes again. It is compiled with ``-ffp-contract=off`` and without
+    the DOPRI5 record pass and the CSV writes, and the worker threads of
+    ``analysis.sweep`` step their pairs of points at once. Loading it with
+    ``ctypes.PyDLL``, which holds the GIL, would silently serialise both
+    again. It is compiled with ``-ffp-contract=off`` and without
     ``-ffast-math``: no multiply and add are fused into one rounding and no
     operation is reordered, so every double matches the Python kernels bit
     for bit, up to the payload of a NaN. The library is cached in this

@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 import memchua as m
+from memchua import kernels
 
 REF_COEFFS = m.REFERENCE_COEFFICIENTS
+
+
+@pytest.fixture(params=["default", "pure"])
+def backend(request, monkeypatch):
+    """Runs a test on the kernel backend the package chose, then on the
+    Python kernels."""
+    if request.param == "pure":
+        for name in ("rk4_trajectories", "dopri_trajectory"):
+            monkeypatch.setattr(kernels, name, kernels.PURE_KERNELS[name])
+    return request.param
 
 
 @pytest.fixture(scope="session")

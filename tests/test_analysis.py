@@ -1,5 +1,8 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +276,22 @@ class TestLargestLyapunov:
         with pytest.raises(LyapunovError):
             m.largest_lyapunov(runaway, (0.1, 0.0, 0.0), cfg)
 
+    @pytest.mark.parametrize("interval", [1e300, math.inf])
+    def test_interval_past_the_run_completes_none(self, designed, backend,
+                                                  interval):
+        # 1e300 s is 1e306 steps, past the C kernels' int64: an interval
+        # longer than the run stands in as n_steps + 1 steps
+        cfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
+        call = analysis._shadow_call(designed.params, (0.1, 0.0, 0.0), cfg,
+                                     1e-8, interval)
+        assert call.renorm_every == call.n_steps + 1
+        with pytest.raises(LyapunovError, match="no complete renormalization"):
+            m.largest_lyapunov(designed.params, (0.1, 0.0, 0.0), cfg,
+                               renorm_interval=interval)
+        traj, lam = m.trajectory_and_lyapunov(
+            designed.params, (0.1, 0.0, 0.0), cfg, renorm_interval=interval)
+        assert lam is None and len(traj.times) > 0
+
 
 class TestTrajectoryAndLyapunov:
     @settings(max_examples=12, deadline=None)
@@ -446,24 +465,30 @@ class TestSweep:
             assert pa.verdict == pb.verdict
             assert np.array_equal(pa.extrema, pb.extrema)
 
-    def test_parallel_matches_serial(self, ref_state, spec):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_matches_serial(self, ref_state, spec, tmp_path,
+                                     monkeypatch, backend, workers):
+        # three pairs, the last a lone point, on up to three threads
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
+        icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.005)
+        acfg = m.AnalysisConfig()
         kw = dict(mode="fixed", sigma=0.05, seed=3)
-        serial = m.sweep(table, spec, icfg, acfg, 0.5 * ref_state.r_prog,
-                         1.1 * ref_state.r_prog, 3, workers=1, **kw)
-        parallel = m.sweep(table, spec, icfg, acfg, 0.5 * ref_state.r_prog,
-                           1.1 * ref_state.r_prog, 3, workers=2, **kw)
-        for ps, pp in zip(serial, parallel):
-            assert ps.verdict == pp.verdict
-            assert np.array_equal(ps.extrema, pp.extrema)
+        runs = []
+        for w in (1, workers):
+            pts = m.sweep(table, spec, icfg, acfg, 0.5 * ref_state.r_prog,
+                          1.1 * ref_state.r_prog, 5, workers=w, **kw)
+            m.write_bifurcation_csv(tmp_path / "bif.csv", pts)
+            runs.append(((tmp_path / "bif.csv").read_bytes(),
+                         [(p.verdict, p.seed, p.soa, p.reason) for p in pts]))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("workers, n_points, cpus, started", [
         (5000, 5, 2, 2), (5000, 5, 64, 3), (2, 5, 64, 2), (5000, 2, 64, None),
         (5000, 5, None, None), (1, 5, 64, None)])
     def test_pool_size_is_bounded(self, ref_state, spec, monkeypatch,
                                   workers, n_points, cpus, started):
-        # no more processes than pairs of points or CPUs, and none for one
+        # no more threads than pairs of points or CPUs, and no pool for one
         pools = []
 
         class FakePool:
@@ -479,7 +504,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", FakePool)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
         table = m.StateTable((ref_state,))
         icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.005)
@@ -488,6 +513,17 @@ class TestSweep:
                       n_points, sigma=0.05, seed=3, workers=workers)
         assert len(pts) == n_points
         assert pools == ([] if started is None else [started])
+
+    def test_import_loads_no_process_pool(self):
+        # the sweep's workers are threads: a fresh interpreter's import
+        # starts no multiprocessing machinery
+        code = ("import sys, memchua; print(sorted(n for n in sys.modules if "
+                "n.startswith(('multiprocessing', 'concurrent.futures.process'))"
+                "))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("mode", ["fixed", "redesign"])
     def test_paired_points_match_lone_runs(self, ref_state, spec, tmp_path,
@@ -566,6 +602,17 @@ class TestSweep:
         assert pts[0].reason.startswith("design failure: infeasible-G")
         assert pts[1].verdict.label != "inconclusive"
         assert pts[1].reason is None
+
+    def test_point_without_spectrum_keeps_reason(self, ref_state, designed):
+        # a fixed-mode point whose Jacobian overflows is recorded, not raised
+        icfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
+        tiny_l = replace(designed.params, l=1e-310)
+        run = analysis._SweepRun(m.StateTable((ref_state,)), None, icfg,
+                                 m.AnalysisConfig(), "fixed", 0.0,
+                                 (0.1, 0.0, 0.0), tiny_l, 1e-8)
+        (pt,) = analysis._sweep_points(run, [(ref_state.r_prog, 7)])
+        assert (pt.verdict.label, pt.seed) == ("inconclusive", 7)
+        assert pt.reason.startswith("equilibria: the Jacobian at v1=0.0 V")
 
     def test_non_soa_extrema_inside_window(self, ref_state, spec):
         table = m.StateTable((ref_state,))

@@ -233,6 +233,22 @@ class TestStability:
         assert not verdict.unstable
         assert verdict.max_real_part < 0
 
+    def test_saddle_focus_of_huge_spectrum(self):
+        # the real parts' product overflows; their signs decide
+        verdict = m.classify_stability((-1e200, 1e200 + 1e200j,
+                                        1e200 - 1e200j))
+        assert verdict.unstable and verdict.saddle_focus
+
+    def test_overflowing_rate_raises(self, designed):
+        # 1/l overflows, so the Jacobian has no spectrum
+        tiny_l = m.CircuitParams(c1=1e-8, c2=1e-7, l=1e-310,
+                                 g=designed.params.g,
+                                 g_n=designed.params.g_n,
+                                 device=designed.params.device)
+        with pytest.raises(ValueError, match="Jacobian at v1=0.0 V is not "
+                                             "finite"):
+            m.find_equilibria(tiny_l)
+
 
 class TestEquilibriumProperties:
     """Invariants of find_equilibria over designed circuits whose device

@@ -5,12 +5,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memchua as m
 from memchua import analysis, circuit, cli, design, kernels
@@ -80,6 +83,23 @@ class TestFit:
                        "--v-stop", "2.6"])
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, must", [
+        (["--v-set", "-1.2"], "--v-set must be finite and > 0, got -1.2"),
+        (["--v-set", "nan"], "--v-set must be finite and > 0, got nan"),
+        (["--v-stop", "inf"], "--v-stop must be finite and > 0, got inf"),
+        (["--v-stop", "0"], "--v-stop must be finite and > 0, got 0.0"),
+        (["--window-lo", "nan"], "--window-lo must be finite, got nan"),
+        (["--window-hi=-inf"], "--window-hi must be finite, got -inf"),
+    ])
+    def test_bad_flag_is_parse_error(self, tmp_path, capsys, flags, must):
+        out = tmp_path / "out"
+        rc = cli.main(["fit", "--iv", str(self.make_iv(tmp_path)),
+                       "--v-set", "1.2", "--v-stop", "2.6", "--out", str(out),
+                       *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"input error: {must}\n"
+        assert not out.exists()
 
 
 class TestDesign:
@@ -286,6 +306,20 @@ class TestEquilibria:
         rc = cli.main(["equilibria", "--config", cfg, "--out", str(out)])
         assert rc == 4
         assert "all-unstable" in capsys.readouterr().err
+        assert not (out / "equilibria.json").exists()
+
+    def test_components_without_spectrum_are_input_error(self, tmp_path,
+                                                         capsys):
+        # 1/l overflows, so no equilibrium has a spectrum
+        cfg = write_config(tmp_path / "c.yaml", components={
+            "r": 7643.0, "r_n": 685.6, "l": 1.0e-310, "c1": 1.0e-8,
+            "c2": 1.0e-7})
+        out = tmp_path / "out"
+        rc = cli.main(["equilibria", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "input error: config.components: the Jacobian at v1=0.0 V is "
+            "not finite")
         assert not (out / "equilibria.json").exists()
 
 
@@ -825,13 +859,6 @@ class TestRk45Overlap:
     and stderr are those of the serial calls, and the thread is joined
     before the command returns, on every path."""
 
-    @pytest.fixture(params=["default", "pure"])
-    def backend(self, request, monkeypatch):
-        if request.param == "pure":
-            for name in ("rk4_trajectories", "dopri_trajectory"):
-                monkeypatch.setattr(kernels, name, kernels.PURE_KERNELS[name])
-        return request.param
-
     def simulate(self, tmp_path, capsys, **overrides):
         """(exit code, classification.json or None, stderr) of one run,
         with the count of live threads checked around it."""
@@ -976,6 +1003,74 @@ class TestRunLimits:
         assert events[-1].split(",")[1] == "diverged"
         if method == "rk45":
             assert events[2:] == ["0.0,diverged,3000.0"]
+
+
+class TestOutOfRange:
+    """Finite inputs that take a sized component or a step count past the
+    float range end with a documented exit code and a one-line message."""
+
+    HORIZON = {"t_end": 0.002, "t_transient": 0.0005}
+
+    @pytest.mark.parametrize("command", ["design", "equilibria", "simulate",
+                                         "sweep"])
+    def test_tiny_conductance_exits_4(self, tmp_path, capsys, command):
+        # g is about 6e-307 S, so g * g underflows to 0
+        cfg = write_config(tmp_path / "c.yaml", device={"r_prog": 1.0e308},
+                           integration=self.HORIZON, sweep={"n_points": 2})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("design failure: component-range: a sized "
+                              "component underflows to 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, method", [
+        ("simulate", "rk4"), ("simulate", "rk45"), ("sweep", "rk4")])
+    def test_huge_c1_has_no_exponent(self, tmp_path, capsys, backend,
+                                     command, method):
+        # the renormalization interval, R*C2, is about 1e305 steps long
+        cfg = write_config(tmp_path / "c.yaml", design={"c1": 1.0e300},
+                           integration={**self.HORIZON, "method": method},
+                           sweep={"n_points": 2})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) in (0, 5)
+        if command == "simulate":
+            assert "lambda1*tau=n/a" in capsys.readouterr().out
+            summaries = [json.loads(
+                (out / "classification.json").read_text())]
+        else:
+            summaries = json.loads((out / "sweep_summary.json").read_text())
+        assert all(s["lambda1_per_s"] is None for s in summaries)
+
+    def test_underflowing_beta_is_null(self, designed):
+        tiny = dataclasses.replace(designed.params, l=1e-300, g=1e-20)
+        report = cli._report_dict(dataclasses.replace(designed, params=tiny))
+        assert report["beta"] is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["design", "equilibria", "simulate",
+                                    "sweep"]),
+           overrides=st.dictionaries(
+               st.sampled_from([("design", "v_eq"), ("design", "c1"),
+                                ("design", "alpha"), ("design", "beta"),
+                                ("device", "r_prog"), ("lyapunov", "d0")]),
+               st.one_of(st.floats(1e-300, 1e300), st.floats(
+                   -300.0, 300.0).map(lambda e: 10.0 ** e)),
+               min_size=1))
+    def test_any_finite_positive_value_exits_documented(self, command,
+                                                         overrides):
+        cfg = {"schema": 1, "integration": self.HORIZON,
+               "sweep": {"n_points": 2}}
+        for (block, key), value in overrides.items():
+            cfg.setdefault(block, {})[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(cfg, fh)
+            code = cli.main([command, "--config", path,
+                             "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3, 4, 5)
 
 
 class TestOneEquilibriumSolve:

@@ -88,6 +88,16 @@ class TestDesignCircuit:
         with pytest.raises(DesignError, match="infeasible-G"):
             m.design_circuit(state, spec)
 
+    @pytest.mark.parametrize("r_prog, spec_kw", [
+        (1e308, {}),  # g * g underflows to 0
+        (4.7e5, {"c1": 1e-300, "alpha": 1e-30}),  # alpha * c1 does
+        (4.7e5, {"c1": 1e-20, "beta": 1e300}),  # 1/l overflows
+    ], ids=["tiny-g", "tiny-c2", "tiny-l"])
+    def test_out_of_range_components(self, ref_state, spec, r_prog, spec_kw):
+        state = m.state_at(m.StateTable((ref_state,)), r_prog)
+        with pytest.raises(DesignError, match="component-range"):
+            m.design_circuit(state, replace(spec, **spec_kw))
+
     def test_positive_equilibrium_lands_on_target(self, designed, spec):
         eqs = {e.label: e for e in m.find_equilibria(designed.params)}
         assert eqs["P+"].state.v1 == pytest.approx(spec.v_eq, abs=1e-6)
