@@ -13,6 +13,11 @@
  * push_event, push_crossing and record mirror kernels.py's _push_event,
  * _push_crossing and _record.
  *
+ * memchua_dopri_trajectory steps a state vector: (v1, v2, iL) is one
+ * 4-wide State, as is each stage's slope, so each Dormand-Prince stage is
+ * written once for all three components, each lane rounding as its scalar
+ * operation does. The Python kernels are unchanged and spell them out.
+ *
  * memchua_rk4_trajectory runs one or two calls of _rk4_trajectory at once,
  * each in a lane of 2-wide vectors (the GCC and Clang vector extension):
  * the references of both lanes form one vector and their shadows another.
@@ -60,6 +65,10 @@ typedef double v2d __attribute__((vector_size(16)));
 typedef struct {
     v2d p1, p2, p3, p4, p5, g, gn, c1, c2, l;
 } Circuit2;
+
+/* The DOPRI5 state (v1, v2, iL), or a slope of it, in lanes 0-2; lane 3
+ * stays 0. No function takes or returns one: -Wpsabi would flag it. */
+typedef double State __attribute__((vector_size(32)));
 
 typedef struct {
     double *t;
@@ -123,6 +132,10 @@ static inline int64_t record(double *times, double *states, int64_t j,
         (fb) = (field_z - field_u) / (q)->c2;                                \
         (fc) = -field_y / (q)->l;                                            \
     } while (0)
+
+/* FIELD at the State `s` into the first three lanes of the State `k` */
+#define STATE_FIELD(q, s, k)                                                 \
+    FIELD(q, (s)[0], (s)[1], (s)[2], (k)[0], (k)[1], (k)[2])
 
 /* The closure `step` of _rk4_trajectory: one RK4 step in place, in both
  * lanes at once. Each lane sees the scalar operations in the scalar order. */
@@ -370,10 +383,10 @@ static int grow(double **times, double **states, int64_t *cap)
     return 0;
 }
 
-/* _dopri_trajectory. The record buffers start at 1024 rows and double as
- * needed; on return *times_out and *states_out hold them (free both with
- * memchua_free), out holds (rows recorded, status, events seen). Returns
- * 0, or -1 with nothing to free when memory ran out. */
+/* _dopri_trajectory over States. The record buffers start at 1024 rows
+ * and double as needed; on return *times_out and *states_out hold them
+ * (free both with memchua_free), out holds (rows recorded, status, events
+ * seen). Returns 0, or -1 with nothing to free when memory ran out. */
 int memchua_dopri_trajectory(
     double p1, double p2, double p3, double p4, double p5, double g,
     double gn, double c1, double c2, double l,
@@ -396,10 +409,11 @@ int memchua_dopri_trajectory(
     double t = 0.0;
     double h = h0;
     int64_t iters = 0;
-    double x, y, z, r, r2, r3, fac;
-    double k1a, k1b, k1c, k2a, k2b, k2c, k3a, k3b, k3c, k4a, k4b, k4c;
-    double k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c;
-    double nv1, nv2, nil, e1, e2, e3;
+    double r, fac;
+    State y = {v1, v2, il, 0.0}, x, yn, e;
+    State k1 = {0.0}, k2 = {0.0}, k3 = {0.0}, k4 = {0.0}, k5 = {0.0};
+    State k6 = {0.0}, k7 = {0.0};
+    int i;
 
     if (times == NULL || states == NULL)
         goto out_of_memory;
@@ -423,7 +437,7 @@ int memchua_dopri_trajectory(
 
     /* first same as last: an accepted step's k7 is the next step's k1, and
      * a rejected step leaves the state, and so k1, unchanged */
-    FIELD(&q, v1, v2, il, k1a, k1b, k1c);
+    STATE_FIELD(&q, y, k1);
     while (status == STATUS_OK && t < t_end) {
         iters++;
         if (iters > max_steps) {
@@ -437,65 +451,35 @@ int memchua_dopri_trajectory(
         if (t + h > t_end)
             h = t_end - t;
 
-        x = v1 + h * 0.2 * k1a;
-        y = v2 + h * 0.2 * k1b;
-        z = il + h * 0.2 * k1c;
-        FIELD(&q, x, y, z, k2a, k2b, k2c);
-        x = v1 + h * (0.075 * k1a + 0.225 * k2a);
-        y = v2 + h * (0.075 * k1b + 0.225 * k2b);
-        z = il + h * (0.075 * k1c + 0.225 * k2c);
-        FIELD(&q, x, y, z, k3a, k3b, k3c);
-        x = v1 + h * ((44.0 / 45.0) * k1a - (56.0 / 15.0) * k2a
-                      + (32.0 / 9.0) * k3a);
-        y = v2 + h * ((44.0 / 45.0) * k1b - (56.0 / 15.0) * k2b
-                      + (32.0 / 9.0) * k3b);
-        z = il + h * ((44.0 / 45.0) * k1c - (56.0 / 15.0) * k2c
-                      + (32.0 / 9.0) * k3c);
-        FIELD(&q, x, y, z, k4a, k4b, k4c);
-        x = v1 + h * ((19372.0 / 6561.0) * k1a - (25360.0 / 2187.0) * k2a
-                      + (64448.0 / 6561.0) * k3a - (212.0 / 729.0) * k4a);
-        y = v2 + h * ((19372.0 / 6561.0) * k1b - (25360.0 / 2187.0) * k2b
-                      + (64448.0 / 6561.0) * k3b - (212.0 / 729.0) * k4b);
-        z = il + h * ((19372.0 / 6561.0) * k1c - (25360.0 / 2187.0) * k2c
-                      + (64448.0 / 6561.0) * k3c - (212.0 / 729.0) * k4c);
-        FIELD(&q, x, y, z, k5a, k5b, k5c);
-        x = v1 + h * ((9017.0 / 3168.0) * k1a - (355.0 / 33.0) * k2a
-                      + (46732.0 / 5247.0) * k3a + (49.0 / 176.0) * k4a
-                      - (5103.0 / 18656.0) * k5a);
-        y = v2 + h * ((9017.0 / 3168.0) * k1b - (355.0 / 33.0) * k2b
-                      + (46732.0 / 5247.0) * k3b + (49.0 / 176.0) * k4b
-                      - (5103.0 / 18656.0) * k5b);
-        z = il + h * ((9017.0 / 3168.0) * k1c - (355.0 / 33.0) * k2c
-                      + (46732.0 / 5247.0) * k3c + (49.0 / 176.0) * k4c
-                      - (5103.0 / 18656.0) * k5c);
-        FIELD(&q, x, y, z, k6a, k6b, k6c);
-        nv1 = v1 + h * ((35.0 / 384.0) * k1a + (500.0 / 1113.0) * k3a
-                        + (125.0 / 192.0) * k4a - (2187.0 / 6784.0) * k5a
-                        + (11.0 / 84.0) * k6a);
-        nv2 = v2 + h * ((35.0 / 384.0) * k1b + (500.0 / 1113.0) * k3b
-                        + (125.0 / 192.0) * k4b - (2187.0 / 6784.0) * k5b
-                        + (11.0 / 84.0) * k6b);
-        nil = il + h * ((35.0 / 384.0) * k1c + (500.0 / 1113.0) * k3c
-                        + (125.0 / 192.0) * k4c - (2187.0 / 6784.0) * k5c
-                        + (11.0 / 84.0) * k6c);
-        FIELD(&q, nv1, nv2, nil, k7a, k7b, k7c);
-        e1 = h * ((71.0 / 57600.0) * k1a - (71.0 / 16695.0) * k3a
-                  + (71.0 / 1920.0) * k4a - (17253.0 / 339200.0) * k5a
-                  + (22.0 / 525.0) * k6a - 0.025 * k7a);
-        e2 = h * ((71.0 / 57600.0) * k1b - (71.0 / 16695.0) * k3b
-                  + (71.0 / 1920.0) * k4b - (17253.0 / 339200.0) * k5b
-                  + (22.0 / 525.0) * k6b - 0.025 * k7b);
-        e3 = h * ((71.0 / 57600.0) * k1c - (71.0 / 16695.0) * k3c
-                  + (71.0 / 1920.0) * k4c - (17253.0 / 339200.0) * k5c
-                  + (22.0 / 525.0) * k6c - 0.025 * k7c);
+        x = y + h * 0.2 * k1;
+        STATE_FIELD(&q, x, k2);
+        x = y + h * (0.075 * k1 + 0.225 * k2);
+        STATE_FIELD(&q, x, k3);
+        x = y + h * ((44.0 / 45.0) * k1 - (56.0 / 15.0) * k2
+                     + (32.0 / 9.0) * k3);
+        STATE_FIELD(&q, x, k4);
+        x = y + h * ((19372.0 / 6561.0) * k1 - (25360.0 / 2187.0) * k2
+                     + (64448.0 / 6561.0) * k3 - (212.0 / 729.0) * k4);
+        STATE_FIELD(&q, x, k5);
+        x = y + h * ((9017.0 / 3168.0) * k1 - (355.0 / 33.0) * k2
+                     + (46732.0 / 5247.0) * k3 + (49.0 / 176.0) * k4
+                     - (5103.0 / 18656.0) * k5);
+        STATE_FIELD(&q, x, k6);
+        yn = y + h * ((35.0 / 384.0) * k1 + (500.0 / 1113.0) * k3
+                      + (125.0 / 192.0) * k4 - (2187.0 / 6784.0) * k5
+                      + (11.0 / 84.0) * k6);
+        STATE_FIELD(&q, yn, k7);
+        e = h * ((71.0 / 57600.0) * k1 - (71.0 / 16695.0) * k3
+                 + (71.0 / 1920.0) * k4 - (17253.0 / 339200.0) * k5
+                 + (22.0 / 525.0) * k6 - 0.025 * k7);
 
-        r = fabs(e1) / (abs_tol + rel_tol * fabs(v1));
-        r2 = fabs(e2) / (abs_tol + rel_tol * fabs(v2));
-        r3 = fabs(e3) / (abs_tol + rel_tol * fabs(il));
-        if (r2 > r)
-            r = r2;
-        if (r3 > r)
-            r = r3;
+        /* the largest component ratio, a NaN ratio kept only when first */
+        r = fabs(e[0]) / (abs_tol + rel_tol * fabs(y[0]));
+        for (i = 1; i < 3; i++) {
+            const double ri = fabs(e[i]) / (abs_tol + rel_tol * fabs(y[i]));
+            if (ri > r)
+                r = ri;
+        }
         if (!isfinite(r))
             r = 2.0;
 
@@ -503,22 +487,18 @@ int memchua_dopri_trajectory(
             int now_inside;
 
             t = t + h;
-            v1 = nv1;
-            v2 = nv2;
-            il = nil;
-            k1a = k7a;
-            k1b = k7b;
-            k1c = k7c;
+            y = yn;
+            k1 = k7;
 
-            if (!bounded(v_div, i_div, v1, v2, il)) {
-                push_event(&ev, t, KIND_DIVERGED, v1);
+            if (!bounded(v_div, i_div, y[0], y[1], y[2])) {
+                push_event(&ev, t, KIND_DIVERGED, y[0]);
                 status = STATUS_DIVERGED;
                 break;
             }
 
-            now_inside = v_min <= v1 && v1 <= v_max;
+            now_inside = v_min <= y[0] && y[0] <= v_max;
             if (inside && !now_inside) {
-                push_crossing(&ev, t, v1, v_min);
+                push_crossing(&ev, t, y[0], v_min);
                 if (abort_on_soa) {
                     status = STATUS_SOA_ABORT;
                     break;
@@ -531,28 +511,21 @@ int memchua_dopri_trajectory(
                 if (rec_count % stride == 0) {
                     if (j >= cap && grow(&times, &states, &cap) != 0)
                         goto out_of_memory;
-                    j = record(times, states, j, t, v1, v2, il);
+                    j = record(times, states, j, t, y[0], y[1], y[2]);
                 }
             }
-
-            if (r == 0.0) {
-                fac = 5.0;
-            } else {
-                fac = 0.9 * pow(r, -0.2);
-                if (fac > 5.0)
-                    fac = 5.0;
-                else if (fac < 0.2)
-                    fac = 0.2;
-            }
-            h = h * fac;
-            if (h > h_max)
-                h = h_max;
-        } else {
-            fac = 0.9 * pow(r, -0.2);
-            if (fac < 0.2)
-                fac = 0.2;
-            h = h * fac;
         }
+
+        /* _dopri_trajectory's next h for both outcomes: pow(0, -0.2) is
+         * inf, so an error-free step grows h by 5, and r > 1 stays below 5 */
+        fac = 0.9 * pow(r, -0.2);
+        if (fac > 5.0)
+            fac = 5.0;
+        else if (fac < 0.2)
+            fac = 0.2;
+        h = h * fac;
+        if (r <= 1.0 && h > h_max)
+            h = h_max;
     }
 
     *times_out = times;

@@ -10,7 +10,6 @@ coefficient perturbation per point to model cycle-to-cycle programming
 variability.
 """
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,11 +21,10 @@ import numpy as np
 from . import kernels
 from .circuit import CircuitParams, find_equilibria
 from .design import DesignSpec, design_circuit
-from .device import (DevicePoly, DeviceState, StateTable, _write_csv,
-                     state_at)
+from .device import (DevicePoly, DeviceState, StateTable, state_at,
+                     write_csv)
 from .errors import DesignError, LyapunovError
-from .integrate import IntegrationConfig, Trajectory, _build, _rk4_args, \
-    _steps_for
+from .integrate import IntegrationConfig, Trajectory, rk4_call, trajectory_of
 
 class Label:
     FIXED_POINT = "fixed_point"
@@ -256,23 +254,6 @@ class LyapunovResult:
     n_intervals: int
     d0: float
 
-def _shadow_call(params: CircuitParams, init, cfg: IntegrationConfig,
-                 d0: float, renorm_interval: Optional[float],
-                 record: bool = True) -> kernels.Rk4Call:
-    """The kernels.Rk4Call of a run with the shadow on; record=False turns
-    the recorder off."""
-    if not 0 < d0 < math.inf:
-        raise ValueError(f"d0 must be finite and positive, got {d0}")
-    tau = float(renorm_interval) if renorm_interval else params.time_unit
-    call = _rk4_args(params, init, cfg, record)
-    # an interval longer than the run completes none, whatever its length,
-    # so n_steps + 1 steps stand in for any longer one, an infinite one too
-    renorm_every = min(max(1, _steps_for(tau, cfg.dt)), call.n_steps + 1)
-    return call._replace(
-        shadow=True, renorm_every=renorm_every,
-        transient_steps=_steps_for(cfg.t_transient, cfg.dt), d0=d0)
-
-
 def _lyapunov_result(params: CircuitParams, call: kernels.Rk4Call,
                      out: kernels.Rk4Out) -> LyapunovResult:
     """The exponent from the shadow half of the kernel's `out` for
@@ -300,7 +281,8 @@ def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
     every renorm_interval (default: the circuit time unit R*C2); the mean
     log stretch per interval after t_transient is the exponent estimate.
     """
-    call = _shadow_call(params, init, cfg, d0, renorm_interval, record=False)
+    call = rk4_call(params, init, cfg, record=False, d0=d0,
+                    renorm_interval=renorm_interval)
     (out,) = kernels.rk4_trajectories([call])
     return _lyapunov_result(params, call, out)
 
@@ -309,7 +291,7 @@ def _fused_result(params: CircuitParams, call: kernels.Rk4Call,
                   out: kernels.Rk4Out):
     """trajectory_and_lyapunov's result from the kernel's `out` for
     `call`."""
-    traj = _build(out)
+    traj = trajectory_of(out)
     try:
         lyap = _lyapunov_result(params, call, out)
     except LyapunovError:
@@ -329,7 +311,7 @@ def trajectory_and_lyapunov(
     (the reference diverged, the shadow collapsed, or no interval
     completed after the transient).
     """
-    call = _shadow_call(params, init, cfg, d0, renorm_interval)
+    call = rk4_call(params, init, cfg, d0=d0, renorm_interval=renorm_interval)
     (out,) = kernels.rk4_trajectories([call])
     return _fused_result(params, call, out)
 
@@ -388,7 +370,10 @@ def _prepare_point(run: _SweepRun, r, seed_k):
     """The circuit of the point at `r`, its equilibria and its fused
     kernels.Rk4Call, or its _unrun_point when it stops before
     integration."""
-    state = state_at(run.table, r)
+    try:
+        state = state_at(run.table, r)
+    except ValueError as exc:  # the 1/R law overflowed a coefficient
+        return _unrun_point(r, seed_k, f"device state: {exc}")
     try:
         poly = perturb(state.poly, run.sigma, seed_k)
     except FloatingPointError as exc:
@@ -409,7 +394,7 @@ def _prepare_point(run: _SweepRun, r, seed_k):
         except DesignError as exc:
             return _unrun_point(r, seed_k, f"design failure: {exc}")
         params, eqs = report.params, report.equilibria
-    return params, eqs, _shadow_call(params, run.init, run.icfg, run.d0, None)
+    return params, eqs, rk4_call(params, run.init, run.icfg, d0=run.d0)
 
 
 def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
@@ -455,8 +440,9 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     points, and no more than there are pairs of points or CPUs; one runs
     them on the calling thread. The threads run at once only on the C
     backend, whose kernel calls (ctypes.CDLL) release the GIL; on the
-    Python backend they take turns. Per-point design failures, variability
-    draws that overflow and fixed-mode points whose Jacobian overflows are
+    Python backend they take turns. Per-point design failures, resistances
+    so small that the 1/R law overflows a coefficient, variability draws
+    that overflow and fixed-mode points whose Jacobian overflows are
     recorded as inconclusive, with the cause on SweepPoint.reason, without
     stopping the sweep; in "fixed" mode a reference design that fails its
     checks raises DesignError before any point runs.
@@ -494,10 +480,10 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
 
 def write_bifurcation_csv(path, points):
     """One row per extremum: r_prog_ohm, extremum_v1_V, class, in
-    device._write_csv's bytes. The class is one of the fixed Label
+    device.write_csv's bytes. The class is one of the fixed Label
     identifiers."""
     counts = [len(pt.extrema) for pt in points]
-    _write_csv(path, ["r_prog_ohm", "extremum_v1_V", "class"], [
+    write_csv(path, ["r_prog_ohm", "extremum_v1_V", "class"], [
         np.repeat([float(pt.r_prog) for pt in points], counts),
         np.concatenate([np.empty(0), *(pt.extrema for pt in points)]),
         np.repeat([pt.verdict.label for pt in points], counts)])

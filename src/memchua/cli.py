@@ -32,7 +32,7 @@ from .device import (DevicePoly, DeviceState, StateTable, fit_poly,
                      resistance_at_low_bias, save_state_table, state_at)
 from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
-from .integrate import (IntegrationConfig, _rk4_args, integrate_adaptive,
+from .integrate import (IntegrationConfig, integrate_adaptive, rk4_call,
                         write_events_csv, write_trajectory_csv)
 
 EXIT_OK = 0
@@ -333,13 +333,16 @@ def cmd_fit(args) -> int:
             ("--window-hi", args.window_hi, _FINITE)):
         if value is not None and not ok(value):
             raise InputFormatError(f"{flag} must {must}, got {value!r}")
-    samples = load_iv_csv(args.iv)
-    if not samples:
-        raise InputFormatError("I-V file holds no samples", line=2)
     v_set = float(args.v_set)
     v_stop = float(args.v_stop)
     lo = args.window_lo if args.window_lo is not None else -0.9 * v_set
     hi = args.window_hi if args.window_hi is not None else v_stop
+    if not lo < hi:
+        raise InputFormatError(f"--window-lo must be below --window-hi, got "
+                               f"{lo!r} and {hi!r}")
+    samples = load_iv_csv(args.iv)
+    if not samples:
+        raise InputFormatError("I-V file holds no samples", line=2)
     result = fit_poly(samples, (lo, hi))
     poly = DevicePoly(*result.poly.coefficients, v_min=-v_set, v_max=v_stop)
     state = DeviceState(resistance_at_low_bias(poly), v_set, v_stop, poly)
@@ -395,7 +398,7 @@ def cmd_simulate(args) -> int:
     if rc.method == "rk45":
         # the RK4 step cap of the exponent pass, checked before either pass
         # starts or a file is written
-        _rk4_args(params, rc.initial_state, rc.integration, record=False)
+        rk4_call(params, rc.initial_state, rc.integration, record=False)
     out = _out_dir(args, rc)
 
     stiff = None

@@ -22,7 +22,7 @@ from .errors import FitError, InputFormatError
 IV_HEADER = ["voltage_V", "current_A"]
 STATE_HEADER = ["r_prog_ohm", "v_set_V", "v_stop_V", "p1", "p2", "p3", "p4", "p5"]
 
-# rows formatted per write in _write_csv: about 6 MB of strings for four
+# rows formatted per write in write_csv: about 6 MB of strings for four
 # float columns, whatever the row count
 _CSV_CHUNK_ROWS = 16384
 
@@ -267,7 +267,7 @@ def load_iv_csv(path) -> list:
     return samples
 
 
-def _write_csv(path, header, columns):
+def write_csv(path, header, columns):
     """Write `columns`, sequences of equal length, under `header` as a CSV.
 
     The bytes are the ones csv.writer writes for the same rows: a column
@@ -293,10 +293,10 @@ def _write_csv(path, header, columns):
 
 
 def save_iv_csv(path, samples):
-    """Write I-V samples as a `voltage_V,current_A` CSV, in _write_csv's
+    """Write I-V samples as a `voltage_V,current_A` CSV, in write_csv's
     bytes, so each value reads back bit for bit."""
     values = np.array([(s[0], s[1]) for s in samples], dtype=float)
-    _write_csv(path, IV_HEADER, values.reshape(-1, 2).T)
+    write_csv(path, IV_HEADER, values.reshape(-1, 2).T)
 
 
 def load_state_table(path) -> StateTable:
@@ -331,8 +331,8 @@ def load_state_table(path) -> StateTable:
 
 def save_state_table(path, table):
     """Write a StateTable, or a sequence of states, in its CSV schema and
-    in _write_csv's bytes."""
+    in write_csv's bytes."""
     states = table.states if isinstance(table, StateTable) else list(table)
     values = np.array([(s.r_prog, s.v_set_mag, s.v_stop, *s.poly.coefficients)
                        for s in states], dtype=float)
-    _write_csv(path, STATE_HEADER, values.reshape(-1, len(STATE_HEADER)).T)
+    write_csv(path, STATE_HEADER, values.reshape(-1, len(STATE_HEADER)).T)

@@ -11,13 +11,13 @@ crossing. All work is in SI units.
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import kernels
 from .circuit import CircuitParams
-from .device import _write_csv
+from .device import write_csv
 from .errors import IntegrationError
 
 _KIND_NAMES = {
@@ -120,24 +120,27 @@ def _steps_for(duration: float, dt: float) -> int:
     return int(math.ceil(x))
 
 
-def _divergence_bounds(params: CircuitParams):
-    # the kernels test -bound <= x <= bound, which lets an infinite state
-    # through an infinite bound, so an overflowing bound becomes the
-    # largest float
-    return (min(DIVERGENCE_FACTOR * params.voltage_scale, sys.float_info.max),
-            min(DIVERGENCE_FACTOR * params.current_scale, sys.float_info.max))
-
-
-def _init_tuple(init):
+def _shared_args(params: CircuitParams, init, cfg: IntegrationConfig):
+    """The arguments that both kernels take alike, by name: the start, the
+    device window, the divergence bounds and the window policy."""
     v = np.asarray(init, dtype=float)
     if v.shape != (3,):
         raise ValueError("initial state must have exactly 3 components")
     if not np.isfinite(v).all():
         raise ValueError("initial state must be finite")
-    return float(v[0]), float(v[1]), float(v[2])
+    # the kernels test -bound <= x <= bound, which lets an infinite state
+    # through an infinite bound, so an overflowing bound becomes the
+    # largest float
+    top = sys.float_info.max
+    d = params.device
+    return dict(zip(("v1", "v2", "il"), v.tolist()), v_min=d.v_min,
+                v_max=d.v_max,
+                v_div=min(DIVERGENCE_FACTOR * params.voltage_scale, top),
+                i_div=min(DIVERGENCE_FACTOR * params.current_scale, top),
+                abort_on_soa=cfg.soa_policy == "abort")
 
 
-def _build(out) -> Trajectory:
+def trajectory_of(out) -> Trajectory:
     """The Trajectory of a kernel's Rk4Out or DopriOut."""
     events = tuple(Event(float(t), _KIND_NAMES[int(k)], float(v))
                    for t, k, v in zip(out.ev_t, out.ev_k, out.ev_v))
@@ -146,42 +149,55 @@ def _build(out) -> Trajectory:
                       events_dropped=int(out.events_dropped))
 
 
-def _rk4_args(params: CircuitParams, init, cfg: IntegrationConfig,
-              record: bool = True) -> kernels.Rk4Call:
-    """The kernels.Rk4Call of a run, with the shadow off.
+def rk4_call(params: CircuitParams, init, cfg: IntegrationConfig,
+             record: bool = True, d0: Optional[float] = None,
+             renorm_interval: Optional[float] = None) -> kernels.Rk4Call:
+    """The kernels.Rk4Call of a fixed-step run; every RK4 call is built here.
 
-    record=False turns the recorder off, window checks included. A recorded
-    run that would keep more than MAX_RECORDED_ROWS samples, and a run of
-    more than cfg.max_steps steps (at most 2**63 - 1, the C kernels'
-    int64), raise IntegrationError before anything is allocated.
+    record=False turns the recorder off, window checks included. A d0 turns
+    on the exponent estimator's shadow, d0 volts off on v1 and pulled back
+    every renorm_interval (default: the circuit time unit); it sums the
+    intervals that start at or after t_transient. Raises ValueError for a
+    d0 that is not finite and positive, and IntegrationError, before
+    anything is allocated, for a recorded run of more than
+    MAX_RECORDED_ROWS samples or a run of more than cfg.max_steps steps
+    (at most 2**63 - 1, the C kernels' int64).
     """
-    v1, v2, il = _init_tuple(init)
     n_steps = _steps_for(cfg.t_end, cfg.dt)
-    rec_start = _steps_for(cfg.t_transient, cfg.dt) if record else n_steps + 1
-    rows = kernels._record_rows(n_steps, rec_start, cfg.record_stride)
-    if rows > MAX_RECORDED_ROWS:
+    transient_steps = _steps_for(cfg.t_transient, cfg.dt)
+    shadow = {}
+    if d0 is not None:
+        if not 0 < d0 < math.inf:
+            raise ValueError(f"d0 must be finite and positive, got {d0}")
+        tau = float(renorm_interval) if renorm_interval else params.time_unit
+        # an interval longer than the run completes none, whatever its
+        # length, so n_steps + 1 steps stand in for any longer one, an
+        # infinite one too
+        shadow = dict(shadow=True, transient_steps=transient_steps, d0=d0,
+                      renorm_every=min(max(1, _steps_for(tau, cfg.dt)),
+                                       n_steps + 1))
+    call = kernels.Rk4Call(
+        *params.kernel_args, dt=cfg.dt, n_steps=n_steps,
+        rec_start=transient_steps if record else n_steps + 1,
+        stride=cfg.record_stride, **_shared_args(params, init, cfg),
+        **shadow)
+    if call.rows > MAX_RECORDED_ROWS:
         raise IntegrationError(
-            f"run would record {rows} samples, above the cap of "
+            f"run would record {call.rows} samples, above the cap of "
             f"{MAX_RECORDED_ROWS}; raise record_stride or shorten "
             "t_end - t_transient")
-    max_steps = min(cfg.max_steps, kernels._I64_MAX)
+    max_steps = min(cfg.max_steps, kernels.I64_MAX)
     if n_steps > max_steps:
         raise IntegrationError(
             f"run would take {n_steps} RK4 steps, above the cap of "
             f"{max_steps} (max_steps); raise dt or shorten t_end")
-    v_div, i_div = _divergence_bounds(params)
-    d = params.device
-    return kernels.Rk4Call(
-        *params.kernel_args, v1=v1, v2=v2, il=il, dt=cfg.dt, n_steps=n_steps,
-        rec_start=rec_start, stride=cfg.record_stride, v_min=d.v_min,
-        v_max=d.v_max, v_div=v_div, i_div=i_div,
-        abort_on_soa=cfg.soa_policy == "abort")
+    return call
 
 
 def integrate(params: CircuitParams, init, cfg: IntegrationConfig) -> Trajectory:
     """Fixed-step RK4 over [0, t_end]; deterministic for identical inputs."""
-    (out,) = kernels.rk4_trajectories([_rk4_args(params, init, cfg)])
-    return _build(out)
+    (out,) = kernels.rk4_trajectories([rk4_call(params, init, cfg)])
+    return trajectory_of(out)
 
 
 def integrate_adaptive(params: CircuitParams, init,
@@ -192,17 +208,12 @@ def integrate_adaptive(params: CircuitParams, init,
     iteration cap is hit; the partial trajectory rides on the exception's
     `trajectory` attribute.
     """
-    v1, v2, il = _init_tuple(init)
-    v_div, i_div = _divergence_bounds(params)
-    d = params.device
     h_max = cfg.t_end / 50.0
-    traj = _build(kernels.dopri_trajectory(kernels.DopriCall(
-        *params.kernel_args, v1=v1, v2=v2, il=il, t_end=cfg.t_end,
-        t_transient=cfg.t_transient, stride=cfg.record_stride,
-        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-        h0=min(h_max, cfg.t_end * 1e-4), h_max=h_max, v_min=d.v_min,
-        v_max=d.v_max, v_div=v_div, i_div=i_div,
-        abort_on_soa=cfg.soa_policy == "abort", max_steps=cfg.max_steps)))
+    traj = trajectory_of(kernels.dopri_trajectory(kernels.DopriCall(
+        *params.kernel_args, t_end=cfg.t_end, t_transient=cfg.t_transient,
+        stride=cfg.record_stride, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
+        h0=min(h_max, cfg.t_end * 1e-4), h_max=h_max,
+        max_steps=cfg.max_steps, **_shared_args(params, init, cfg))))
     if traj.status == kernels.STATUS_STEP_UNDERFLOW:
         t_reached = traj.times[-1] if len(traj.times) else 0.0
         exc = IntegrationError(
@@ -219,17 +230,17 @@ def integrate_adaptive(params: CircuitParams, init,
 
 
 def write_trajectory_csv(path, traj: Trajectory):
-    """One row per sample: t_s, v1_V, v2_V, iL_A, in device._write_csv's
+    """One row per sample: t_s, v1_V, v2_V, iL_A, in device.write_csv's
     bytes (the ones csv.writer writes)."""
-    _write_csv(path, ["t_s", "v1_V", "v2_V", "iL_A"],
-               [traj.times, *np.asarray(traj.states).reshape(-1, 3).T])
+    write_csv(path, ["t_s", "v1_V", "v2_V", "iL_A"],
+              [traj.times, *np.asarray(traj.states).reshape(-1, 3).T])
 
 
 def write_events_csv(path, traj: Trajectory):
-    """One row per event: t_s, kind, value, in device._write_csv's bytes.
+    """One row per event: t_s, kind, value, in device.write_csv's bytes.
     The kind is one of the fixed identifiers soa_low, soa_high and
     diverged."""
     evs = traj.events
-    _write_csv(path, ["t_s", "kind", "value"],
-               [[ev.time for ev in evs], [ev.kind for ev in evs],
-                [ev.value for ev in evs]])
+    write_csv(path, ["t_s", "kind", "value"],
+              [[ev.time for ev in evs], [ev.kind for ev in evs],
+               [ev.value for ev in evs]])

@@ -14,8 +14,8 @@ The RK4 kernel records the reference trajectory and, when asked, advances
 the shadow trajectory of the largest-exponent estimator in the same loop,
 so one call both records a run and estimates its exponent: ``integrate``
 runs it with the shadow off, ``largest_lyapunov`` with the recorder off,
-and ``analysis.trajectory_and_lyapunov`` with both on, the shadow settings
-set with ``call._replace(shadow=True, ...)``.
+and ``analysis.trajectory_and_lyapunov`` with both on. ``integrate.rk4_call``
+builds every such call, the shadow settings included.
 
 Both kernels evaluate the circuit's field in one form: the coupling
 current u = (v2 - v1) * g feeds both capacitor rows. The RK4 step, the
@@ -25,9 +25,12 @@ called per stage, 20k shadowed steps took a median 0.118 s against
 0.096 s (20 interleaved runs, 2-CPU Intel Xeon VM, Python 3.11.7). The
 DOPRI5 kernel calls its field ``f`` per stage and reuses an accepted
 step's last stage as the next step's first. The C port writes the field
-once, as its macro ``FIELD``. Each event rule and the record row are
-written once per backend (here ``_push_event``, ``_push_crossing`` and
-``_record``), and the C binding shares the buffer helpers.
+once, as its macro ``FIELD``, and steps the DOPRI5 state as one vector,
+so each Dormand-Prince stage is written once there; the Python kernels
+are unchanged and spell out each component. Each event rule and the
+record row are written once per backend (here ``_push_event``,
+``_push_crossing`` and ``_record``), and the C binding shares the buffer
+helpers.
 
 On the C backend ``rk4_trajectories`` steps consecutive calls two at a
 time, whatever their arguments, as the two lanes of one kernel call, which
@@ -470,7 +473,12 @@ def _call_type(name, kernel):
 
 
 # a kernel call's arguments by name, in the pure kernel's order
-Rk4Call = _call_type("Rk4Call", _rk4_trajectory)
+class Rk4Call(_call_type("Rk4Call", _rk4_trajectory)):
+    __slots__ = ()
+    # the rows of the call's record, the ones the kernel allocates
+    rows = property(lambda c: _record_rows(c.n_steps, c.rec_start, c.stride))
+
+
 DopriCall = _call_type("DopriCall", _dopri_trajectory)
 
 
@@ -485,7 +493,7 @@ _C_CACHE = Path(__file__).with_name("__pycache__")
 _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _C_LIBS = ("-lm",)
 _C_BUILD_TIMEOUT_S = 300
-_I64_MIN, _I64_MAX = -2**63, 2**63 - 1
+I64_MIN, I64_MAX = -2**63, 2**63 - 1
 # a lane's row of doubles and its row of integers in the C RK4 kernel: the
 # fields of an Rk4Call split by type, in the order of _kernels.c's R_ and
 # I_ enums
@@ -508,7 +516,7 @@ def _compiler():
 def _c_ints(*values):
     # ctypes wraps an int that overflows int64 silently
     for v in values:
-        if not _I64_MIN <= v <= _I64_MAX:
+        if not I64_MIN <= v <= I64_MAX:
             raise OverflowError(f"{v} does not fit the C kernels' int64")
 
 
@@ -544,8 +552,7 @@ def _bind(lib):
             _c_ints(*ints_of(c))
             if c.stride < 1 or (c.shadow and c.renorm_every < 1):
                 raise ValueError("stride and renorm_every must be >= 1")
-            n_rec = _record_rows(c.n_steps, c.rec_start, c.stride)
-            bufs.append((np.empty(n_rec), np.empty((n_rec, 3)),
+            bufs.append((np.empty(c.rows), np.empty((c.rows, 3)),
                          *_event_buffers()))
         n = len(calls)
         reals = ((f64 * len(_RK4_REALS)) * n)(*map(reals_of, calls))

@@ -2,7 +2,7 @@
 was written once as a closure shared by the reference and the shadow
 trajectory: eight calls of the field closure ``f`` per step, with the
 shadow's RK4 block spelled out a second time. The tests compare
-``kernels.PURE_KERNELS["rk4_trajectory"]`` with it bit for bit. Do not
+``kernels.PURE_KERNELS["rk4_trajectories"]`` with it bit for bit. Do not
 edit the function body; it is the oracle.
 """
 

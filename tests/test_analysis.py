@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import memchua as m
 from memchua import analysis, kernels
 from memchua.errors import LyapunovError
+from memchua.integrate import rk4_call
 
 from extrema_oracle import local_extrema as extrema_oracle
 
@@ -282,8 +283,8 @@ class TestLargestLyapunov:
         # 1e300 s is 1e306 steps, past the C kernels' int64: an interval
         # longer than the run stands in as n_steps + 1 steps
         cfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
-        call = analysis._shadow_call(designed.params, (0.1, 0.0, 0.0), cfg,
-                                     1e-8, interval)
+        call = rk4_call(designed.params, (0.1, 0.0, 0.0), cfg, d0=1e-8,
+                        renorm_interval=interval)
         assert call.renorm_every == call.n_steps + 1
         with pytest.raises(LyapunovError, match="no complete renormalization"):
             m.largest_lyapunov(designed.params, (0.1, 0.0, 0.0), cfg,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import memchua as m
@@ -91,6 +91,16 @@ class TestFit:
         (["--v-stop", "0"], "--v-stop must be finite and > 0, got 0.0"),
         (["--window-lo", "nan"], "--window-lo must be finite, got nan"),
         (["--window-hi=-inf"], "--window-hi must be finite, got -inf"),
+        # the window must be a range once the defaults (-0.9 * v_set and
+        # v_stop) are applied
+        (["--window-lo", "2", "--window-hi", "1"],
+         "--window-lo must be below --window-hi, got 2.0 and 1.0"),
+        (["--window-lo", "1", "--window-hi", "1"],
+         "--window-lo must be below --window-hi, got 1.0 and 1.0"),
+        (["--window-lo", "3"],
+         "--window-lo must be below --window-hi, got 3.0 and 2.6"),
+        (["--window-hi=-1.2"],
+         "--window-lo must be below --window-hi, got -1.08 and -1.2"),
     ])
     def test_bad_flag_is_parse_error(self, tmp_path, capsys, flags, must):
         out = tmp_path / "out"
@@ -1054,10 +1064,14 @@ class TestOutOfRange:
            overrides=st.dictionaries(
                st.sampled_from([("design", "v_eq"), ("design", "c1"),
                                 ("design", "alpha"), ("design", "beta"),
-                                ("device", "r_prog"), ("lyapunov", "d0")]),
-               st.one_of(st.floats(1e-300, 1e300), st.floats(
-                   -300.0, 300.0).map(lambda e: 10.0 ** e)),
+                                ("device", "r_prog"), ("lyapunov", "d0"),
+                                ("sweep", "r_lo"), ("sweep", "r_hi")]),
+               st.one_of(st.floats(5e-324, 1e300), st.floats(
+                   -323.3, 300.0).map(lambda e: 10.0 ** e)),
                min_size=1))
+    # below about 3e-303 ohm the 1/R law overflows the reference
+    # device's coefficients
+    @example(command="sweep", overrides={("sweep", "r_lo"): 1.0e-304})
     def test_any_finite_positive_value_exits_documented(self, command,
                                                          overrides):
         cfg = {"schema": 1, "integration": self.HORIZON,

@@ -174,7 +174,7 @@ def random_trajectory(n, seed=0):
 
 
 class TestChunkedWrites:
-    """_write_csv formats and writes _CSV_CHUNK_ROWS rows at a time."""
+    """write_csv formats and writes _CSV_CHUNK_ROWS rows at a time."""
 
     def test_rows_across_chunk_boundaries(self, tmp_path_factory):
         n = 5 * device._CSV_CHUNK_ROWS // 2

@@ -6,6 +6,7 @@ import shutil
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,7 +147,9 @@ class TestIntegrate:
         params = m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=1e3, g_n=0.0,
                                  device=poly)
         big = sys.float_info.max
-        assert integrate_mod._divergence_bounds(params) == (big, big)
+        call = integrate_mod.rk4_call(params, (0.0, 0.0, 0.0),
+                                      m.IntegrationConfig())
+        assert (call.v_div, call.i_div) == (big, big)
 
     def test_deterministic_bit_identical(self, designed):
         cfg = m.IntegrationConfig(t_end=0.05, t_transient=0.01)
@@ -561,6 +564,21 @@ class TestRk4Lanes:
         assert_identical(got[1], kernels._rk4_trajectory(**required))
 
 
+def log_uniform(lo, hi):
+    """Floats from lo to hi, uniform in their logarithm."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# DOPRI5 starts: three in four in or out of the window (-1.2 to 2.6 V on
+# the reference design), the rest past its divergence bounds (2.6 kV and
+# 0.34 A) or not finite
+_FAR = st.one_of(st.floats(-1e4, 1e4),
+                 st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+DOPRI_STARTS = st.integers(0, 3).flatmap(lambda k: st.tuples(
+    st.floats(-3.0, 3.0), st.floats(-0.5, 0.5), st.floats(-1e-3, 1e-3))
+    if k else st.tuples(_FAR, _FAR, _FAR))
+
+
 class TestDopriCParity:
     """The C build of the DOPRI5 kernel against the pure one: every
     returned array byte for byte and every scalar equal, on each exit."""
@@ -601,6 +619,30 @@ class TestDopriCParity:
                          g_n=p.g_n * gn_scale)
         self.run_both(c_kernels, params, (v1, v2, il), 0.005, t_transient,
                       stride, (1e-9, rel_tol), abort)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.5),
+           init=DOPRI_STARTS, t_end=log_uniform(1e-6, 5e-3),
+           transient=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           stride=st.integers(1, 10),
+           abs_tol=log_uniform(1e-12, 1e-4),
+           rel_tol=log_uniform(1e-10, 1e-2), abort=st.booleans(),
+           max_steps=st.one_of(st.just(20_000_000), st.integers(1, 300)),
+           half_width=st.one_of(st.none(), st.floats(0.01, 1.0)),
+           ev_cap=st.sampled_from([1, 2, 4096]))
+    def test_any_run(self, c_kernels, designed, seed, sigma, init, t_end,
+                     transient, stride, abs_tol, rel_tol, abort, max_steps,
+                     half_width, ev_cap):
+        """Both builds agree on times, states, events, status and dropped
+        events for any start, tolerances, stride, horizon, window, event
+        cap and window policy."""
+        p = designed.params
+        params = replace(p, device=m.perturb(p.device, sigma, seed))
+        if half_width is not None:
+            params = self.windowed(params, half_width)
+        with mock.patch.object(kernels, "_EV_CAP", ev_cap):
+            self.run_both(c_kernels, params, init, t_end, transient * t_end,
+                          stride, (abs_tol, rel_tol), abort, max_steps)
 
     @pytest.mark.parametrize("init", SIGNED_ZERO_STARTS)
     def test_signed_zero_starts(self, c_kernels, designed, init):

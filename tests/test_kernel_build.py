@@ -67,6 +67,19 @@ def libraries(root):
     return sorted((root / "memchua" / "__pycache__").iterdir())
 
 
+@needs_cc
+def test_source_compiles_with_warnings_as_errors(tmp_path):
+    """The flags of CI's strict compile step, so that a warning only that
+    step would report (-Wpsabi for a vector returned by value, say) fails
+    here too."""
+    cmd = [CC, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-Wall",
+           "-Wextra", "-Wshadow", "-Werror", "-o", str(tmp_path / "k.so"),
+           str(kernels._C_SOURCE), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_missing_compiler_falls_back_to_python(tmp_path):
     if os.path.isabs(CC):
         pytest.skip(f"the compiler {CC} is found without PATH")
