@@ -16,7 +16,12 @@
  * memchua_dopri_trajectory steps a state vector: (v1, v2, iL) is one
  * 4-wide State, as is each stage's slope, so each Dormand-Prince stage is
  * written once for all three components, each lane rounding as its scalar
- * operation does. The Python kernels are unchanged and spell them out.
+ * operation does. The Python kernels spell them out.
+ *
+ * A kernel call arrives as one struct, Rk4Call or DopriCall, whose fields
+ * are those of the named call of the same name in kernels.py, in its
+ * order: an int64_t for each integer field (kernels._C_INTS), a double
+ * for every other.
  *
  * memchua_rk4_trajectory runs one or two calls of _rk4_trajectory at once,
  * each in a lane of 2-wide vectors (the GCC and Clang vector extension):
@@ -34,7 +39,7 @@
  *
  * The Python wrappers in kernels.py allocate the event buffers and the
  * fixed-step record, compute every size, and check that each integer
- * argument fits in 64 bits and that the stride and the renormalization
+ * field fits in 64 bits and that the stride and the renormalization
  * interval are at least 1. The adaptive kernel grows its own record
  * buffer; the wrapper copies it out and frees it with memchua_free.
  */
@@ -54,9 +59,22 @@ enum {
 
 enum { KIND_SOA_LOW = 0, KIND_SOA_HIGH = 1, KIND_DIVERGED = 2 };
 
+/* kernels.py's Rk4Call and DopriCall, field for field */
 typedef struct {
-    double p1, p2, p3, p4, p5, g, gn, c1, c2, l;
-} Circuit;
+    double p1, p2, p3, p4, p5, g, gn, c1, c2, l, v1, v2, il, dt;
+    int64_t n_steps, rec_start, stride;
+    double v_min, v_max, v_div, i_div;
+    int64_t abort_on_soa, shadow, renorm_every, transient_steps;
+    double d0;
+} Rk4Call;
+
+typedef struct {
+    double p1, p2, p3, p4, p5, g, gn, c1, c2, l, v1, v2, il, t_end,
+        t_transient;
+    int64_t stride;
+    double abs_tol, rel_tol, h0, h_max, v_min, v_max, v_div, i_div;
+    int64_t abort_on_soa, max_steps;
+} DopriCall;
 
 /* two lanes of doubles (GCC and Clang vector extension): +, -, * and / act
  * on each lane as the scalar operator does */
@@ -117,8 +135,9 @@ static inline int64_t record(double *times, double *states, int64_t j,
 }
 
 /* The circuit's field at (x, y, z) into (fa, fb, fc), for double and v2d
- * operands alike: the coupling current u = (y - x) * g feeds both
- * capacitor rows. No kernel local may share a temporary's name, field_*:
+ * operands alike, with the circuit p1 to l read from `q`: a call struct or
+ * a Circuit2. The coupling current u = (y - x) * g feeds both capacitor
+ * rows. No kernel local may share a temporary's name, field_*:
  * -Wshadow would flag it. */
 #define FIELD(q, x, y, z, fa, fb, fc)                                        \
     do {                                                                     \
@@ -155,31 +174,11 @@ static inline void step(const Circuit2 *q, v2d dt, v2d h,
     *pc = c + dt * (k1c + two * (k2c + k3c) + k4c) / six;
 }
 
-/* A lane's row of doubles and its row of integers: _rk4_trajectory's
- * arguments in their order, split by type. kernels.py's _RK4_REALS and
- * _RK4_INTS name them in the same order. */
-enum {
-    R_P1, R_P2, R_P3, R_P4, R_P5, R_G, R_GN, R_C1, R_C2, R_L, R_V1, R_V2,
-    R_IL, R_DT, R_V_MIN, R_V_MAX, R_V_DIV, R_I_DIV, R_D0, N_REALS
-};
-enum {
-    I_N_STEPS, I_REC_START, I_STRIDE, I_ABORT_ON_SOA, I_SHADOW,
-    I_RENORM_EVERY, I_TRANSIENT_STEPS, N_INTS
-};
-
-/* x[i] in lane 0 and x[offset + i] in lane 1 */
-static inline v2d pair(const double *x, int offset, int i)
-{
-    return (v2d){x[i], x[offset + i]};
-}
-
-/* The per-lane arguments, state and outputs of memchua_rk4_trajectory. */
+/* The per-lane call, state and outputs of memchua_rk4_trajectory. */
 typedef struct {
+    const Rk4Call *c;
     double *times, *states;
     Events ev;
-    double dt, d0, v_min, v_max, v_div, i_div;
-    int64_t n_steps, stride, renorm_every, transient_steps;
-    int abort_on_soa;
     int64_t until_record, until_renorm;  /* steps to the next of each */
     int recording, shadow, inside;
     int64_t j, status, ni, lyap_status;
@@ -197,9 +196,11 @@ typedef struct {
 static inline int advance(Lane *ln, int64_t k, double v1, double v2,
                           double il, double *w)
 {
-    if (!bounded(ln->v_div, ln->i_div, v1, v2, il)) {
+    const Rk4Call *c = ln->c;
+
+    if (!bounded(c->v_div, c->i_div, v1, v2, il)) {
         if (ln->recording) {
-            push_event(&ln->ev, (double)k * ln->dt, KIND_DIVERGED, v1);
+            push_event(&ln->ev, (double)k * c->dt, KIND_DIVERGED, v1);
             ln->status = STATUS_DIVERGED;
         }
         if (ln->shadow)
@@ -209,11 +210,11 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
     }
 
     if (ln->recording) {
-        const double t = (double)k * ln->dt;
-        const int now_inside = ln->v_min <= v1 && v1 <= ln->v_max;
+        const double t = (double)k * c->dt;
+        const int now_inside = c->v_min <= v1 && v1 <= c->v_max;
         if (ln->inside && !now_inside) {
-            push_crossing(&ln->ev, t, v1, ln->v_min);
-            if (ln->abort_on_soa) {
+            push_crossing(&ln->ev, t, v1, c->v_min);
+            if (c->abort_on_soa) {
                 ln->status = STATUS_SOA_ABORT;
                 ln->recording = 0;
                 if (!ln->shadow)
@@ -223,7 +224,7 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
         ln->inside = now_inside;
 
         if (ln->recording && --ln->until_record == 0) {
-            ln->until_record = ln->stride;
+            ln->until_record = c->stride;
             ln->j = record(ln->times, ln->states, ln->j, t, v1, v2, il);
         }
     }
@@ -233,17 +234,17 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
         const double dy = w[1] - v2;
         const double dz = w[2] - il;
         const double d = sqrt(dx * dx + dy * dy + dz * dz);
-        ln->until_renorm = ln->renorm_every;
+        ln->until_renorm = c->renorm_every;
         if (!isfinite(d) || d <= 0.0) {
             ln->lyap_status = STATUS_SHADOW_FAIL;
             ln->shadow = 0;
         } else {
             double s;
-            if (k - ln->renorm_every >= ln->transient_steps) {
-                ln->acc += log(d / ln->d0);
+            if (k - c->renorm_every >= c->transient_steps) {
+                ln->acc += log(d / c->d0);
                 ln->ni++;
             }
-            s = ln->d0 / d;
+            s = c->d0 / d;
             w[0] = v1 + dx * s;
             w[1] = v2 + dy * s;
             w[2] = il + dz * s;
@@ -253,13 +254,12 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
     return 0;
 }
 
-/* _rk4_trajectory for `lanes` (1 or 2) runs at once, each lane one run.
- * Lane l's arguments are reals[N_REALS l ..] and ints[N_INTS l ..], laid
- * out as the R_ and I_ enums say. times[l] holds the rows the Python
- * kernel would allocate (kernels._record_rows), states[l] three times
- * that, and the event buffers ev_cap entries each. On return out[5 l ..]
- * holds lane l's (rows recorded, status, events seen, n_intervals,
- * lyap_status) and acc[l] its summed log stretch.
+/* _rk4_trajectory for `lanes` (1 or 2) runs at once, each lane one run:
+ * lane l runs calls[l]. times[l] holds the rows the Python kernel would
+ * allocate (kernels._record_rows), states[l] three times that, and the
+ * event buffers ev_cap entries each. On return out[5 l ..] holds lane l's
+ * (rows recorded, status, events seen, n_intervals, lyap_status) and
+ * acc[l] its summed log stretch.
  *
  * Both lanes step together as 2-wide vectors, the references as one
  * vector and the shadows as another, each lane with its own dt; a single
@@ -267,75 +267,54 @@ static inline int advance(Lane *ln, int64_t k, double v1, double v2,
  * scalar, per lane. A lane that stopped, or ran its own n_steps, keeps
  * stepping, its values unused, until both have stopped. */
 void memchua_rk4_trajectory(
-    int lanes, const double *reals, const int64_t *ints,
-    double *const *times, double *const *states, double *const *ev_t,
-    int64_t *const *ev_k, double *const *ev_v, int64_t ev_cap,
-    int64_t *out, double *acc)
+    int lanes, const Rk4Call *calls, double *const *times,
+    double *const *states, double *const *ev_t, int64_t *const *ev_k,
+    double *const *ev_v, int64_t ev_cap, int64_t *out, double *acc)
 {
-    /* lane 1 reads lane 0's arguments when there is one lane */
-    const int b = (lanes > 1) * N_REALS;
-    const Circuit2 q = {
-        pair(reals, b, R_P1), pair(reals, b, R_P2), pair(reals, b, R_P3),
-        pair(reals, b, R_P4), pair(reals, b, R_P5), pair(reals, b, R_G),
-        pair(reals, b, R_GN), pair(reals, b, R_C1), pair(reals, b, R_C2),
-        pair(reals, b, R_L)};
-    const v2d vdt = pair(reals, b, R_DT), half = {0.5, 0.5};
+/* the field f of each lane's call in a v2d; lane 1 reads lane 0's call
+ * when there is one lane */
+#define PAIR(f) ((v2d){calls[0].f, calls[lanes > 1].f})
+    const Circuit2 q = {PAIR(p1), PAIR(p2), PAIR(p3), PAIR(p4), PAIR(p5),
+                        PAIR(g), PAIR(gn), PAIR(c1), PAIR(c2), PAIR(l)};
+    const v2d vdt = PAIR(dt), half = {0.5, 0.5};
     const v2d vh = half * vdt;
-    v2d v1 = pair(reals, b, R_V1), v2 = pair(reals, b, R_V2);
-    v2d il = pair(reals, b, R_IL);
-    v2d w1 = v1 + pair(reals, b, R_D0), w2 = v2, wl = il;
+    v2d v1 = PAIR(v1), v2 = PAIR(v2), il = PAIR(il);
+    v2d w1 = v1 + PAIR(d0), w2 = v2, wl = il;
+#undef PAIR
     Lane ln[2];
     int64_t k;
     int l;
 
-    ln[1].n_steps = 0;  /* with one lane, lane 1 stops before step 1 */
+    /* with one lane, lane 1 stops before step 1 */
+    ln[1] = (Lane){.c = calls};
     for (l = 0; l < lanes; l++) {
-        const double *r = reals + N_REALS * l;
-        const int64_t *i = ints + N_INTS * l;
-        const int64_t rec_start = i[I_REC_START];
+        const Rk4Call *c = &calls[l];
         Lane *n = &ln[l];
 
-        n->times = times[l];
-        n->states = states[l];
-        n->ev = (Events){ev_t[l], ev_k[l], ev_v[l], 0, ev_cap};
-        n->dt = r[R_DT];
-        n->d0 = r[R_D0];
-        n->v_min = r[R_V_MIN];
-        n->v_max = r[R_V_MAX];
-        n->v_div = r[R_V_DIV];
-        n->i_div = r[R_I_DIV];
-        n->n_steps = i[I_N_STEPS];
-        n->stride = i[I_STRIDE];
-        n->renorm_every = i[I_RENORM_EVERY];
-        n->transient_steps = i[I_TRANSIENT_STEPS];
-        n->abort_on_soa = i[I_ABORT_ON_SOA] != 0;
-        n->until_record = rec_start > 0 ? rec_start : n->stride;
-        n->until_renorm = n->renorm_every;
-        n->recording = rec_start <= n->n_steps;
-        n->shadow = i[I_SHADOW] != 0;
-        n->inside = n->v_min <= r[R_V1] && r[R_V1] <= n->v_max;
-        n->j = 0;
-        n->status = STATUS_OK;
-        n->ni = 0;
-        n->lyap_status = STATUS_OK;
-        n->acc = 0.0;
-
+        /* the rest is 0: no rows or events yet, STATUS_OK, a zero sum */
+        *n = (Lane){
+            .c = c, .times = times[l], .states = states[l],
+            .ev = {ev_t[l], ev_k[l], ev_v[l], 0, ev_cap},
+            .until_record = c->rec_start > 0 ? c->rec_start : c->stride,
+            .until_renorm = c->renorm_every,
+            .recording = c->rec_start <= c->n_steps,
+            .shadow = c->shadow != 0,
+            .inside = c->v_min <= c->v1 && c->v1 <= c->v_max};
         if (n->recording && !n->inside) {
-            push_crossing(&n->ev, 0.0, r[R_V1], n->v_min);
-            if (n->abort_on_soa) {
+            push_crossing(&n->ev, 0.0, c->v1, c->v_min);
+            if (c->abort_on_soa) {
                 n->status = STATUS_SOA_ABORT;
                 n->recording = 0;
             }
         }
-        if (n->recording && rec_start == 0) {
-            n->j = record(n->times, n->states, n->j, 0.0, r[R_V1],
-                          r[R_V2], r[R_IL]);
-        }
+        if (n->recording && c->rec_start == 0)
+            n->j = record(n->times, n->states, n->j, 0.0, c->v1, c->v2,
+                          c->il);
     }
 
     for (k = 1;; k++) {
         for (l = 0; l < 2; l++)
-            if (k > ln[l].n_steps)
+            if (k > ln[l].c->n_steps)
                 ln[l].recording = ln[l].shadow = 0;
         if (!(ln[0].recording || ln[0].shadow || ln[1].recording
               || ln[1].shadow))
@@ -383,34 +362,29 @@ static int grow(double **times, double **states, int64_t *cap)
     return 0;
 }
 
-/* _dopri_trajectory over States. The record buffers start at 1024 rows
+/* _dopri_trajectory of `call` over States; `call` is copied to q, whose
+ * fields no record write can alias. The record buffers start at 1024 rows
  * and double as needed; on return *times_out and *states_out hold them
  * (free both with memchua_free), out holds (rows recorded, status, events
  * seen). Returns 0, or -1 with nothing to free when memory ran out. */
 int memchua_dopri_trajectory(
-    double p1, double p2, double p3, double p4, double p5, double g,
-    double gn, double c1, double c2, double l,
-    double v1, double v2, double il, double t_end, double t_transient,
-    int64_t stride, double abs_tol, double rel_tol, double h0, double h_max,
-    double v_min, double v_max, double v_div, double i_div,
-    int abort_on_soa, int64_t max_steps,
-    double *ev_t, int64_t *ev_k, double *ev_v, int64_t ev_cap,
-    double **times_out, double **states_out, int64_t *out)
+    const DopriCall *call, double *ev_t, int64_t *ev_k, double *ev_v,
+    int64_t ev_cap, double **times_out, double **states_out, int64_t *out)
 {
-    const Circuit q = {p1, p2, p3, p4, p5, g, gn, c1, c2, l};
+    const DopriCall q = *call;
     int64_t cap = 1024;
     double *times = malloc((size_t)cap * sizeof(double));
     double *states = malloc((size_t)cap * 3 * sizeof(double));
     Events ev = {ev_t, ev_k, ev_v, 0, ev_cap};
     int64_t j = 0;
     int64_t status = STATUS_OK;
-    int inside = v_min <= v1 && v1 <= v_max;
+    int inside = q.v_min <= q.v1 && q.v1 <= q.v_max;
     int64_t rec_count = -1;
     double t = 0.0;
-    double h = h0;
+    double h = q.h0;
     int64_t iters = 0;
     double r, fac;
-    State y = {v1, v2, il, 0.0}, x, yn, e;
+    State y = {q.v1, q.v2, q.il, 0.0}, x, yn, e;
     State k1 = {0.0}, k2 = {0.0}, k3 = {0.0}, k4 = {0.0}, k5 = {0.0};
     State k6 = {0.0}, k7 = {0.0};
     int i;
@@ -419,28 +393,28 @@ int memchua_dopri_trajectory(
         goto out_of_memory;
 
     if (!inside) {
-        push_crossing(&ev, 0.0, v1, v_min);
-        if (abort_on_soa)
+        push_crossing(&ev, 0.0, q.v1, q.v_min);
+        if (q.abort_on_soa)
             status = STATUS_SOA_ABORT;
     }
     /* a start past the divergence bounds has diverged, as an accepted step
      * past them has */
-    if (status == STATUS_OK && !bounded(v_div, i_div, v1, v2, il)) {
-        push_event(&ev, 0.0, KIND_DIVERGED, v1);
+    if (status == STATUS_OK && !bounded(q.v_div, q.i_div, q.v1, q.v2, q.il)) {
+        push_event(&ev, 0.0, KIND_DIVERGED, q.v1);
         status = STATUS_DIVERGED;
     }
 
-    if (status == STATUS_OK && t_transient <= 0.0) {
-        j = record(times, states, j, 0.0, v1, v2, il);
+    if (status == STATUS_OK && q.t_transient <= 0.0) {
+        j = record(times, states, j, 0.0, q.v1, q.v2, q.il);
         rec_count = 0;
     }
 
     /* first same as last: an accepted step's k7 is the next step's k1, and
      * a rejected step leaves the state, and so k1, unchanged */
     STATE_FIELD(&q, y, k1);
-    while (status == STATUS_OK && t < t_end) {
+    while (status == STATUS_OK && t < q.t_end) {
         iters++;
-        if (iters > max_steps) {
+        if (iters > q.max_steps) {
             status = STATUS_STEP_LIMIT;
             break;
         }
@@ -448,8 +422,8 @@ int memchua_dopri_trajectory(
             status = STATUS_STEP_UNDERFLOW;
             break;
         }
-        if (t + h > t_end)
-            h = t_end - t;
+        if (t + h > q.t_end)
+            h = q.t_end - t;
 
         x = y + h * 0.2 * k1;
         STATE_FIELD(&q, x, k2);
@@ -474,9 +448,10 @@ int memchua_dopri_trajectory(
                  + (22.0 / 525.0) * k6 - 0.025 * k7);
 
         /* the largest component ratio, a NaN ratio kept only when first */
-        r = fabs(e[0]) / (abs_tol + rel_tol * fabs(y[0]));
+        r = fabs(e[0]) / (q.abs_tol + q.rel_tol * fabs(y[0]));
         for (i = 1; i < 3; i++) {
-            const double ri = fabs(e[i]) / (abs_tol + rel_tol * fabs(y[i]));
+            const double ri =
+                fabs(e[i]) / (q.abs_tol + q.rel_tol * fabs(y[i]));
             if (ri > r)
                 r = ri;
         }
@@ -490,25 +465,25 @@ int memchua_dopri_trajectory(
             y = yn;
             k1 = k7;
 
-            if (!bounded(v_div, i_div, y[0], y[1], y[2])) {
+            if (!bounded(q.v_div, q.i_div, y[0], y[1], y[2])) {
                 push_event(&ev, t, KIND_DIVERGED, y[0]);
                 status = STATUS_DIVERGED;
                 break;
             }
 
-            now_inside = v_min <= y[0] && y[0] <= v_max;
+            now_inside = q.v_min <= y[0] && y[0] <= q.v_max;
             if (inside && !now_inside) {
-                push_crossing(&ev, t, y[0], v_min);
-                if (abort_on_soa) {
+                push_crossing(&ev, t, y[0], q.v_min);
+                if (q.abort_on_soa) {
                     status = STATUS_SOA_ABORT;
                     break;
                 }
             }
             inside = now_inside;
 
-            if (t >= t_transient) {
+            if (t >= q.t_transient) {
                 rec_count++;
-                if (rec_count % stride == 0) {
+                if (rec_count % q.stride == 0) {
                     if (j >= cap && grow(&times, &states, &cap) != 0)
                         goto out_of_memory;
                     j = record(times, states, j, t, y[0], y[1], y[2]);
@@ -524,8 +499,8 @@ int memchua_dopri_trajectory(
         else if (fac < 0.2)
             fac = 0.2;
         h = h * fac;
-        if (r <= 1.0 && h > h_max)
-            h = h_max;
+        if (r <= 1.0 && h > q.h_max)
+            h = q.h_max;
     }
 
     *times_out = times;

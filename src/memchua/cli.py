@@ -233,10 +233,13 @@ def load_config(path, overrides=None) -> RunConfig:
     raw = None
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = yaml.load(fh, Loader=_YAML_LOADER)
         except FileNotFoundError as exc:
             raise InputFormatError(f"config file not found: {path}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"{path} is not UTF-8 text ({exc.reason})") from exc
         except yaml.YAMLError as exc:
             raise InputFormatError(f"invalid YAML in {path}: {exc}") from exc
     cfg = _convert(CONFIG_TABLE, raw, _DEFAULTS)
@@ -301,7 +304,7 @@ def _json_default(obj):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 

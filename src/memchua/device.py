@@ -246,24 +246,38 @@ def reference_table() -> StateTable:
     return StateTable((reference_state(),))
 
 
+def _csv_rows(path, header):
+    """(line number, row) for each non-blank row of the UTF-8 CSV at
+    `path`, whose first line must be `header` and whose every row has one
+    cell per header column; anything else raises InputFormatError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None or [h.strip() for h in found] != header:
+                raise InputFormatError(
+                    f"expected header {','.join(header)}", line=1)
+            for ln, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise InputFormatError(
+                        f"expected {len(header)} columns, got {len(row)}",
+                        line=ln)
+                yield ln, row
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
 def load_iv_csv(path) -> list:
     """Read I-V samples from a `voltage_V,current_A` CSV."""
     samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != IV_HEADER:
-            raise InputFormatError(
-                f"expected header {','.join(IV_HEADER)}", line=1)
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise InputFormatError(f"expected 2 columns, got {len(row)}", line=ln)
-            try:
-                samples.append(IVSample(float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise InputFormatError(str(exc), line=ln) from exc
+    for ln, row in _csv_rows(path, IV_HEADER):
+        try:
+            samples.append(IVSample(float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise InputFormatError(str(exc), line=ln) from exc
     return samples
 
 
@@ -281,7 +295,7 @@ def write_csv(path, header, columns):
     """
     cols = [np.asarray(c) for c in columns]
     n = min(map(len, cols), default=0)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, n, _CSV_CHUNK_ROWS):
             chunk = [c[i:i + _CSV_CHUNK_ROWS] for c in cols]
@@ -302,25 +316,14 @@ def save_iv_csv(path, samples):
 def load_state_table(path) -> StateTable:
     """Read a state table from its CSV schema (rows sorted on load)."""
     states = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != STATE_HEADER:
-            raise InputFormatError(
-                f"expected header {','.join(STATE_HEADER)}", line=1)
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(STATE_HEADER):
-                raise InputFormatError(
-                    f"expected {len(STATE_HEADER)} columns, got {len(row)}", line=ln)
-            try:
-                r, v_set, v_stop = (float(x) for x in row[:3])
-                coef = [float(x) for x in row[3:]]
-                poly = DevicePoly(*coef, v_min=-v_set, v_max=v_stop)
-                states.append(DeviceState(r, v_set, v_stop, poly))
-            except ValueError as exc:
-                raise InputFormatError(str(exc), line=ln) from exc
+    for ln, row in _csv_rows(path, STATE_HEADER):
+        try:
+            r, v_set, v_stop = (float(x) for x in row[:3])
+            coef = [float(x) for x in row[3:]]
+            poly = DevicePoly(*coef, v_min=-v_set, v_max=v_stop)
+            states.append(DeviceState(r, v_set, v_stop, poly))
+        except ValueError as exc:
+            raise InputFormatError(str(exc), line=ln) from exc
     if not states:
         raise InputFormatError("state table holds no rows", line=2)
     try:

@@ -27,10 +27,9 @@ DOPRI5 kernel calls its field ``f`` per stage and reuses an accepted
 step's last stage as the next step's first. The C port writes the field
 once, as its macro ``FIELD``, and steps the DOPRI5 state as one vector,
 so each Dormand-Prince stage is written once there; the Python kernels
-are unchanged and spell out each component. Each event rule and the
-record row are written once per backend (here ``_push_event``,
-``_push_crossing`` and ``_record``), and the C binding shares the buffer
-helpers.
+spell out each component. Each event rule and the record row are written
+once per backend (here ``_push_event``, ``_push_crossing`` and
+``_record``), and the C binding shares the buffer helpers.
 
 On the C backend ``rk4_trajectories`` steps consecutive calls two at a
 time, whatever their arguments, as the two lanes of one kernel call, which
@@ -41,10 +40,11 @@ two calls form one chain and their shadows another, and the four
 trajectories step in about the time of one call's two (the header of
 ``_kernels.c`` has the timings). Each lane does the scalar operations in
 the scalar order, with its own step size and step count, so its results
-are bit for bit those of a call of its own. The binding packs a lane's
-arguments by field name into a row of doubles and a row of integers,
-whose order ``_RK4_REALS`` and ``_RK4_INTS`` share with the R_ and I_
-enums of ``_kernels.c``.
+are bit for bit those of a call of its own. A call reaches C as one
+struct: ``_kernels.c`` declares ``Rk4Call`` and ``DopriCall`` field for
+field, an ``int64_t`` for each name in ``_C_INTS`` and a ``double`` for
+every other, and ``_c_struct`` builds the matching ctypes ``Structure``
+from the named call's fields.
 
 Kernel backends, chosen once at import and named by ``BACKEND``:
 
@@ -93,7 +93,6 @@ import subprocess
 import sysconfig
 import tempfile
 from collections import namedtuple
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -443,22 +442,16 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                         states = np.resize(states, (2 * j, 3))
                     j = _record(times, states, j, t, v1, v2, il)
 
-            if r == 0.0:
-                fac = 5.0
-            else:
-                fac = 0.9 * r ** -0.2
-                if fac > 5.0:
-                    fac = 5.0
-                elif fac < 0.2:
-                    fac = 0.2
-            h = h * fac
-            if h > h_max:
-                h = h_max
-        else:
-            fac = 0.9 * r ** -0.2
-            if fac < 0.2:
-                fac = 0.2
-            h = h * fac
+        # the next h for both outcomes: an error-free step grows h by 5,
+        # and r > 1 stays below 5
+        fac = 5.0 if r == 0.0 else 0.9 * r ** -0.2
+        if fac > 5.0:
+            fac = 5.0
+        elif fac < 0.2:
+            fac = 0.2
+        h = h * fac
+        if r <= 1.0 and h > h_max:
+            h = h_max
 
     return DopriOut(times=times[:j].copy(), states=states[:j].copy(),
                     status=status, **_stored_events(ev, nev))
@@ -494,17 +487,11 @@ _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _C_LIBS = ("-lm",)
 _C_BUILD_TIMEOUT_S = 300
 I64_MIN, I64_MAX = -2**63, 2**63 - 1
-# a lane's row of doubles and its row of integers in the C RK4 kernel: the
-# fields of an Rk4Call split by type, in the order of _kernels.c's R_ and
-# I_ enums
-_RK4_REALS = ("p1", "p2", "p3", "p4", "p5", "g", "gn", "c1", "c2", "l",
-              "v1", "v2", "il", "dt", "v_min", "v_max", "v_div", "i_div",
-              "d0")
-_RK4_INTS = ("n_steps", "rec_start", "stride", "abort_on_soa", "shadow",
-             "renorm_every", "transient_steps")
-# the integer parameters of the C DOPRI5 kernel; the rest are doubles
-_DOPRI_INTS = {"stride": ctypes.c_int64, "abort_on_soa": ctypes.c_int,
-               "max_steps": ctypes.c_int64}
+# the integer fields of Rk4Call and DopriCall, an int64_t each in the C
+# structs of the same names; every other field is a double
+_C_INTS = frozenset({"n_steps", "rec_start", "stride", "abort_on_soa",
+                     "shadow", "renorm_every", "transient_steps",
+                     "max_steps"})
 
 
 def _compiler():
@@ -513,11 +500,20 @@ def _compiler():
     return words[0] if words else "cc"
 
 
-def _c_ints(*values):
-    # ctypes wraps an int that overflows int64 silently
-    for v in values:
-        if not I64_MIN <= v <= I64_MAX:
-            raise OverflowError(f"{v} does not fit the C kernels' int64")
+def _c_ints(call):
+    """Raise OverflowError unless each integer field of `call` fits an
+    int64, which ctypes would wrap silently."""
+    for name, v in zip(call._fields, call):
+        if name in _C_INTS and not I64_MIN <= v <= I64_MAX:
+            raise OverflowError(f"{name}={v} does not fit an int64")
+
+
+def _c_struct(call_type):
+    """The ctypes Structure of `call_type`'s fields, in order: the C
+    struct of the same name."""
+    return type(call_type.__name__, (ctypes.Structure,), {"_fields_": [
+        (name, ctypes.c_int64 if name in _C_INTS else ctypes.c_double)
+        for name in call_type._fields]})
 
 
 def _bind(lib):
@@ -530,40 +526,36 @@ def _bind(lib):
     would misread. Raises AttributeError when a symbol is missing.
     """
     f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    rk4_struct, dopri_struct = _c_struct(Rk4Call), _c_struct(DopriCall)
     c_rk4 = lib.memchua_rk4_trajectory
-    c_rk4.argtypes = [ctypes.c_int] + [ptr] * 7 + [i64, ptr, ptr]
+    c_rk4.argtypes = [ctypes.c_int] + [ptr] * 6 + [i64, ptr, ptr]
     c_rk4.restype = None
     c_dopri = lib.memchua_dopri_trajectory
-    c_dopri.argtypes = ([_DOPRI_INTS.get(name, f64)
-                         for name in DopriCall._fields]
-                        + [ptr] * 3 + [i64] + [ctypes.POINTER(ptr)] * 2
-                        + [ctypes.POINTER(i64)])
+    c_dopri.argtypes = ([ctypes.POINTER(dopri_struct)] + [ptr] * 3 + [i64]
+                        + [ctypes.POINTER(ptr)] * 2 + [ctypes.POINTER(i64)])
     c_dopri.restype = ctypes.c_int
     c_free = lib.memchua_free
     c_free.argtypes = [ptr]
     c_free.restype = None
-    reals_of, ints_of = attrgetter(*_RK4_REALS), attrgetter(*_RK4_INTS)
 
     def lanes(calls):
         """One C call for one or two Rk4Calls; each lane's Rk4Out, in
         order."""
         bufs = []
         for c in calls:
-            _c_ints(*ints_of(c))
+            _c_ints(c)
             if c.stride < 1 or (c.shadow and c.renorm_every < 1):
                 raise ValueError("stride and renorm_every must be >= 1")
             bufs.append((np.empty(c.rows), np.empty((c.rows, 3)),
                          *_event_buffers()))
         n = len(calls)
-        reals = ((f64 * len(_RK4_REALS)) * n)(*map(reals_of, calls))
-        ints = ((i64 * len(_RK4_INTS)) * n)(*map(ints_of, calls))
         ptrs = [(ptr * n)(*(a.ctypes.data for a in column))
                 for column in zip(*bufs)]
         # each lane's rows recorded, status, events seen, n_intervals and
         # lyap_status, and its summed log stretch
         counts = ((i64 * 5) * n)()
         acc = (f64 * n)()
-        c_rk4(n, reals, ints, *ptrs, _EV_CAP, counts, acc)
+        c_rk4(n, (rk4_struct * n)(*calls), *ptrs, _EV_CAP, counts, acc)
         results = []
         for (times, states, *ev), out, lyap_sum in zip(bufs, counts, acc):
             j, status, nev, ni, lyap_status = out
@@ -580,14 +572,14 @@ def _bind(lib):
 
     def dopri_trajectory(call):
         """``dopri_trajectory`` run by the C build."""
-        _c_ints(call.stride, call.max_steps)
+        _c_ints(call)
         if call.stride < 1:
             raise ValueError("stride must be >= 1")
         ev = _event_buffers()
         times_p, states_p = ctypes.c_void_p(), ctypes.c_void_p()
         counts = (i64 * 3)()
-        if c_dopri(*call, *(a.ctypes.data for a in ev), _EV_CAP,
-                   ctypes.byref(times_p), ctypes.byref(states_p),
+        if c_dopri(dopri_struct(*call), *(a.ctypes.data for a in ev),
+                   _EV_CAP, ctypes.byref(times_p), ctypes.byref(states_p),
                    counts) != 0:
             raise MemoryError("no memory for the DOPRI5 record")
         j, status, nev = counts
@@ -611,8 +603,8 @@ def _compile_and_bind(cc, out):
     (None, reason)."""
     cmd = [cc, *_C_FLAGS, "-o", str(out), str(_C_SOURCE), *_C_LIBS]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=_C_BUILD_TIMEOUT_S)
+        proc = subprocess.run(cmd, capture_output=True, encoding="utf-8",
+                              errors="replace", timeout=_C_BUILD_TIMEOUT_S)
     except (OSError, subprocess.TimeoutExpired) as exc:
         return None, f"cannot run {cc}: {exc}"
     if proc.returncode != 0:

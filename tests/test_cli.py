@@ -84,6 +84,15 @@ class TestFit:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        iv = tmp_path / "iv.csv"
+        iv.write_bytes(b"voltage_V,current_A\n0.5,1e-6\xff\n")
+        rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
+                       "--v-stop", "2.6", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"input error: {iv} is not UTF-8 text (invalid start byte)"]
+
     @pytest.mark.parametrize("flags, must", [
         (["--v-set", "-1.2"], "--v-set must be finite and > 0, got -1.2"),
         (["--v-set", "nan"], "--v-set must be finite and > 0, got nan"),
@@ -270,6 +279,14 @@ class TestYamlLoaders:
         assert cli.main(["design", "--config", str(cfg)]) == 2
         assert "invalid YAML in" in capsys.readouterr().err
         assert len(used) == 1
+
+    def test_non_utf8_config_is_parse_error(self, used, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_bytes(b"schema: 1\n# caf\xe9\n")
+        assert cli.main(["design", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"input error: {cfg} is not UTF-8 text (invalid continuation "
+            "byte)"]
 
     def test_unknown_key_is_parse_error(self, used, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", design={"v_eqq": 0.9})

@@ -712,54 +712,60 @@ class TestDopriCParity:
         assert len(got.ev_t) == 3 and got.events_dropped > 0
 
 
-class TestKernelNames:
-    """The binding's names for the C kernels' arguments against
-    _kernels.c: a lane's row of doubles and row of integers (the R_ and
-    I_ enums) and the DOPRI5 kernel's parameters."""
+class TestKernelCalls:
+    """How a named kernel call reaches the C build: the structs of
+    _kernels.c against Rk4Call, DopriCall and _C_INTS, and the int64 check
+    that ctypes does not make."""
 
     SOURCE = re.sub(r"/\*.*?\*/", "", kernels._C_SOURCE.read_text(),
                     flags=re.S)
 
-    @classmethod
-    def enum(cls, prefix):
-        """{name: index} of the C enum whose first name starts with
-        `prefix`."""
-        for body in re.findall(r"enum\s*\{([^}]*)\}", cls.SOURCE):
-            entries = [e.strip() for e in body.split(",") if e.strip()]
-            if entries[0].startswith(prefix):
-                found, index = {}, 0
-                for entry in entries:
-                    name, _, value = entry.partition("=")
-                    index = int(value) if value else index
-                    found[name.strip()] = index
-                    index += 1
-                return found
-        raise AssertionError(f"no {prefix} enum in _kernels.c")
+    @pytest.mark.parametrize("call_type", [kernels.Rk4Call,
+                                           kernels.DopriCall],
+                             ids=["rk4", "dopri"])
+    def test_struct_matches_call(self, call_type):
+        body = re.search(r"typedef struct\s*\{([^}]*)\}\s*"
+                         + call_type.__name__ + ";", self.SOURCE).group(1)
+        declared = []
+        for decl in filter(str.strip, body.split(";")):
+            c_type, names = decl.split(None, 1)
+            declared += [(name.strip(), c_type) for name in names.split(",")]
+        assert declared == [
+            (name, "int64_t" if name in kernels._C_INTS else "double")
+            for name in call_type._fields]
 
-    @pytest.mark.parametrize("prefix, count, names", [
-        ("R_", "N_REALS", kernels._RK4_REALS),
-        ("I_", "N_INTS", kernels._RK4_INTS)], ids=["reals", "ints"])
-    def test_rows_match_enums(self, prefix, count, names):
-        found = self.enum(prefix)
-        assert found.pop(count) == len(names)
-        assert found == {prefix + name.upper(): i
-                         for i, name in enumerate(names)}
+    @staticmethod
+    def calls(params):
+        """An Rk4Call and a DopriCall that the C build runs as they are."""
+        d = params.device
+        ceilings = (d.v_min, d.v_max, 1e3 * params.voltage_scale,
+                    1e3 * params.current_scale)
+        return {
+            kernels.Rk4Call: kernels.Rk4Call(
+                *params.kernel_args, 0.1, 0.0, 0.0, 1e-6, 100, 0, 1,
+                *ceilings, False),
+            kernels.DopriCall: kernels.DopriCall(
+                *params.kernel_args, 0.1, 0.0, 0.0, 1e-4, 0.0, 1, 1e-9,
+                1e-7, 1e-8, 2e-6, *ceilings, False, 1000)}
 
-    def test_every_rk4_field_in_one_row(self):
-        assert (sorted(kernels._RK4_REALS + kernels._RK4_INTS)
-                == sorted(kernels.Rk4Call._fields))
-
-    def test_dopri_parameters(self):
-        params = re.search(r"int memchua_dopri_trajectory\((.*?)\)\s*\{",
-                           self.SOURCE, re.S).group(1).split(",")
-        declared = [p.split() for p in params]
-        n = len(kernels.DopriCall._fields)
-        assert [words[-1] for words in declared[:n]] == list(
-            kernels.DopriCall._fields)
-        c_types = {ctypes.c_int64: "int64_t", ctypes.c_int: "int"}
-        assert {words[-1]: words[0] for words in declared[:n]
-                if words[0] != "double"} == {
-            name: c_types[t] for name, t in kernels._DOPRI_INTS.items()}
+    @pytest.mark.parametrize("call_type, field", [
+        (t, name) for t in (kernels.Rk4Call, kernels.DopriCall)
+        for name in t._fields if name in kernels._C_INTS])
+    def test_int64_overflow_raises_before_the_kernel(self, designed,
+                                                     call_type, field):
+        lib = SimpleNamespace(memchua_rk4_trajectory=mock.Mock(),
+                              memchua_dopri_trajectory=mock.Mock(),
+                              memchua_free=mock.Mock())
+        bound = kernels._bind(lib)
+        call = self.calls(designed.params)[call_type]._replace(
+            **{field: 2**63})
+        with pytest.raises(OverflowError, match=field):
+            if call_type is kernels.Rk4Call:
+                bound["rk4_trajectories"]([call])
+            else:
+                bound["dopri_trajectory"](call)
+        assert not lib.memchua_rk4_trajectory.called
+        assert not lib.memchua_dopri_trajectory.called
 
 
 class TestCsvExport:
