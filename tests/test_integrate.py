@@ -712,25 +712,45 @@ class TestDopriCParity:
         assert len(got.ev_t) == 3 and got.events_dropped > 0
 
 
-class TestKernelCalls:
-    """How a named kernel call reaches the C build: the structs of
-    _kernels.c against Rk4Call, DopriCall and _C_INTS, and the int64 check
-    that ctypes does not make."""
-
-    SOURCE = re.sub(r"/\*.*?\*/", "", kernels._C_SOURCE.read_text(),
+def c_struct_members(name):
+    """[(member, C type)] of the struct `name` in _kernels.c, in order."""
+    source = re.sub(r"/\*.*?\*/", "", kernels._C_SOURCE.read_text(),
                     flags=re.S)
+    body = re.search(r"typedef struct\s*\{([^}]*)\}\s*" + name + ";",
+                     source).group(1)
+    members = []
+    for decl in filter(str.strip, body.split(";")):
+        c_type, names = decl.split(None, 1)
+        members += [(n.strip(), c_type) for n in names.split(",")]
+    return members
 
-    @pytest.mark.parametrize("call_type", [kernels.Rk4Call,
-                                           kernels.DopriCall],
-                             ids=["rk4", "dopri"])
+
+class TestKernelNames:
+    """The C struct Rk4Call against kernels.Rk4Call: its rows of double
+    and of int64_t members, and every field declared once, in order."""
+
+    @pytest.mark.parametrize("c_type, is_int", [
+        ("double", False), ("int64_t", True)], ids=["reals", "ints"])
+    def test_rows_match_enums(self, c_type, is_int):
+        declared = [n for n, t in c_struct_members("Rk4Call") if t == c_type]
+        assert declared == [n for n in kernels.Rk4Call._fields
+                            if (n in kernels._C_INTS) == is_int]
+
+    def test_every_rk4_field_in_one_row(self):
+        members = c_struct_members("Rk4Call")
+        assert [n for n, _ in members] == list(kernels.Rk4Call._fields)
+        assert {t for _, t in members} <= {"double", "int64_t"}
+
+
+class TestKernelCalls:
+    """How a named kernel call reaches the C build: the C struct DopriCall
+    against kernels.DopriCall and _C_INTS, and the int64 check that ctypes
+    does not make."""
+
+    @pytest.mark.parametrize("call_type", [kernels.DopriCall],
+                             ids=["dopri"])
     def test_struct_matches_call(self, call_type):
-        body = re.search(r"typedef struct\s*\{([^}]*)\}\s*"
-                         + call_type.__name__ + ";", self.SOURCE).group(1)
-        declared = []
-        for decl in filter(str.strip, body.split(";")):
-            c_type, names = decl.split(None, 1)
-            declared += [(name.strip(), c_type) for name in names.split(",")]
-        assert declared == [
+        assert c_struct_members(call_type.__name__) == [
             (name, "int64_t" if name in kernels._C_INTS else "double")
             for name in call_type._fields]
 
