@@ -273,7 +273,7 @@ def _lyapunov_result(params: CircuitParams, call: kernels.Rk4Call,
 
 
 def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
-                     d0: float = 1e-8,
+                     d0: float = kernels.SHADOW_D0,
                      renorm_interval: Optional[float] = None) -> LyapunovResult:
     """Largest exponent by the two-trajectory (shadow) method.
 
@@ -301,7 +301,7 @@ def _fused_result(params: CircuitParams, call: kernels.Rk4Call,
 
 def trajectory_and_lyapunov(
         params: CircuitParams, init, cfg: IntegrationConfig,
-        d0: float = 1e-8, renorm_interval: Optional[float] = None,
+        d0: float = kernels.SHADOW_D0, renorm_interval: Optional[float] = None,
 ) -> Tuple[Trajectory, Optional[LyapunovResult]]:
     """integrate() and largest_lyapunov() from one RK4 pass.
 
@@ -417,7 +417,8 @@ def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
 
 def _sweep_points(run: _SweepRun, points):
     """The sweep points of a few (r, seed) pairs, in order; the kernels
-    step the points that run two at a time (kernels.rk4_trajectories)."""
+    step the points that run kernels.LANES at a time
+    (kernels.rk4_trajectories)."""
     prepared = [_prepare_point(run, r, seed_k) for r, seed_k in points]
     ran = [p for p in prepared if not isinstance(p, SweepPoint)]
     outs = iter(kernels.rk4_trajectories([call for *_, call in ran]))
@@ -429,7 +430,7 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
           acfg: AnalysisConfig, r_lo: float, r_hi: float, n_points: int,
           mode: str = "fixed", sigma: float = 0.0, seed: int = 0,
           init=(0.1, 0.0, 0.0), reference_r: Optional[float] = None,
-          d0: float = 1e-8, workers: int = 1) -> list:
+          d0: float = kernels.SHADOW_D0, workers: int = 1) -> list:
     """Classify the circuit at log-spaced programmed resistances.
 
     In "fixed" mode all circuit components stay at the reference design
@@ -437,7 +438,7 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     recomputes the components per point. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
     worker count. At most `workers` threads of this process run the
-    points, and no more than there are pairs of points or CPUs; one runs
+    points, and no more than there are batches of points or CPUs; one runs
     them on the calling thread. The threads run at once only on the C
     backend, whose kernel calls (ctypes.CDLL) release the GIL; on the
     Python backend they take turns. Per-point design failures, resistances
@@ -466,16 +467,18 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
                                            d0))
     points = [(float(r), int(seed) + k)
               for k, r in enumerate(np.geomspace(r_lo, r_hi, n_points))]
-    # in pairs, which the C kernels step together; a batch holds its points'
-    # records at once, so it stays at two
-    pairs = [points[k:k + 2] for k in range(0, len(points), 2)]
-    # more threads than pairs would idle, and more than CPUs take turns
-    workers = min(workers, len(pairs), os.cpu_count() or 1)
+    # in batches of kernels.LANES points, which the C kernels step
+    # together; a batch holds its points' records at once, so it is no
+    # larger
+    n = kernels.LANES
+    groups = [points[k:k + n] for k in range(0, len(points), n)]
+    # more threads than groups would idle, and more than CPUs take turns
+    workers = min(workers, len(groups), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run, pairs))
+            batches = list(pool.map(run, groups))
     else:
-        batches = map(run, pairs)
+        batches = map(run, groups)
     return [point for batch in batches for point in batch]
 
 def write_bifurcation_csv(path, points):

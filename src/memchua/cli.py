@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,13 +27,15 @@ from .analysis import (AnalysisConfig, classify, largest_lyapunov, sweep,
                        trajectory_and_lyapunov, write_bifurcation_csv)
 from .circuit import CircuitParams, find_equilibria
 from .design import DesignSpec, design_circuit
-from .device import (DevicePoly, DeviceState, StateTable, fit_poly,
-                     load_iv_csv, load_state_table, reference_table,
+from .device import (REFERENCE_V_SET, REFERENCE_V_STOP, DevicePoly,
+                     DeviceState, StateTable, fit_poly, load_iv_csv,
+                     load_state_table, reference_table,
                      resistance_at_low_bias, save_state_table, state_at)
 from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
 from .integrate import (IntegrationConfig, integrate_adaptive, rk4_call,
                         write_events_csv, write_trajectory_csv)
+from .kernels import I64_MAX, SHADOW_D0
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,9 +63,20 @@ _FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "be finite and > 0")
 _FINITE = (math.isfinite, "be finite")
 _NONZERO = (lambda v: v != 0, "be nonzero")
 
+
+def _fields(cls, skip=(), **checks):
+    """The Keys of the fields of the dataclass `cls` but `skip`, in order:
+    each takes its kind from the field's annotation, its default from the
+    field and its check, if any, from `checks`. The class makes its own
+    checks when the block builds it."""
+    return {f.name: Key(f.type, f.default, checks.get(f.name))
+            for f in fields(cls) if f.name not in skip}
+
+
 # every config key: block -> key -> Key. A check runs on the converted
 # value of each key a config gives. A block of REQUIRED keys may be left
-# out as a whole, and is then None
+# out as a whole, and is then None. The design, integration and analysis
+# blocks are the fields of the library classes they build
 CONFIG_TABLE = {
     "schema": Key(int, SCHEMA_VERSION, (lambda v: v == SCHEMA_VERSION,
                                         f"be {SCHEMA_VERSION}")),
@@ -72,38 +85,25 @@ CONFIG_TABLE = {
         "r_prog": Key(float, None),
         "coefficients": Key(list, None, (lambda v: len(v) == 5,
                                          "have 5 entries")),
-        "v_set": Key(float, 1.2),
-        "v_stop": Key(float, 2.6),
+        "v_set": Key(float, REFERENCE_V_SET),
+        "v_stop": Key(float, REFERENCE_V_STOP),
     },
-    "design": {"v_eq": Key(float, 0.9), "c1": Key(float, 1.0e-8),
-               "alpha": Key(float, 10.0), "beta": Key(float, 14.22)},
+    "design": _fields(DesignSpec),
     "components": {"r": Key(float, check=_NONZERO),
                    "r_n": Key(float, check=_NONZERO),
                    "l": Key(float), "c1": Key(float), "c2": Key(float)},
     "integration": {
         "method": Key(str, "rk4", (lambda v: v in ("rk4", "rk45"),
                                    "be rk4|rk45")),
-        "dt": Key(float, 1.0e-6),
-        "t_end": Key(float, 0.5),
-        "t_transient": Key(float, 0.1),
-        "record_stride": Key(int, 10, (lambda v: v <= 2**63 - 1,
-                                       "be <= 2**63 - 1")),
-        "soa_policy": Key(str, "warn"),
-        "abs_tol": Key(float, 1.0e-9),
-        "rel_tol": Key(float, 1.0e-7),
+        # the C kernels count in int64; max_steps stays out of the config
+        **_fields(IntegrationConfig, skip={"max_steps"}, record_stride=(
+            lambda v: v <= I64_MAX, "be <= 2**63 - 1")),
     },
     "initial_state": Key(list, [0.1, 0.0, 0.0], (
         lambda v: len(v) == 3 and all(map(math.isfinite, v)),
         "be finite and have 3 entries")),
-    "analysis": {
-        "visit_fraction": Key(float, 0.3),
-        "cluster_tol_fraction": Key(float, 0.01),
-        "max_periodic_clusters": Key(int, 8),
-        "lambda_periodic": Key(float, 0.01),
-        "fixed_point_tol": Key(float, 1.0e-4),
-        "min_samples": Key(int, 32),
-    },
-    "lyapunov": {"d0": Key(float, 1.0e-8, _FINITE_POSITIVE)},
+    "analysis": _fields(AnalysisConfig),
+    "lyapunov": {"d0": Key(float, SHADOW_D0, _FINITE_POSITIVE)},
     "sweep": {
         "mode": Key(str, "fixed", (lambda v: v in ("fixed", "redesign"),
                                    "be fixed|redesign")),

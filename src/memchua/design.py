@@ -25,12 +25,13 @@ from .errors import DesignError
 @dataclass(frozen=True)
 class DesignSpec:
     """Target equilibrium voltage (V), seed capacitance (F) and the
-    dimensionless regime parameters."""
+    dimensionless regime parameters; the defaults size the reference
+    double-scroll design."""
 
-    v_eq: float
-    c1: float
-    alpha: float
-    beta: float
+    v_eq: float = 0.9
+    c1: float = 1e-8
+    alpha: float = 10.0
+    beta: float = 14.22
 
     def __post_init__(self):
         if not (self.v_eq > 0 and self.c1 > 0 and self.alpha > 0 and self.beta > 0):

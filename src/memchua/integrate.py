@@ -42,7 +42,8 @@ class IntegrationConfig:
     max_steps caps the steps of both: the adaptive controller's iterations,
     and the t_end / dt steps of a fixed-step run, which is refused before
     it starts. States are recorded every record_stride-th accepted step
-    once past t_transient.
+    once past t_transient. A dt longer than t_end is refused: a fixed-step
+    run would step past t_end.
     """
 
     dt: float = 1e-6
@@ -62,6 +63,8 @@ class IntegrationConfig:
         if not (0.0 <= self.t_transient < self.t_end):
             raise ValueError(
                 f"need 0 <= t_transient < t_end, got {self.t_transient}, {self.t_end}")
+        if self.dt > self.t_end:
+            raise ValueError(f"need dt <= t_end, got {self.dt}, {self.t_end}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.soa_policy not in ("warn", "abort"):
@@ -118,6 +121,12 @@ def _steps_for(duration: float, dt: float) -> int:
     if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
         return int(r)
     return int(math.ceil(x))
+
+
+def _count(n) -> str:
+    """A step or row count for a message: past int64, in %.3e form, where
+    a horizon near the largest float would print hundreds of digits."""
+    return f"{float(n):.3e}" if n > kernels.I64_MAX else str(n)
 
 
 def _shared_args(params: CircuitParams, init, cfg: IntegrationConfig):
@@ -183,13 +192,13 @@ def rk4_call(params: CircuitParams, init, cfg: IntegrationConfig,
         **shadow)
     if call.rows > MAX_RECORDED_ROWS:
         raise IntegrationError(
-            f"run would record {call.rows} samples, above the cap of "
+            f"run would record {_count(call.rows)} samples, above the cap of "
             f"{MAX_RECORDED_ROWS}; raise record_stride or shorten "
             "t_end - t_transient")
     max_steps = min(cfg.max_steps, kernels.I64_MAX)
     if n_steps > max_steps:
         raise IntegrationError(
-            f"run would take {n_steps} RK4 steps, above the cap of "
+            f"run would take {_count(n_steps)} RK4 steps, above the cap of "
             f"{max_steps} (max_steps); raise dt or shorten t_end")
     return call
 
@@ -204,21 +213,27 @@ def integrate_adaptive(params: CircuitParams, init,
                        cfg: IntegrationConfig) -> Trajectory:
     """Embedded 5(4) pair with the standard step-size controller.
 
-    Raises IntegrationError on step underflow (stiffness) or when the
-    iteration cap is hit; the partial trajectory rides on the exception's
-    `trajectory` attribute.
+    Raises IntegrationError on step underflow (stiffness, or a t_end so
+    short that the first step, t_end * 1e-4, is below the step floor) or
+    when the iteration cap is hit; the partial trajectory rides on the
+    exception's `trajectory` attribute.
     """
     h_max = cfg.t_end / 50.0
+    h0 = min(h_max, cfg.t_end * 1e-4)
     traj = trajectory_of(kernels.dopri_trajectory(kernels.DopriCall(
         *params.kernel_args, t_end=cfg.t_end, t_transient=cfg.t_transient,
         stride=cfg.record_stride, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-        h0=min(h_max, cfg.t_end * 1e-4), h_max=h_max,
-        max_steps=cfg.max_steps, **_shared_args(params, init, cfg))))
+        h0=h0, h_max=h_max, max_steps=cfg.max_steps,
+        **_shared_args(params, init, cfg))))
     if traj.status == kernels.STATUS_STEP_UNDERFLOW:
+        floor = kernels.DOPRI_H_MIN
         t_reached = traj.times[-1] if len(traj.times) else 0.0
         exc = IntegrationError(
-            f"step size underflow below 1e-15 s near t={t_reached:.6e} s; "
-            "the problem is too stiff for the explicit pair")
+            f"t_end={cfg.t_end!r} s is too short for the adaptive pair: its "
+            f"first step, t_end * 1e-4, is below the {floor!r} s step floor"
+            if h0 < floor else
+            f"step size underflow below {floor!r} s near t={t_reached:.6e} "
+            "s; the problem is too stiff for the explicit pair")
         exc.trajectory = traj
         raise exc
     if traj.status == kernels.STATUS_STEP_LIMIT:

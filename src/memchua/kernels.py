@@ -31,13 +31,13 @@ spell out each component. Each event rule and the record row are written
 once per backend (here ``_push_event``, ``_push_crossing`` and
 ``_record``), and the C binding shares the buffer helpers.
 
-On the C backend ``rk4_trajectories`` steps consecutive calls two at a
-time, whatever their arguments, as the two lanes of one kernel call, which
-is how a sweep runs its points. An RK4 step is a chain of dependent
-floating-point operations, so the C kernel is bound by their latency
-rather than by their number: packed as 2-wide vectors, the references of
-two calls form one chain and their shadows another, and the four
-trajectories step in about the time of one call's two (the header of
+On the C backend ``rk4_trajectories`` steps consecutive calls ``LANES``
+(two) at a time, whatever their arguments, as the lanes of one kernel
+call, which is how a sweep runs its points. An RK4 step is a chain of
+dependent floating-point operations, so the C kernel is bound by their
+latency rather than by their number: packed as 2-wide vectors, the
+references of two calls form one chain and their shadows another, and the
+four trajectories step in about the time of one call's two (the header of
 ``_kernels.c`` has the timings). Each lane does the scalar operations in
 the scalar order, with its own step size and step count, so its results
 are bit for bit those of a call of its own. A call reaches C as one
@@ -56,9 +56,9 @@ Kernel backends, chosen once at import and named by ``BACKEND``:
     ``ctypes.CDLL``, so a kernel call releases the GIL: ``memchua
     simulate`` with rk45 runs its exponent pass on a helper thread beside
     the DOPRI5 record pass and the CSV writes, and the worker threads of
-    ``analysis.sweep`` step their pairs of points at once. Loading it with
-    ``ctypes.PyDLL``, which holds the GIL, would silently serialise both
-    again. It is compiled with ``-ffp-contract=off`` and without
+    ``analysis.sweep`` step their batches of points at once. Loading it
+    with ``ctypes.PyDLL``, which holds the GIL, would silently serialise
+    both again. It is compiled with ``-ffp-contract=off`` and without
     ``-ffast-math``: no multiply and add are fused into one rounding and no
     operation is reordered, so every double matches the Python kernels bit
     for bit, up to the payload of a NaN. The library is cached in this
@@ -112,6 +112,17 @@ STATUS_SHADOW_FAIL = 5
 KIND_SOA_LOW = 0
 KIND_SOA_HIGH = 1
 KIND_DIVERGED = 2
+
+# the shadow trajectory's default offset on v1 from its reference (V),
+# the separation it is pulled back to at each renormalization
+SHADOW_D0 = 1e-8
+
+# the DOPRI5 kernels' step floor (s; _kernels.c writes the same literal): a
+# step size below it ends the run with STATUS_STEP_UNDERFLOW
+DOPRI_H_MIN = 1e-15
+
+# the RK4 calls the C kernel steps at once, one per lane of its vectors
+LANES = 2
 
 # events are rare by construction (emitted on window crossings, not per
 # sample); the buffer cap just bounds worst-case memory
@@ -171,7 +182,8 @@ def _stored_events(ev, n):
 def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                     v1, v2, il, dt, n_steps, rec_start, stride,
                     v_min, v_max, v_div, i_div, abort_on_soa,
-                    shadow=False, renorm_every=1, transient_steps=0, d0=1e-8):
+                    shadow=False, renorm_every=1, transient_steps=0,
+                    d0=SHADOW_D0):
     """Fixed-step classical RK4 over the circuit equations, optionally with
     the two-trajectory (shadow) exponent estimator in the same loop.
 
@@ -306,7 +318,7 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     kernel, events past _EV_CAP included, except that a start past the
     divergence ceilings diverges at t=0 (after its window check, and
     unrecorded, like an accepted step past them). Additionally reports step
-    underflow (h < 1e-15 s) and an iteration cap. Returns a DopriOut.
+    underflow (h < DOPRI_H_MIN) and an iteration cap. Returns a DopriOut.
     """
 
     def f(a, b, c):
@@ -350,7 +362,7 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
         if iters > max_steps:
             status = STATUS_STEP_LIMIT
             break
-        if h < 1e-15:
+        if h < DOPRI_H_MIN:
             status = STATUS_STEP_UNDERFLOW
             break
         if t + h > t_end:
@@ -566,9 +578,10 @@ def _bind(lib):
         return results
 
     def rk4_trajectories(calls):
-        """``rk4_trajectories`` run by the C build, two calls at a time."""
-        return [out for i in range(0, len(calls), 2)
-                for out in lanes(calls[i:i + 2])]
+        """``rk4_trajectories`` run by the C build, LANES calls at a
+        time."""
+        return [out for i in range(0, len(calls), LANES)
+                for out in lanes(calls[i:i + LANES])]
 
     def dopri_trajectory(call):
         """``dopri_trajectory`` run by the C build."""

@@ -11,7 +11,7 @@ from memchua.device import IV_HEADER, STATE_HEADER, StateTable
 
 
 def write_trajectory_csv(path, traj):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "v1_V", "v2_V", "iL_A"])
         for t, row in zip(traj.times, traj.states):
@@ -20,7 +20,7 @@ def write_trajectory_csv(path, traj):
 
 
 def write_events_csv(path, traj):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "kind", "value"])
         for ev in traj.events:
@@ -29,7 +29,7 @@ def write_events_csv(path, traj):
 
 def write_bifurcation_csv(path, points):
     """One row per extremum: r_prog_ohm, extremum_v1_V, class."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r_prog_ohm", "extremum_v1_V", "class"])
         for pt in points:
@@ -39,7 +39,7 @@ def write_bifurcation_csv(path, points):
 
 
 def save_iv_csv(path, samples):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(IV_HEADER)
         for s in samples:
@@ -48,7 +48,7 @@ def save_iv_csv(path, samples):
 
 def save_state_table(path, table):
     states = table.states if isinstance(table, StateTable) else list(table)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATE_HEADER)
         for s in states:

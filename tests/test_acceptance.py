@@ -216,7 +216,7 @@ def test_criterion_9_sweep_determinism(tmp_path):
         "schema": 1,
         "integration": {"t_end": 0.2, "t_transient": 0.05},
         "sweep": {"n_points": 8, "workers": 1},
-    }))
+    }), encoding="utf-8")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     t0 = time.perf_counter()
     rc_a = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out_a)])

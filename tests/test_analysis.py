@@ -466,6 +466,30 @@ class TestSweep:
             assert pa.verdict == pb.verdict
             assert np.array_equal(pa.extrema, pb.extrema)
 
+    @pytest.mark.parametrize("lanes, batches", [(1, [1] * 5),
+                                                (2, [2, 2, 1])])
+    def test_batches_follow_the_lane_width(self, ref_state, spec,
+                                           monkeypatch, lanes, batches):
+        # the sweep hands the kernels kernels.LANES points at a time, and
+        # each point is the same at any width
+        table = m.StateTable((ref_state,))
+        icfg, acfg = small_cfgs()
+
+        def run():
+            pts = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+                          1.2 * ref_state.r_prog, 5, sigma=0.1, seed=5)
+            return [(p.r_prog, p.extrema.tobytes(), p.verdict, p.reason)
+                    for p in pts]
+
+        expected = run()
+        seen = []
+        sweep_points = analysis._sweep_points
+        monkeypatch.setattr(kernels, "LANES", lanes)
+        monkeypatch.setattr(analysis, "_sweep_points", lambda r, points: (
+            seen.append(len(points)) or sweep_points(r, points)))
+        assert run() == expected
+        assert seen == batches
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_matches_serial(self, ref_state, spec, tmp_path,
                                      monkeypatch, backend, workers):
@@ -523,7 +547,7 @@ class TestSweep:
                 "))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+                             capture_output=True, encoding="utf-8", check=True)
         assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("mode", ["fixed", "redesign"])
@@ -634,7 +658,7 @@ class TestBifurcationCsv:
                       1.2 * ref_state.r_prog, 2, sigma=0.0)
         path = tmp_path / "bif.csv"
         m.write_bifurcation_csv(path, pts)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "r_prog_ohm,extremum_v1_V,class"
         n_rows = sum(p.extrema.size for p in pts)
         assert len(lines) == n_rows + 1

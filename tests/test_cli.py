@@ -22,10 +22,18 @@ from memchua.integrate import integrate_adaptive, write_trajectory_csv
 from conftest import REF_COEFFS, make_samples
 
 
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def read_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
 def write_config(path, **overrides):
     cfg = {"schema": 1}
     cfg.update(overrides)
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     return str(path)
 
 
@@ -52,13 +60,13 @@ class TestFit:
         table = m.load_state_table(out / "device_card.csv")
         got = table.states[0].poly.coefficients
         assert np.allclose(got, REF_COEFFS, rtol=1e-8)
-        report = json.loads((out / "fit_report.json").read_text())
+        report = read_json(out / "fit_report.json")
         assert report["rms_residual_A"] < 1e-15
         assert report["r_prog_ohm"] == pytest.approx(4.701e5, rel=1e-3)
 
     def test_empty_file_is_parse_error(self, tmp_path):
         iv = tmp_path / "iv.csv"
-        iv.write_text("voltage_V,current_A\n")
+        iv.write_text("voltage_V,current_A\n", encoding="utf-8")
         rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
                        "--v-stop", "2.6", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -78,7 +86,8 @@ class TestFit:
 
     def test_malformed_row_is_parse_error(self, tmp_path, capsys):
         iv = tmp_path / "iv.csv"
-        iv.write_text("voltage_V,current_A\n0.5,1e-6\n0.7,abc\n")
+        iv.write_text("voltage_V,current_A\n0.5,1e-6\n0.7,abc\n",
+                      encoding="utf-8")
         rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
                        "--v-stop", "2.6"])
         assert rc == 2
@@ -126,7 +135,7 @@ class TestDesign:
         out = tmp_path / "out"
         rc = cli.main(["design", "--out", str(out)])
         assert rc == 0
-        report = json.loads((out / "design_report.json").read_text())
+        report = read_json(out / "design_report.json")
         assert report["ok"] is True
         assert report["r_ohm"] == pytest.approx(7643.0, rel=0.01)
         assert report["r_n_ohm"] == pytest.approx(6856.0, rel=0.01)
@@ -189,7 +198,7 @@ class TestParserCache:
                 "print(c.build_parser.cache_info().misses)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+                             capture_output=True, encoding="utf-8", check=True)
         assert out.stdout.strip() == "0"
 
     def test_env_var_read_on_every_call(self, tmp_path, monkeypatch):
@@ -275,7 +284,7 @@ class TestYamlLoaders:
 
     def test_invalid_yaml_is_parse_error(self, used, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
-        cfg.write_text("schema: 1\ndesign: {v_eq: [0.9\n")
+        cfg.write_text("schema: 1\ndesign: {v_eq: [0.9\n", encoding="utf-8")
         assert cli.main(["design", "--config", str(cfg)]) == 2
         assert "invalid YAML in" in capsys.readouterr().err
         assert len(used) == 1
@@ -298,8 +307,8 @@ class TestYamlLoaders:
         table = tmp_path / "states.csv"
         m.save_state_table(table, m.reference_table().states)
         cfg = tmp_path / "c.yaml"
-        cfg.write_text(EVERY_KEY_YAML.format(table=table))
-        raw = yaml.safe_load(cfg.read_text())
+        cfg.write_text(EVERY_KEY_YAML.format(table=table), encoding="utf-8")
+        raw = yaml.safe_load(cfg.read_text(encoding="utf-8"))
         assert raw.keys() == cli.CONFIG_TABLE.keys()
         for key, val in cli.CONFIG_TABLE.items():
             if isinstance(val, dict):
@@ -322,7 +331,7 @@ class TestEquilibria:
         out = tmp_path / "out"
         rc = cli.main(["equilibria", "--out", str(out)])
         assert rc == 0
-        eqs = json.loads((out / "equilibria.json").read_text())
+        eqs = read_json(out / "equilibria.json")
         labels = {e["label"] for e in eqs}
         assert labels == {"P0", "P+", "P-"}
         assert all(e["stable"] is False for e in eqs)
@@ -357,10 +366,10 @@ class TestSimulate:
         out = tmp_path / "out"
         rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
         assert rc == 0
-        summary = json.loads((out / "classification.json").read_text())
+        summary = read_json(out / "classification.json")
         assert summary["label"] == "double_scroll"
         assert summary["n_events"] == 0
-        lines = (out / "trajectory.csv").read_text().splitlines()
+        lines = read_lines(out / "trajectory.csv")
         assert lines[0] == "t_s,v1_V,v2_V,iL_A"
         assert len(lines) == summary["n_samples"] + 1
 
@@ -371,7 +380,7 @@ class TestSimulate:
         out = tmp_path / "out"
         rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
         assert rc == 0
-        summary = json.loads((out / "classification.json").read_text())
+        summary = read_json(out / "classification.json")
         assert summary["label"] == "fixed_point"
 
     def test_soa_abort_exits_5_with_events(self, tmp_path):
@@ -384,7 +393,7 @@ class TestSimulate:
         out = tmp_path / "out"
         rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
         assert rc == 5
-        events = (out / "events.csv").read_text().splitlines()
+        events = read_lines(out / "events.csv")
         assert len(events) >= 2
         assert (out / "trajectory.csv").exists()
 
@@ -400,7 +409,7 @@ class TestSimulate:
     def test_infinite_horizon_is_parse_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml",
                            integration={"t_end": float("inf")})
-        assert ".inf" in (tmp_path / "c.yaml").read_text()
+        assert ".inf" in (tmp_path / "c.yaml").read_text(encoding="utf-8")
         rc = cli.main(["simulate", "--config", cfg,
                        "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -422,8 +431,8 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert err.count("warning:") == 1 and "events past" in err
-        assert len((out / "events.csv").read_text().splitlines()) == 3
-        summary = json.loads((out / "classification.json").read_text())
+        assert len(read_lines(out / "events.csv")) == 3
+        summary = read_json(out / "classification.json")
         assert summary["n_events"] == 2
         assert not any("drop" in key for key in summary)
 
@@ -434,7 +443,7 @@ class TestSimulate:
         out = tmp_path / "out"
         rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
         assert rc == 0
-        summary = json.loads((out / "classification.json").read_text())
+        summary = read_json(out / "classification.json")
         assert summary["label"] == "double_scroll"
 
 
@@ -454,10 +463,10 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", str(sweep_out)]) == 0
         assert cli.main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
 
-        rows = (sweep_out / "bifurcation.csv").read_text().splitlines()[1:]
+        rows = read_lines(sweep_out / "bifurcation.csv")[1:]
         sweep_vals = np.array([float(r.split(",")[1]) for r in rows])
         data = np.genfromtxt(sim_out / "trajectory.csv", delimiter=",",
-                             skip_header=1)
+                             skip_header=1, encoding="utf-8")
         direct = np.array([e.value
                            for e in m.local_extrema(data[:, 0], data[:, 1])])
         assert np.array_equal(sweep_vals, direct)
@@ -489,7 +498,7 @@ class TestSweep:
                            integration=SHORT_INTEGRATION, sweep=SMALL_SWEEP)
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        summary = json.loads((out / "sweep_summary.json").read_text())
+        summary = read_json(out / "sweep_summary.json")
         assert len(summary) == SMALL_SWEEP["n_points"]
         rs = [p["r_prog_ohm"] for p in summary]
         assert rs == sorted(rs)
@@ -506,7 +515,7 @@ class TestSweep:
         assert len(err) == 2
         assert all("inconclusive: design failure: safe-window" in line
                    for line in err)
-        summary = json.loads((out / "sweep_summary.json").read_text())
+        summary = read_json(out / "sweep_summary.json")
         assert [sorted(p) for p in summary] == [sorted(
             ["r_prog_ohm", "label", "scroll_side", "lambda1_per_s",
              "n_extrema", "span_V", "seed", "soa"])] * 2
@@ -556,8 +565,7 @@ class TestSweep:
             assert len(err) == 1
             assert err[0].endswith("inconclusive: perturbed coefficients "
                                    "not finite: overflow encountered in exp")
-            summary = json.loads((tmp_path / "out" / "sweep_summary.json")
-                                 .read_text())
+            summary = read_json(tmp_path / "out" / "sweep_summary.json")
             assert [p["label"] for p in summary] == ["diverged",
                                                      "inconclusive"]
 
@@ -716,6 +724,12 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
      "config.device: r_prog must be positive and finite, got -5.0"),
     ({"components": {**COMPONENTS, "c1": -1.0e-8}},
      "config.components: c1, c2 and l must be positive"),
+    # a step longer than the run once ran zero steps, or one past t_end,
+    # and exited 0
+    ({"integration": {"dt": 1.0e300}},
+     "config.integration: need dt <= t_end, got 1e+300, 0.5"),
+    ({"integration": {"dt": 0.01, "t_end": 0.001, "t_transient": 0.0}},
+     "config.integration: need dt <= t_end, got 0.01, 0.001"),
 ], ids=["n-fraction", "stride-fraction", "workers-bool", "schema-bool",
         "v_eq-bool", "out_dir-null", "seed-negative", "workers-zero",
         "stride-huge", "n-huge", "n-huger", "schema-2",
@@ -723,7 +737,7 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
         "components-empty", "v_set-unread", "r_lo_frac-unread",
         "r_lo_frac-negative", "coefficients-short", "init-short",
         "r_lo-zero", "block-list", "integration", "analysis", "design",
-        "device", "components"])
+        "device", "components", "dt-huge", "dt-past-t_end"])
 def test_rejected_config_names_its_key(tmp_path, capsys, overrides, error):
     assert bad_value_error(tmp_path, capsys, overrides) == [
         f"input error: {error}"]
@@ -773,8 +787,13 @@ def test_integral_floats_are_integers(tmp_path):
 
 def test_defaults_are_the_library_defaults():
     rc = cli.load_config(None)
+    assert rc.spec == m.DesignSpec()
     assert rc.integration == m.IntegrationConfig()
     assert rc.analysis == m.AnalysisConfig()
+    assert rc.lyap_d0 == kernels.SHADOW_D0
+    device = cli._DEFAULTS["device"]
+    assert (device["v_set"], device["v_stop"]) == (
+        m.device.REFERENCE_V_SET, m.device.REFERENCE_V_STOP)
     # the defaults pass the table's own conversions and checks
     assert cli._convert(cli.CONFIG_TABLE, cli._DEFAULTS,
                         cli._DEFAULTS) == cli._DEFAULTS
@@ -784,24 +803,48 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_example_config_loads(tmp_path, monkeypatch):
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     example = text.split("```yaml\n", 1)[1].split("```", 1)[0]
     monkeypatch.chdir(tmp_path)
     m.save_state_table("states.csv", m.reference_table().states)
-    (tmp_path / "c.yaml").write_text(example)
+    (tmp_path / "c.yaml").write_text(example, encoding="utf-8")
     rc = cli.load_config("c.yaml")
     assert rc.state.r_prog == 300e3
     assert rc.sweep["n_points"] == 32
 
 
-def test_readme_lists_every_key():
-    listed = set(re.findall(r"^\| `([a-z_.0-9]+)` \|", README.read_text(),
-                            flags=re.M))
-    keys = set()
+def table_keys():
+    """{dotted name: Key} of every key of cli.CONFIG_TABLE."""
+    keys = {}
     for block, table in cli.CONFIG_TABLE.items():
-        keys |= ({f"{block}.{key}" for key in table}
-                 if isinstance(table, dict) else {block})
-    assert listed == keys
+        if isinstance(table, dict):
+            keys.update({f"{block}.{key}": k for key, k in table.items()})
+        else:
+            keys[block] = table
+    return keys
+
+
+def readme_defaults():
+    """{dotted name: default cell} of the rows of README's Config
+    reference."""
+    return dict(re.findall(r"^\| `([a-z_.0-9]+)` \| [^|]+ \| ([^|]+) \|",
+                           README.read_text(encoding="utf-8"), flags=re.M))
+
+
+def test_readme_lists_every_key():
+    assert set(readme_defaults()) == set(table_keys())
+
+
+def test_readme_defaults_are_the_table_defaults():
+    # each default cell holds `required`, or the default in backticks as
+    # YAML reads it, a note after it aside
+    cells = readme_defaults()
+    for name, k in table_keys().items():
+        cell = cells[name]
+        default = (cli.REQUIRED if cell == "required" else
+                   yaml.safe_load(re.match(r"`([^`]*)`", cell).group(1)))
+        assert (name, type(default), default) == (name, type(k.default),
+                                                  k.default)
 
 
 def sha256(path):
@@ -895,8 +938,8 @@ class TestRk45Overlap:
                          "--out", str(tmp_path / "out")])
         assert threading.active_count() == threads
         summary = tmp_path / "out" / "classification.json"
-        return (code, json.loads(summary.read_text()) if summary.exists()
-                else None, capsys.readouterr().err)
+        return (code, read_json(summary) if summary.exists() else None,
+                capsys.readouterr().err)
 
     def test_outputs_match_serial_calls(self, tmp_path, capsys, backend):
         code, _, err = self.simulate(tmp_path, capsys, integration=RK45)
@@ -1009,6 +1052,34 @@ class TestRunLimits:
         assert "RK4 steps, above the cap of 20000000 (max_steps)" in err
         assert not list(tmp_path.glob("out/*.csv"))
 
+    @pytest.mark.parametrize("method, count", [
+        ("rk4", "record 1.000e+305 samples"),
+        ("rk45", "take 1.000e+306 RK4 steps")])
+    def test_counts_past_int64_print_short(self, tmp_path, capsys, method,
+                                           count):
+        # a horizon near the largest float once printed a count of some
+        # 300 digits
+        cfg = write_config(tmp_path / "c.yaml", integration={
+            "method": method, "t_end": 1.0e300})
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 5
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"runtime failure: run would {count}, above")
+        assert len(err) < 200
+
+    def test_horizon_below_the_step_floor(self, tmp_path, capsys):
+        # DOPRI5's first step, t_end * 1e-4, is under its 1e-15 s floor;
+        # this once read as a stiff problem
+        cfg = write_config(tmp_path / "c.yaml", integration={
+            "method": "rk45", "t_end": 1.0e-300, "dt": 1.0e-301,
+            "t_transient": 0.0})
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err == (
+            "runtime failure: t_end=1e-300 s is too short for the adaptive "
+            "pair: its first step, t_end * 1e-4, is below the 1e-15 s step "
+            "floor\n")
+
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_start_past_divergence_bounds(self, tmp_path, capsys, method):
         # 3 kV is past the reference design's 2.6 kV ceiling; before, rk45
@@ -1021,11 +1092,11 @@ class TestRunLimits:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 5
         assert capsys.readouterr().err == "runtime failure: diverged\n"
-        summary = json.loads((out / "classification.json").read_text())
+        summary = read_json(out / "classification.json")
         assert summary["label"] == "diverged"
         assert "integration_failure" not in summary
         assert summary["lambda1_per_s"] is None
-        events = (out / "events.csv").read_text().splitlines()
+        events = read_lines(out / "events.csv")
         assert events[1] == "0.0,soa_high,3000.0"
         assert events[-1].split(",")[1] == "diverged"
         if method == "rk45":
@@ -1064,10 +1135,9 @@ class TestOutOfRange:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) in (0, 5)
         if command == "simulate":
             assert "lambda1*tau=n/a" in capsys.readouterr().out
-            summaries = [json.loads(
-                (out / "classification.json").read_text())]
+            summaries = [read_json(out / "classification.json")]
         else:
-            summaries = json.loads((out / "sweep_summary.json").read_text())
+            summaries = read_json(out / "sweep_summary.json")
         assert all(s["lambda1_per_s"] is None for s in summaries)
 
     def test_underflowing_beta_is_null(self, designed):
@@ -1097,7 +1167,7 @@ class TestOutOfRange:
             cfg.setdefault(block, {})[key] = value
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.yaml")
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 yaml.safe_dump(cfg, fh)
             code = cli.main([command, "--config", path,
                              "--out", os.path.join(tmp, "out")])

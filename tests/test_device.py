@@ -161,14 +161,15 @@ class TestCsvIO:
 
     def test_iv_bad_header_reports_line(self, tmp_path):
         path = tmp_path / "iv.csv"
-        path.write_text("volts,amps\n0.1,1e-7\n")
+        path.write_text("volts,amps\n0.1,1e-7\n", encoding="utf-8")
         with pytest.raises(InputFormatError) as err:
             m.load_iv_csv(path)
         assert err.value.line == 1
 
     def test_iv_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "iv.csv"
-        path.write_text("voltage_V,current_A\n0.1,1e-7\n0.2,oops\n")
+        path.write_text("voltage_V,current_A\n0.1,1e-7\n0.2,oops\n",
+                        encoding="utf-8")
         with pytest.raises(InputFormatError) as err:
             m.load_iv_csv(path)
         assert err.value.line == 3

@@ -175,6 +175,10 @@ class TestIntegrate:
             m.IntegrationConfig(t_transient=1.0, t_end=0.5)
         with pytest.raises(ValueError):
             m.IntegrationConfig(soa_policy="ignore")
+        # a step longer than the run once took one step past t_end
+        with pytest.raises(ValueError, match="need dt <= t_end"):
+            m.IntegrationConfig(dt=0.01, t_end=0.001, t_transient=0.0)
+        assert m.IntegrationConfig(dt=0.5, t_end=0.5).dt == 0.5
 
 
 class TestAdaptive:
@@ -234,6 +238,17 @@ class TestAdaptive:
                                   abs_tol=1e-300, rel_tol=1e-300)
         with pytest.raises(IntegrationError, match="underflow"):
             m.integrate_adaptive(designed.params, (0.1, 0.0, 0.0), cfg)
+
+    def test_horizon_below_the_step_floor(self, designed):
+        # the first step, t_end * 1e-4, is under the floor at t = 0: the
+        # horizon is at fault, not stiffness
+        cfg = m.IntegrationConfig(t_end=1e-12, dt=1e-13, t_transient=0.0)
+        with pytest.raises(IntegrationError) as err:
+            m.integrate_adaptive(designed.params, (0.1, 0.0, 0.0), cfg)
+        assert str(err.value) == (
+            "t_end=1e-12 s is too short for the adaptive pair: its first "
+            "step, t_end * 1e-4, is below the 1e-15 s step floor")
+        assert err.value.trajectory.status == kernels.STATUS_STEP_UNDERFLOW
 
     def test_iteration_cap_reported(self, designed):
         cfg = m.IntegrationConfig(t_end=0.5, t_transient=0.0, max_steps=300)
@@ -534,6 +549,14 @@ class TestRk4Lanes:
         self.run(lane_kernels, calls, [2, 1])
         self.run(lane_kernels, [], [])
 
+    def test_batches_follow_the_lane_width(self, lane_kernels, designed,
+                                           monkeypatch):
+        p = designed.params
+        calls = [self.call(replace(p, device=m.perturb(p.device, 0.1, seed)))
+                 for seed in range(3)]
+        monkeypatch.setattr(kernels, "LANES", 1)
+        self.run(lane_kernels, calls, [1, 1, 1])
+
     @pytest.mark.parametrize("own", [
         dict(dt=2e-6), dict(dt=-0.0), dict(n_steps=1200), dict(rec_start=499),
         dict(stride=4), dict(abort=True), dict(shadow=False),
@@ -714,8 +737,8 @@ class TestDopriCParity:
 
 def c_struct_members(name):
     """[(member, C type)] of the struct `name` in _kernels.c, in order."""
-    source = re.sub(r"/\*.*?\*/", "", kernels._C_SOURCE.read_text(),
-                    flags=re.S)
+    source = re.sub(r"/\*.*?\*/", "",
+                    kernels._C_SOURCE.read_text(encoding="utf-8"), flags=re.S)
     body = re.search(r"typedef struct\s*\{([^}]*)\}\s*" + name + ";",
                      source).group(1)
     members = []
@@ -798,10 +821,10 @@ class TestCsvExport:
         epath = tmp_path / "events.csv"
         m.write_trajectory_csv(tpath, traj)
         m.write_events_csv(epath, traj)
-        lines = tpath.read_text().splitlines()
+        lines = tpath.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t_s,v1_V,v2_V,iL_A"
         assert len(lines) == len(traj.times) + 1
-        elines = epath.read_text().splitlines()
+        elines = epath.read_text(encoding="utf-8").splitlines()
         assert elines[0] == "t_s,kind,value"
         assert len(elines) == len(traj.events) + 1
 
@@ -856,17 +879,18 @@ class TestStepCap:
 
     @pytest.mark.parametrize("dt, steps, runs", [
         (1e-20, "2000000000000000256", (m.integrate, m.largest_lyapunov)),
-        (1e-30, "19999999999999999166", (m.largest_lyapunov,)),
+        (1e-30, "2.000e+28", (m.largest_lyapunov,)),
         (1e-320, "inf", (m.integrate, m.largest_lyapunov))],
         ids=["1e-20", "1e-30", "1e-320"])
     def test_huge_counts_refused(self, designed, no_kernel, dt, steps, runs):
-        # past int64 (1e-30), and past any float: t_end / dt overflows
-        # (1e-320); a recorded 1e-30 run meets the row cap first
+        # past int64 (1e-30), printed in %.3e form, and past any float:
+        # t_end / dt overflows (1e-320); a recorded 1e-30 run meets the row
+        # cap first
         cfg = m.IntegrationConfig(dt=dt, t_end=0.02, t_transient=0.0,
                                   record_stride=10**18)
         for run in runs:
             with pytest.raises(IntegrationError,
-                               match=f"would take {steps}"):
+                               match=re.escape(f"would take {steps} ")):
                 run(designed.params, (0.1, 0.0, 0.0), cfg)
 
 

@@ -43,7 +43,7 @@ def start_probe(root, **env):
            "PYTHONDONTWRITEBYTECODE": "1", **env}
     return subprocess.Popen([sys.executable, "-c", PROBE], cwd=root, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True)
+                            encoding="utf-8")
 
 
 def finish_probe(proc):
@@ -75,7 +75,7 @@ def test_source_compiles_with_warnings_as_errors(tmp_path):
     cmd = [CC, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-Wall",
            "-Wextra", "-Wshadow", "-Werror", "-o", str(tmp_path / "k.so"),
            str(kernels._C_SOURCE), "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True,
+    proc = subprocess.run(cmd, capture_output=True, encoding="utf-8",
                           timeout=TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
 
@@ -94,7 +94,7 @@ def test_missing_compiler_falls_back_to_python(tmp_path):
 @needs_cc
 def test_compile_error_falls_back_to_python(tmp_path):
     root = copy_package(tmp_path)
-    with open(root / "memchua" / "_kernels.c", "a") as fh:
+    with open(root / "memchua" / "_kernels.c", "a", encoding="utf-8") as fh:
         fh.write("\nthis is not C;\n")
     backend, reason = probe(root)
     assert backend == "python"
@@ -121,7 +121,7 @@ def test_unwritable_cache_builds_in_a_private_directory(tmp_path):
     root = copy_package(tmp_path)
     # a file where the cache directory should be: no directory can be made
     # there, whoever runs the test
-    (root / "memchua" / "__pycache__").write_text("")
+    (root / "memchua" / "__pycache__").write_text("", encoding="utf-8")
     private = tmp_path / "tmp"
     private.mkdir()
     assert probe(root, TMPDIR=str(private)) == ("c", None)
