@@ -54,7 +54,8 @@ enum {
     STATUS_DIVERGED = 2,
     STATUS_STEP_UNDERFLOW = 3,
     STATUS_STEP_LIMIT = 4,
-    STATUS_SHADOW_FAIL = 5
+    STATUS_SHADOW_FAIL = 5,
+    STATUS_ROW_LIMIT = 6
 };
 
 enum { KIND_SOA_LOW = 0, KIND_SOA_HIGH = 1, KIND_DIVERGED = 2 };
@@ -73,7 +74,8 @@ typedef struct {
         t_transient;
     int64_t stride;
     double abs_tol, rel_tol, h0, h_max, v_min, v_max, v_div, i_div;
-    int64_t abort_on_soa, max_steps;
+    int64_t abort_on_soa, max_steps, max_rows;
+    double h_min;
 } DopriCall;
 
 /* two lanes of doubles (GCC and Clang vector extension): +, -, * and / act
@@ -343,11 +345,12 @@ void memchua_rk4_trajectory(
     }
 }
 
-/* Double the record buffers; 0 on success, -1 (buffers untouched) when
- * memory runs out. */
-static int grow(double **times, double **states, int64_t *cap)
+/* Double the record buffers, to at most max_rows rows (more than *cap); 0
+ * on success, -1 (buffers untouched) when memory runs out. */
+static int grow(double **times, double **states, int64_t *cap,
+                int64_t max_rows)
 {
-    const int64_t ncap = *cap * 2;
+    const int64_t ncap = *cap < max_rows / 2 ? *cap * 2 : max_rows;
     double *nt, *ns;
 
     nt = realloc(*times, (size_t)ncap * sizeof(double));
@@ -364,9 +367,10 @@ static int grow(double **times, double **states, int64_t *cap)
 
 /* _dopri_trajectory of `call` over States; `call` is copied to q, whose
  * fields no record write can alias. The record buffers start at 1024 rows
- * and double as needed; on return *times_out and *states_out hold them
- * (free both with memchua_free), out holds (rows recorded, status, events
- * seen). Returns 0, or -1 with nothing to free when memory ran out. */
+ * and double as needed, to at most max_rows; on return *times_out and
+ * *states_out hold them (free both with memchua_free), out holds (rows
+ * recorded, status, events seen). Returns 0, or -1 with nothing to free
+ * when memory ran out. */
 int memchua_dopri_trajectory(
     const DopriCall *call, double *ev_t, int64_t *ev_k, double *ev_v,
     int64_t ev_cap, double **times_out, double **states_out, int64_t *out)
@@ -405,8 +409,12 @@ int memchua_dopri_trajectory(
     }
 
     if (status == STATUS_OK && q.t_transient <= 0.0) {
-        j = record(times, states, j, 0.0, q.v1, q.v2, q.il);
-        rec_count = 0;
+        if (q.max_rows < 1) {
+            status = STATUS_ROW_LIMIT;
+        } else {
+            j = record(times, states, j, 0.0, q.v1, q.v2, q.il);
+            rec_count = 0;
+        }
     }
 
     /* first same as last: an accepted step's k7 is the next step's k1, and
@@ -418,7 +426,7 @@ int memchua_dopri_trajectory(
             status = STATUS_STEP_LIMIT;
             break;
         }
-        if (h < 1e-15) {
+        if (h < q.h_min) {
             status = STATUS_STEP_UNDERFLOW;
             break;
         }
@@ -484,7 +492,12 @@ int memchua_dopri_trajectory(
             if (t >= q.t_transient) {
                 rec_count++;
                 if (rec_count % q.stride == 0) {
-                    if (j >= cap && grow(&times, &states, &cap) != 0)
+                    if (j >= q.max_rows) {
+                        status = STATUS_ROW_LIMIT;
+                        break;
+                    }
+                    if (j >= cap
+                        && grow(&times, &states, &cap, q.max_rows) != 0)
                         goto out_of_memory;
                     j = record(times, states, j, t, y[0], y[1], y[2]);
                 }

@@ -84,32 +84,14 @@ class AnalysisConfig:
         if self.max_periodic_clusters < 1 or self.min_samples < 3:
             raise ValueError("cluster cap must be >= 1 and min_samples >= 3")
 
-def _parabola_vertex(t1, y1, t2, y2, t3, y3):
-    """Vertex of the parabola through three (t, y) points, or None when the
-    fit is degenerate or the vertex falls outside [t1, t3]."""
-    h1 = t1 - t2
-    h3 = t3 - t2
-    denom = h1 * h3 * (h1 - h3)
-    # h3 == 0 with a non-finite h1 leaves denom NaN, not 0, and b below
-    # would divide by zero
-    if denom == 0.0 or h3 == 0.0:
-        return None
-    a = (h3 * (y1 - y2) - h1 * (y3 - y2)) / denom
-    if a == 0.0:
-        return None
-    b = ((y3 - y2) - a * h3 * h3) / h3
-    dt = -b / (2.0 * a)
-    if not (h1 <= dt <= h3):
-        return None
-    return t2 + dt, y2 + dt * (b + a * dt)
-
-def local_extrema(times, values):
-    """Strict interior extrema of a sampled signal.
+def _extrema(times, values):
+    """The strict interior extrema of a sampled signal as three arrays:
+    their times, their values and whether each is a maximum.
 
     Plateaus (runs of equal samples) are compressed to their midpoint
-    before comparison; single-sample extrema are refined by a quadratic
-    through the three bracketing samples. A constant signal yields an
-    empty list.
+    before comparison; single-sample extrema are refined to the vertex of
+    the parabola through the three bracketing samples, unless that fit is
+    degenerate or its vertex falls outside them.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -122,38 +104,48 @@ def local_extrema(times, values):
     ends = np.concatenate((starts[1:] - 1, [x.size - 1]))
     xc = x[starts]
     if xc.size < 3:
-        return []
+        return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
 
     # candidates: compressed samples above, or below, both neighbours
     mid = xc[1:-1]
     is_max = (mid > xc[:-2]) & (mid > xc[2:])
     j = np.flatnonzero(is_max | ((mid < xc[:-2]) & (mid < xc[2:]))) + 1
     first, last = starts[j], ends[j]
-    # a one-sample run inside the compressed signal has a sample either side
-    lone = first == last
-    i = first[lone]
-    refined = map(_parabola_vertex, *(col.tolist() for col in (
-        t[i - 1], x[i - 1], t[i], x[i], t[i + 1], x[i + 1])))
+    te = 0.5 * (t[first] + t[last])
+    xe = xc[j]
 
-    out = []
-    for ti, yi, top, one in zip((0.5 * (t[first] + t[last])).tolist(),
-                                xc[j].tolist(), is_max[j - 1].tolist(),
-                                lone.tolist()):
-        if one:
-            ref = next(refined)
-            if ref is not None:
-                ti, yi = ref
-        out.append(Extremum(time=ti, value=yi,
-                            kind="max" if top else "min"))
-    return out
+    # a one-sample run inside the compressed signal has a sample either
+    # side. Its fit is rejected where it divides by zero (denom == 0, or
+    # h3 == 0, where a non-finite h1 leaves denom NaN), is a line (a == 0)
+    # or puts the vertex at NaN or outside [h1, h3]
+    k = np.flatnonzero(first == last)
+    i = first[k]
+    t2, y2 = t[i], x[i]
+    with np.errstate(all="ignore"):
+        h1 = t[i - 1] - t2
+        h3 = t[i + 1] - t2
+        denom = h1 * h3 * (h1 - h3)
+        a = (h3 * (x[i - 1] - y2) - h1 * (x[i + 1] - y2)) / denom
+        b = ((x[i + 1] - y2) - a * h3 * h3) / h3
+        dt = -b / (2.0 * a)
+        ok = ((denom != 0.0) & (h3 != 0.0) & (a != 0.0) & (h1 <= dt)
+              & (dt <= h3))
+        te[k[ok]] = (t2 + dt)[ok]
+        xe[k[ok]] = (y2 + dt * (b + a * dt))[ok]
+    return te, xe, is_max[j - 1]
+
+def local_extrema(times, values):
+    """Strict interior extrema of a sampled signal, as Extrema in time
+    order (see _extrema). A constant signal yields an empty list."""
+    te, xe, top = _extrema(times, values)
+    return [Extremum(time=ti, value=yi, kind="max" if m else "min")
+            for ti, yi, m in zip(te.tolist(), xe.tolist(), top.tolist())]
 
 def cluster_count(values, tol: float) -> int:
     """Number of groups after splitting the sorted values at gaps > tol."""
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         return 0
-    if v.size == 1:
-        return 1
     return 1 + int(np.count_nonzero(np.diff(v) > tol))
 
 def _current_weight(equilibria):
@@ -187,7 +179,8 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     given too. A run that diverged is labelled so however few samples it
     kept; others with fewer than min_samples samples, or too few extrema
     to characterize, come back inconclusive. `extrema`, when given, must
-    be local_extrema(traj.times, traj.v1); it saves computing them again.
+    be the array of extremum values of traj.v1, _extrema(traj.times,
+    traj.v1)[1]; it saves computing them again.
     """
     if lambda1 is not None and time_unit is None:
         raise ValueError("time_unit is required when lambda1 is given")
@@ -229,9 +222,7 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     else:
         side = Side.NONE
 
-    if extrema is None:
-        extrema = local_extrema(traj.times, traj.v1)
-    values = np.array([e.value for e in extrema])
+    values = _extrema(traj.times, traj.v1)[1] if extrema is None else extrema
     if values.size < 2:
         return TrajectoryClass(Label.INCONCLUSIVE, side, lambda1, int(values.size))
     span = float(np.max(traj.v1) - np.min(traj.v1))
@@ -401,12 +392,11 @@ def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
     """The sweep point at `r` from the kernel's `out` for its `call`."""
     traj, lyap = _fused_result(params, call, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
-    extrema = (local_extrema(traj.times, traj.v1) if len(traj.times) >= 3
-               else [])
+    values = (_extrema(traj.times, traj.v1)[1] if len(traj.times) >= 3
+              else np.empty(0))
     verdict = classify(traj, eqs, run.acfg,
                        lambda1=lyap.lambda1 if lyap else None,
-                       time_unit=params.time_unit, extrema=extrema)
-    values = np.array([e.value for e in extrema]) if extrema else np.empty(0)
+                       time_unit=params.time_unit, extrema=values)
     reason = None
     if verdict.label == Label.INCONCLUSIVE:
         reason = ("record stopped at the first window crossing "

@@ -407,6 +407,7 @@ def cmd_simulate(args) -> int:
     stiff = None
     lam = None
     exponent = None
+    no_exponent = None
     # a C kernel call releases the GIL, so under rk45 the exponent pass
     # runs on a second CPU while this thread records the run and writes
     # its CSVs; leaving the block joins the thread, also on an exception
@@ -433,8 +434,9 @@ def cmd_simulate(args) -> int:
         if exponent is not None and not traj.diverged and stiff is None:
             try:
                 lam = exponent.result()
-            except LyapunovError:
-                lam = None
+            except LyapunovError as exc:
+                no_exponent = str(exc)
+                print(f"warning: no exponent: {exc}", file=sys.stderr)
     if traj.events_dropped:
         print(f"warning: {traj.events_dropped} events past the event buffer "
               "cap are missing from events.csv", file=sys.stderr)
@@ -448,6 +450,8 @@ def cmd_simulate(args) -> int:
     summary["n_samples"] = len(traj.times)
     if stiff:
         summary["integration_failure"] = stiff
+    if no_exponent:
+        summary["lyapunov_failure"] = no_exponent
     _write_json(out / "classification.json", summary)
 
     print(f"class={verdict.label} side={verdict.scroll_side} "

@@ -28,8 +28,10 @@ _KIND_NAMES = {
 
 DIVERGENCE_FACTOR = 1e3
 
-# cap on the sample rows a fixed-step run preallocates: 320 MB of times and
-# states, where a mistyped t_end or stride could otherwise ask for terabytes
+# cap on the sample rows of a run, 320 MB of times and states, where a
+# mistyped t_end or stride could otherwise ask for terabytes: a fixed-step
+# run past it is refused before it preallocates them, and an adaptive run
+# stops at it
 MAX_RECORDED_ROWS = 10_000_000
 
 
@@ -107,10 +109,6 @@ class Trajectory:
     @property
     def aborted_on_soa(self) -> bool:
         return self.status == kernels.STATUS_SOA_ABORT
-
-    @property
-    def final_state(self):
-        return self.states[-1]
 
 
 def _steps_for(duration: float, dt: float) -> int:
@@ -215,19 +213,27 @@ def integrate_adaptive(params: CircuitParams, init,
 
     Raises IntegrationError on step underflow (stiffness, or a t_end so
     short that the first step, t_end * 1e-4, is below the step floor) or
-    when the iteration cap is hit; the partial trajectory rides on the
-    exception's `trajectory` attribute.
+    when the iteration cap is hit, with the partial trajectory on the
+    exception's `trajectory` attribute; and, with none attached, when the
+    run would record more than MAX_RECORDED_ROWS samples.
     """
     h_max = cfg.t_end / 50.0
     h0 = min(h_max, cfg.t_end * 1e-4)
-    traj = trajectory_of(kernels.dopri_trajectory(kernels.DopriCall(
+    call = kernels.DopriCall(
         *params.kernel_args, t_end=cfg.t_end, t_transient=cfg.t_transient,
         stride=cfg.record_stride, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
         h0=h0, h_max=h_max, max_steps=cfg.max_steps,
-        **_shared_args(params, init, cfg))))
+        max_rows=MAX_RECORDED_ROWS, **_shared_args(params, init, cfg))
+    traj = trajectory_of(kernels.dopri_trajectory(call))
+    t_reached = traj.times[-1] if len(traj.times) else 0.0
+    if traj.status == kernels.STATUS_ROW_LIMIT:
+        raise IntegrationError(
+            f"adaptive run reached the cap of {MAX_RECORDED_ROWS} samples "
+            f"by t={t_reached:.6e} s, short of t_end={cfg.t_end!r} s; "
+            f"raise record_stride (now {cfg.record_stride}) or shorten "
+            "t_end - t_transient")
     if traj.status == kernels.STATUS_STEP_UNDERFLOW:
-        floor = kernels.DOPRI_H_MIN
-        t_reached = traj.times[-1] if len(traj.times) else 0.0
+        floor = call.h_min
         exc = IntegrationError(
             f"t_end={cfg.t_end!r} s is too short for the adaptive pair: its "
             f"first step, t_end * 1e-4, is below the {floor!r} s step floor"

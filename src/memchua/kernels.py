@@ -107,6 +107,7 @@ STATUS_DIVERGED = 2
 STATUS_STEP_UNDERFLOW = 3
 STATUS_STEP_LIMIT = 4
 STATUS_SHADOW_FAIL = 5
+STATUS_ROW_LIMIT = 6
 
 # event kind codes (match the wire order soa_low/soa_high/diverged)
 KIND_SOA_LOW = 0
@@ -117,9 +118,12 @@ KIND_DIVERGED = 2
 # the separation it is pulled back to at each renormalization
 SHADOW_D0 = 1e-8
 
-# the DOPRI5 kernels' step floor (s; _kernels.c writes the same literal): a
-# step size below it ends the run with STATUS_STEP_UNDERFLOW
+# the DOPRI5 kernels' default step floor (s), DopriCall's h_min: a step
+# size below it ends the run with STATUS_STEP_UNDERFLOW
 DOPRI_H_MIN = 1e-15
+
+# the range of the C kernels' int64_t fields
+I64_MIN, I64_MAX = -2**63, 2**63 - 1
 
 # the RK4 calls the C kernel steps at once, one per lane of its vectors
 LANES = 2
@@ -309,7 +313,8 @@ def _rk4_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
 def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
                       v1, v2, il, t_end, t_transient, stride,
                       abs_tol, rel_tol, h0, h_max,
-                      v_min, v_max, v_div, i_div, abort_on_soa, max_steps):
+                      v_min, v_max, v_div, i_div, abort_on_soa, max_steps,
+                      max_rows=I64_MAX, h_min=DOPRI_H_MIN):
     """Adaptive Dormand-Prince 5(4) pair with the standard step controller.
 
     Accepts a step when each component's embedded error estimate is below
@@ -318,7 +323,9 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
     kernel, events past _EV_CAP included, except that a start past the
     divergence ceilings diverges at t=0 (after its window check, and
     unrecorded, like an accepted step past them). Additionally reports step
-    underflow (h < DOPRI_H_MIN) and an iteration cap. Returns a DopriOut.
+    underflow (h < h_min), an iteration cap (max_steps) and a row cap: a
+    sample past the first max_rows ends the run, unrecorded, with
+    STATUS_ROW_LIMIT. Returns a DopriOut.
     """
 
     def f(a, b, c):
@@ -348,8 +355,11 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
 
     rec_count = -1
     if status == STATUS_OK and t_transient <= 0.0:
-        j = _record(times, states, j, 0.0, v1, v2, il)
-        rec_count = 0
+        if max_rows < 1:
+            status = STATUS_ROW_LIMIT
+        else:
+            j = _record(times, states, j, 0.0, v1, v2, il)
+            rec_count = 0
 
     t = 0.0
     h = h0
@@ -362,7 +372,7 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
         if iters > max_steps:
             status = STATUS_STEP_LIMIT
             break
-        if h < DOPRI_H_MIN:
+        if h < h_min:
             status = STATUS_STEP_UNDERFLOW
             break
         if t + h > t_end:
@@ -449,6 +459,9 @@ def _dopri_trajectory(p1, p2, p3, p4, p5, g, gn, c1, c2, l,
             if t >= t_transient:
                 rec_count += 1
                 if rec_count % stride == 0:
+                    if j >= max_rows:
+                        status = STATUS_ROW_LIMIT
+                        break
                     if j == len(times):  # full: double the record
                         times = np.resize(times, 2 * j)
                         states = np.resize(states, (2 * j, 3))
@@ -498,12 +511,11 @@ _C_CACHE = Path(__file__).with_name("__pycache__")
 _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _C_LIBS = ("-lm",)
 _C_BUILD_TIMEOUT_S = 300
-I64_MIN, I64_MAX = -2**63, 2**63 - 1
 # the integer fields of Rk4Call and DopriCall, an int64_t each in the C
 # structs of the same names; every other field is a double
 _C_INTS = frozenset({"n_steps", "rec_start", "stride", "abort_on_soa",
                      "shadow", "renorm_every", "transient_steps",
-                     "max_steps"})
+                     "max_steps", "max_rows"})
 
 
 def _compiler():

@@ -152,6 +152,22 @@ class TestLocalExtremaOracle:
             assert as_bytes(m.local_extrema(t, x)) == as_bytes(
                 extrema_oracle(t, x))
 
+    @pytest.mark.parametrize("t, x", [
+        ([0.0, 1e-200, 2e-200], [0.0, 2.0, 1.0]),
+        ([-math.inf, 1.0, 1.0], [0.0, 2.0, 1.0]),
+        ([0.0, 2.0, 1.0], [0.0, 2.0, 1.0]),
+        ([2.0, 1.0, 0.0], [0.0, 2.0, 1.0])],
+        ids=["denom-underflows", "h3-zero", "a-zero", "vertex-outside"])
+    def test_degenerate_parabolas(self, t, x):
+        # one maximum whose parabola the refinement rejects, so it keeps
+        # its sample: denom = h1 * h3 * (h1 - h3) underflows to 0; h3 = 0
+        # beside an infinite h1 (denom NaN); a = 0; the vertex outside
+        # [h1, h3], which are reversed here
+        with np.errstate(all="ignore"):
+            ex = m.local_extrema(t, x)
+            assert as_bytes(ex) == as_bytes(extrema_oracle(t, x))
+        assert [(e.time, e.value) for e in ex] == [(t[1], 2.0)]
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.3),
            stride=st.integers(1, 20))
@@ -175,6 +191,9 @@ class TestClusterCount:
 
     def test_all_one_group(self):
         assert m.cluster_count([1.0, 1.01, 1.02], 0.05) == 1
+
+    def test_one_value(self):
+        assert m.cluster_count([1.0], 0.05) == 1
 
 
 class TestClassify:
@@ -339,7 +358,7 @@ class TestTrajectoryAndLyapunov:
         # a 2-point sweep: one kernel call steps both points, and each
         # point finds its extrema once
         calls = {"kernel": 0, "extrema": 0}
-        kernel, extrema = kernels.rk4_trajectories, analysis.local_extrema
+        kernel, extrema = kernels.rk4_trajectories, analysis._extrema
 
         def counted_kernel(*args):
             calls["kernel"] += 1
@@ -350,7 +369,7 @@ class TestTrajectoryAndLyapunov:
             return extrema(*args)
 
         monkeypatch.setattr(kernels, "rk4_trajectories", counted_kernel)
-        monkeypatch.setattr(analysis, "local_extrema", counted_extrema)
+        monkeypatch.setattr(analysis, "_extrema", counted_extrema)
         icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
         pts = m.sweep(m.StateTable((ref_state,)), spec, icfg,
                       m.AnalysisConfig(), ref_state.r_prog, ref_state.r_prog,

@@ -998,8 +998,22 @@ class TestRk45Overlap:
         code, summary, err = self.simulate(
             tmp_path, capsys, integration={**RK45, "t_end": 0.001,
                                            "t_transient": 0.0005})
-        assert (code, err) == (0, "")
+        reason = ("no complete renormalization interval after the "
+                  "transient; extend t_end or shrink the renormalization "
+                  "interval")
+        assert (code, err) == (0, f"warning: no exponent: {reason}\n")
         assert summary["lambda1_per_s"] is None
+        assert summary["lyapunov_failure"] == reason
+
+    def test_diverged_exponent_pass_warns(self, tmp_path, capsys):
+        # the exponent pass is RK4 at dt = 1 ms, past the 0.76 ms time
+        # unit, where it diverges; the DOPRI5 record pass does not
+        code, summary, err = self.simulate(
+            tmp_path, capsys, integration={**RK45, "dt": 1.0e-3})
+        reason = "reference trajectory diverged; no exponent"
+        assert (code, err) == (0, f"warning: no exponent: {reason}\n")
+        assert summary["lambda1_per_s"] is None
+        assert summary["lyapunov_failure"] == reason
 
     @pytest.mark.parametrize("overrides, code, err", [
         ({"integration": RK45}, 5, "runtime failure: exponent failed\n"),
@@ -1079,6 +1093,22 @@ class TestRunLimits:
             "runtime failure: t_end=1e-300 s is too short for the adaptive "
             "pair: its first step, t_end * 1e-4, is below the 1e-15 s step "
             "floor\n")
+
+    def test_adaptive_row_cap(self, tmp_path, capsys, monkeypatch):
+        # DOPRI5 cannot count its samples before it runs: it stops at the
+        # cap, and no file of the run is written
+        monkeypatch.setattr(sys.modules["memchua.integrate"],
+                            "MAX_RECORDED_ROWS", 100)
+        cfg = write_config(tmp_path / "c.yaml", integration={
+            **RK45, "record_stride": 1})
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"runtime failure: adaptive run reached the cap of 100 samples "
+            r"by t=\S+ s, short of t_end=0\.02 s; raise record_stride \(now "
+            r"1\) or shorten t_end - t_transient\n", err)
+        assert not list(tmp_path.glob("out/*"))
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_start_past_divergence_bounds(self, tmp_path, capsys, method):

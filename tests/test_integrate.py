@@ -609,13 +609,15 @@ class TestDopriCParity:
     @staticmethod
     def run_both(c_kernels, params, init=(0.1, 0.0, 0.0), t_end=0.02,
                  t_transient=0.0, stride=1, tol=(1e-9, 1e-7), abort=False,
-                 max_steps=20_000_000, div_factor=1e3):
+                 max_steps=20_000_000, div_factor=1e3,
+                 max_rows=kernels.I64_MAX, h_min=kernels.DOPRI_H_MIN):
         d = params.device
         call = kernels.DopriCall(
             *params.kernel_args, *init, t_end, t_transient, stride, *tol,
             min(t_end / 50.0, t_end * 1e-4), t_end / 50.0, d.v_min, d.v_max,
             div_factor * params.voltage_scale,
-            div_factor * params.current_scale, abort, max_steps)
+            div_factor * params.current_scale, abort, max_steps, max_rows,
+            h_min)
         got = c_kernels["dopri_trajectory"](call)
         assert type(got) is kernels.DopriOut
         assert_identical(got, kernels.PURE_KERNELS["dopri_trajectory"](call))
@@ -698,6 +700,35 @@ class TestDopriCParity:
     def test_step_limit(self, c_kernels, designed):
         out = self.run_both(c_kernels, designed.params, max_steps=300)
         assert out.status == kernels.STATUS_STEP_LIMIT
+
+    def test_raised_step_floor(self, c_kernels, designed):
+        # the first step, t_end * 1e-4 = 40 us, clears a 30 us floor that
+        # the controller later has to go below
+        out = self.run_both(c_kernels, designed.params, t_end=0.4,
+                            h_min=3e-5)
+        assert out.status == kernels.STATUS_STEP_UNDERFLOW
+        assert 0.0 < out.times[-1] < 0.01
+
+    @pytest.mark.parametrize("t_end, t_transient, rows", [
+        (0.02, 0.0, 0), (0.02, 0.0, 1), (0.02, 0.0, 400), (0.02, 0.005, 300),
+        (0.06, 0.0, 1300)],
+        ids=["no-row", "first-row", "some-rows", "after-transient",
+             "past-first-buffer"])
+    def test_row_limit(self, c_kernels, designed, t_end, t_transient, rows):
+        # the cap is inclusive: the sample past it ends the run, unrecorded;
+        # a cap of 0 stops the run before its first sample. Past 1024 rows
+        # the C record grows to the cap, not to twice its size
+        full = self.run_both(c_kernels, designed.params, t_end=t_end,
+                             t_transient=t_transient)
+        n = len(full.times)
+        assert full.status == kernels.STATUS_OK and rows < n
+        assert self.run_both(c_kernels, designed.params, t_end=t_end,
+                             t_transient=t_transient,
+                             max_rows=n).status == kernels.STATUS_OK
+        capped = self.run_both(c_kernels, designed.params, t_end=t_end,
+                               t_transient=t_transient, max_rows=rows)
+        assert capped.status == kernels.STATUS_ROW_LIMIT
+        assert np.array_equal(capped.times, full.times[:rows])
 
     @pytest.mark.parametrize("init, abort, status, kinds", [
         ((3000.0, 0.0, 0.0), False, kernels.STATUS_DIVERGED,
@@ -853,6 +884,25 @@ class TestSampleCap:
         monkeypatch.setattr(integrate_mod, "MAX_RECORDED_ROWS", 1000)
         with pytest.raises(IntegrationError, match="1001 samples"):
             m.integrate(designed.params, (0.1, 0.0, 0.0), cfg)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_adaptive_cap_is_inclusive(self, designed, monkeypatch, backend,
+                                       stride):
+        cfg = m.IntegrationConfig(t_end=1e-3, t_transient=0.0,
+                                  record_stride=stride)
+        full = m.integrate_adaptive(designed.params, (0.1, 0.0, 0.0), cfg)
+        n = len(full.times)
+        monkeypatch.setattr(integrate_mod, "MAX_RECORDED_ROWS", n)
+        assert np.array_equal(m.integrate_adaptive(
+            designed.params, (0.1, 0.0, 0.0), cfg).times, full.times)
+        monkeypatch.setattr(integrate_mod, "MAX_RECORDED_ROWS", n - 1)
+        with pytest.raises(IntegrationError) as info:
+            m.integrate_adaptive(designed.params, (0.1, 0.0, 0.0), cfg)
+        message = str(info.value)
+        assert f"the cap of {n - 1} samples" in message
+        assert f"raise record_stride (now {stride})" in message
+        assert "short of t_end=0.001 s" in message
+        assert not hasattr(info.value, "trajectory")
 
 
 class TestStepCap:

@@ -73,8 +73,10 @@ def test_source_compiles_with_warnings_as_errors(tmp_path):
     step would report (-Wpsabi for a vector returned by value, say) fails
     here too."""
     cmd = [CC, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-Wall",
-           "-Wextra", "-Wshadow", "-Werror", "-o", str(tmp_path / "k.so"),
-           str(kernels._C_SOURCE), "-lm"]
+           "-Wextra", "-Wshadow", "-Wconversion", "-Wdouble-promotion",
+           "-Wcast-qual", "-Wstrict-prototypes", "-Wundef", "-Wvla",
+           "-Werror", "-o", str(tmp_path / "k.so"), str(kernels._C_SOURCE),
+           "-lm"]
     proc = subprocess.run(cmd, capture_output=True, encoding="utf-8",
                           timeout=TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
