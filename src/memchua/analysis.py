@@ -243,68 +243,74 @@ class LyapunovResult:
     dimensionless: float    # lambda1 * time_unit
     time_unit: float        # s
     n_intervals: int
-    d0: float
 
 def _lyapunov_result(params: CircuitParams, call: kernels.Rk4Call,
-                     out: kernels.Rk4Out) -> LyapunovResult:
+                     out: kernels.Rk4Out,
+                     renorm_interval: Optional[float] = None) -> LyapunovResult:
     """The exponent from the shadow half of the kernel's `out` for
-    `call`."""
+    `call`, whose renormalization interval is `renorm_interval` (default:
+    the circuit time unit)."""
     if out.lyap_status == kernels.STATUS_DIVERGED:
         raise LyapunovError("reference trajectory diverged; no exponent")
     if out.lyap_status == kernels.STATUS_SHADOW_FAIL:
         raise LyapunovError("shadow separation collapsed or became non-finite")
     if out.n_intervals == 0:
+        interval = (f"{float(renorm_interval)!r} s" if renorm_interval else
+                    f"R*C2 = {params.time_unit:.4g} s")
         raise LyapunovError(
-            "no complete renormalization interval after the transient; "
-            "extend t_end or shrink the renormalization interval")
+            "no complete renormalization interval after the transient (the "
+            f"interval is {interval}); extend t_end or shorten t_transient")
     lam = out.lyap_sum / (out.n_intervals * call.renorm_every * call.dt)
     return LyapunovResult(lambda1=lam, dimensionless=lam * params.time_unit,
                           time_unit=params.time_unit,
-                          n_intervals=out.n_intervals, d0=call.d0)
+                          n_intervals=out.n_intervals)
 
 
 def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
-                     d0: float = kernels.SHADOW_D0,
                      renorm_interval: Optional[float] = None) -> LyapunovResult:
     """Largest exponent by the two-trajectory (shadow) method.
 
-    The shadow starts d0 volts away on v1 and is pulled back to distance d0
-    every renorm_interval (default: the circuit time unit R*C2); the mean
-    log stretch per interval after t_transient is the exponent estimate.
+    The shadow starts kernels.SHADOW_D0 volts away on v1 and is pulled back
+    to that distance every renorm_interval (default: the circuit time unit
+    R*C2); the mean log stretch per interval after t_transient is the
+    exponent estimate. Raises LyapunovError when there is none.
     """
-    call = rk4_call(params, init, cfg, record=False, d0=d0,
+    call = rk4_call(params, init, cfg, record=False, shadow=True,
                     renorm_interval=renorm_interval)
     (out,) = kernels.rk4_trajectories([call])
-    return _lyapunov_result(params, call, out)
+    return _lyapunov_result(params, call, out, renorm_interval)
 
 
 def _fused_result(params: CircuitParams, call: kernels.Rk4Call,
-                  out: kernels.Rk4Out):
+                  out: kernels.Rk4Out,
+                  renorm_interval: Optional[float] = None):
     """trajectory_and_lyapunov's result from the kernel's `out` for
     `call`."""
     traj = trajectory_of(out)
     try:
-        lyap = _lyapunov_result(params, call, out)
-    except LyapunovError:
-        lyap = None
-    return traj, lyap
+        return traj, _lyapunov_result(params, call, out, renorm_interval), None
+    except LyapunovError as exc:
+        return traj, None, exc
 
 
 def trajectory_and_lyapunov(
         params: CircuitParams, init, cfg: IntegrationConfig,
-        d0: float = kernels.SHADOW_D0, renorm_interval: Optional[float] = None,
-) -> Tuple[Trajectory, Optional[LyapunovResult]]:
+        renorm_interval: Optional[float] = None,
+) -> Tuple[Trajectory, Optional[LyapunovResult], Optional[LyapunovError]]:
     """integrate() and largest_lyapunov() from one RK4 pass.
 
     The recorded trajectory is the reference half of the exponent
     estimator, so one kernel call yields both, bit-identical to the two
-    separate calls. The exponent is None when it could not be estimated
-    (the reference diverged, the shadow collapsed, or no interval
-    completed after the transient).
+    separate calls. Returns (trajectory, exponent, error): the exponent is
+    None when it could not be estimated (the reference diverged, the
+    shadow collapsed, or no interval completed after the transient), and
+    the error is then the LyapunovError that largest_lyapunov() would
+    raise; otherwise the error is None.
     """
-    call = rk4_call(params, init, cfg, d0=d0, renorm_interval=renorm_interval)
+    call = rk4_call(params, init, cfg, shadow=True,
+                    renorm_interval=renorm_interval)
     (out,) = kernels.rk4_trajectories([call])
-    return _fused_result(params, call, out)
+    return _fused_result(params, call, out, renorm_interval)
 
 
 def perturb(poly: DevicePoly, sigma: float, seed) -> DevicePoly:
@@ -354,7 +360,6 @@ class _SweepRun(NamedTuple):
     sigma: float
     init: tuple
     ref_params: Optional[CircuitParams]
-    d0: float
 
 
 def _prepare_point(run: _SweepRun, r, seed_k):
@@ -385,12 +390,12 @@ def _prepare_point(run: _SweepRun, r, seed_k):
         except DesignError as exc:
             return _unrun_point(r, seed_k, f"design failure: {exc}")
         params, eqs = report.params, report.equilibria
-    return params, eqs, rk4_call(params, run.init, run.icfg, d0=run.d0)
+    return params, eqs, rk4_call(params, run.init, run.icfg, shadow=True)
 
 
 def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
     """The sweep point at `r` from the kernel's `out` for its `call`."""
-    traj, lyap = _fused_result(params, call, out)
+    traj, lyap, _ = _fused_result(params, call, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
     values = (_extrema(traj.times, traj.v1)[1] if len(traj.times) >= 3
               else np.empty(0))
@@ -416,11 +421,18 @@ def _sweep_points(run: _SweepRun, points):
             else _sweep_point(run, r, seed_k, *p, next(outs))
             for (r, seed_k), p in zip(points, prepared)]
 
+def _cpus():
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else os.cpu_count(), which may be None."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
 def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
           acfg: AnalysisConfig, r_lo: float, r_hi: float, n_points: int,
           mode: str = "fixed", sigma: float = 0.0, seed: int = 0,
           init=(0.1, 0.0, 0.0), reference_r: Optional[float] = None,
-          d0: float = kernels.SHADOW_D0, workers: int = 1) -> list:
+          workers: Optional[int] = None) -> list:
     """Classify the circuit at log-spaced programmed resistances.
 
     In "fixed" mode all circuit components stay at the reference design
@@ -428,15 +440,17 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     recomputes the components per point. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
     worker count. At most `workers` threads of this process run the
-    points, and no more than there are batches of points or CPUs; one runs
-    them on the calling thread. The threads run at once only on the C
-    backend, whose kernel calls (ctypes.CDLL) release the GIL; on the
-    Python backend they take turns. Per-point design failures, resistances
-    so small that the 1/R law overflows a coefficient, variability draws
-    that overflow and fixed-mode points whose Jacobian overflows are
-    recorded as inconclusive, with the cause on SweepPoint.reason, without
-    stopping the sweep; in "fixed" mode a reference design that fails its
-    checks raises DesignError before any point runs.
+    points, and no more than there are batches of points or CPUs that the
+    process may run on (_cpus); one runs them on the calling thread, and
+    None, the default, is every such CPU. The threads run at once only on
+    the C backend, whose kernel calls (ctypes.CDLL) release the GIL; on the
+    Python backend they take turns, so there None means one. Per-point
+    design failures, resistances so small that the 1/R law overflows a
+    coefficient, variability draws that overflow and fixed-mode points
+    whose Jacobian overflows are recorded as inconclusive, with the cause
+    on SweepPoint.reason, without stopping the sweep; in "fixed" mode a
+    reference design that fails its checks raises DesignError before any
+    point runs.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -453,8 +467,7 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
                                     spec).require_ok().params
 
     run = partial(_sweep_points, _SweepRun(table, spec, icfg, acfg, mode,
-                                           sigma, tuple(init), ref_params,
-                                           d0))
+                                           sigma, tuple(init), ref_params))
     points = [(float(r), int(seed) + k)
               for k, r in enumerate(np.geomspace(r_lo, r_hi, n_points))]
     # in batches of kernels.LANES points, which the C kernels step
@@ -463,7 +476,10 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     n = kernels.LANES
     groups = [points[k:k + n] for k in range(0, len(points), n)]
     # more threads than groups would idle, and more than CPUs take turns
-    workers = min(workers, len(groups), os.cpu_count() or 1)
+    cpus = _cpus() or 1
+    if workers is None:
+        workers = cpus if kernels.BACKEND == "c" else 1
+    workers = min(workers, len(groups), cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run, groups))

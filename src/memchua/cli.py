@@ -35,7 +35,7 @@ from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
 from .integrate import (IntegrationConfig, integrate_adaptive, rk4_call,
                         write_events_csv, write_trajectory_csv)
-from .kernels import I64_MAX, SHADOW_D0
+from .kernels import I64_MAX
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -103,7 +103,6 @@ CONFIG_TABLE = {
         lambda v: len(v) == 3 and all(map(math.isfinite, v)),
         "be finite and have 3 entries")),
     "analysis": _fields(AnalysisConfig),
-    "lyapunov": {"d0": Key(float, SHADOW_D0, _FINITE_POSITIVE)},
     "sweep": {
         "mode": Key(str, "fixed", (lambda v: v in ("fixed", "redesign"),
                                    "be fixed|redesign")),
@@ -117,7 +116,8 @@ CONFIG_TABLE = {
         "sigma": Key(float, 0.1, (lambda v: 0 <= v < math.inf,
                                   "be finite and >= 0")),
         "seed": Key(int, 20220926, (lambda v: v >= 0, "be >= 0")),
-        "workers": Key(int, 1, (lambda v: v >= 1, "be >= 1")),
+        # null: every CPU this process may run on (analysis.sweep)
+        "workers": Key(int, None, (lambda v: v >= 1, "be >= 1")),
     },
     "out_dir": Key(str, "out"),
 }
@@ -196,7 +196,6 @@ class RunConfig:
     integration: IntegrationConfig
     initial_state: tuple
     analysis: AnalysisConfig
-    lyap_d0: float
     sweep: dict  # checked, r_lo/r_hi in ohms
     out_dir: str
 
@@ -264,8 +263,7 @@ def load_config(path, overrides=None) -> RunConfig:
         integration=_in_block("integration", IntegrationConfig, **integ),
         initial_state=tuple(cfg["initial_state"]),
         analysis=_in_block("analysis", AnalysisConfig, **cfg["analysis"]),
-        lyap_d0=cfg["lyapunov"]["d0"], sweep={**sw, **bounds},
-        out_dir=cfg["out_dir"])
+        sweep={**sw, **bounds}, out_dir=cfg["out_dir"])
 
 
 def _config_path(args):
@@ -407,15 +405,14 @@ def cmd_simulate(args) -> int:
     stiff = None
     lam = None
     exponent = None
-    no_exponent = None
+    lyap_error = None
     # a C kernel call releases the GIL, so under rk45 the exponent pass
     # runs on a second CPU while this thread records the run and writes
     # its CSVs; leaving the block joins the thread, also on an exception
     with ThreadPoolExecutor(max_workers=1) as pool:
         if rc.method == "rk45":
             exponent = pool.submit(largest_lyapunov, params,
-                                   rc.initial_state, rc.integration,
-                                   d0=rc.lyap_d0)
+                                   rc.initial_state, rc.integration)
             try:
                 traj = integrate_adaptive(params, rc.initial_state,
                                           rc.integration)
@@ -425,9 +422,8 @@ def cmd_simulate(args) -> int:
                     raise
                 stiff = str(exc)
         else:
-            traj, lam = trajectory_and_lyapunov(params, rc.initial_state,
-                                                rc.integration,
-                                                d0=rc.lyap_d0)
+            traj, lam, lyap_error = trajectory_and_lyapunov(
+                params, rc.initial_state, rc.integration)
 
         write_trajectory_csv(out / "trajectory.csv", traj)
         write_events_csv(out / "events.csv", traj)
@@ -435,8 +431,12 @@ def cmd_simulate(args) -> int:
             try:
                 lam = exponent.result()
             except LyapunovError as exc:
-                no_exponent = str(exc)
-                print(f"warning: no exponent: {exc}", file=sys.stderr)
+                lyap_error = exc
+    # under either method, a run that diverged reports the divergence alone
+    no_exponent = (str(lyap_error) if lyap_error is not None
+                   and not traj.diverged else None)
+    if no_exponent:
+        print(f"warning: no exponent: {no_exponent}", file=sys.stderr)
     if traj.events_dropped:
         print(f"warning: {traj.events_dropped} events past the event buffer "
               "cap are missing from events.csv", file=sys.stderr)
@@ -473,7 +473,7 @@ def cmd_sweep(args) -> int:
                    r_lo=sw["r_lo"], r_hi=sw["r_hi"], n_points=sw["n_points"],
                    mode=sw["mode"], sigma=sw["sigma"], seed=sw["seed"],
                    init=rc.initial_state, reference_r=rc.state.r_prog,
-                   d0=rc.lyap_d0, workers=sw["workers"])
+                   workers=sw["workers"])
 
     ok_points = [p for p in points if p.verdict.label != "inconclusive"]
     out = _out_dir(args, rc)

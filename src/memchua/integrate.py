@@ -157,37 +157,34 @@ def trajectory_of(out) -> Trajectory:
 
 
 def rk4_call(params: CircuitParams, init, cfg: IntegrationConfig,
-             record: bool = True, d0: Optional[float] = None,
+             record: bool = True, shadow: bool = False,
              renorm_interval: Optional[float] = None) -> kernels.Rk4Call:
     """The kernels.Rk4Call of a fixed-step run; every RK4 call is built here.
 
-    record=False turns the recorder off, window checks included. A d0 turns
-    on the exponent estimator's shadow, d0 volts off on v1 and pulled back
-    every renorm_interval (default: the circuit time unit); it sums the
-    intervals that start at or after t_transient. Raises ValueError for a
-    d0 that is not finite and positive, and IntegrationError, before
-    anything is allocated, for a recorded run of more than
-    MAX_RECORDED_ROWS samples or a run of more than cfg.max_steps steps
-    (at most 2**63 - 1, the C kernels' int64).
+    record=False turns the recorder off, window checks included. shadow=True
+    turns on the exponent estimator's shadow, kernels.SHADOW_D0 volts off on
+    v1 and pulled back every renorm_interval (default: the circuit time
+    unit); it sums the intervals that start at or after t_transient. Raises
+    IntegrationError, before anything is allocated, for a recorded run of
+    more than MAX_RECORDED_ROWS samples or a run of more than cfg.max_steps
+    steps (at most 2**63 - 1, the C kernels' int64).
     """
     n_steps = _steps_for(cfg.t_end, cfg.dt)
     transient_steps = _steps_for(cfg.t_transient, cfg.dt)
-    shadow = {}
-    if d0 is not None:
-        if not 0 < d0 < math.inf:
-            raise ValueError(f"d0 must be finite and positive, got {d0}")
+    estimator = {}
+    if shadow:
         tau = float(renorm_interval) if renorm_interval else params.time_unit
         # an interval longer than the run completes none, whatever its
         # length, so n_steps + 1 steps stand in for any longer one, an
         # infinite one too
-        shadow = dict(shadow=True, transient_steps=transient_steps, d0=d0,
-                      renorm_every=min(max(1, _steps_for(tau, cfg.dt)),
-                                       n_steps + 1))
+        estimator = dict(shadow=True, transient_steps=transient_steps,
+                         renorm_every=min(max(1, _steps_for(tau, cfg.dt)),
+                                          n_steps + 1))
     call = kernels.Rk4Call(
         *params.kernel_args, dt=cfg.dt, n_steps=n_steps,
         rec_start=transient_steps if record else n_steps + 1,
         stride=cfg.record_stride, **_shared_args(params, init, cfg),
-        **shadow)
+        **estimator)
     if call.rows > MAX_RECORDED_ROWS:
         raise IntegrationError(
             f"run would record {_count(call.rows)} samples, above the cap of "

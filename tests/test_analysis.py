@@ -302,15 +302,19 @@ class TestLargestLyapunov:
         # 1e300 s is 1e306 steps, past the C kernels' int64: an interval
         # longer than the run stands in as n_steps + 1 steps
         cfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
-        call = rk4_call(designed.params, (0.1, 0.0, 0.0), cfg, d0=1e-8,
+        call = rk4_call(designed.params, (0.1, 0.0, 0.0), cfg, shadow=True,
                         renorm_interval=interval)
         assert call.renorm_every == call.n_steps + 1
         with pytest.raises(LyapunovError, match="no complete renormalization"):
             m.largest_lyapunov(designed.params, (0.1, 0.0, 0.0), cfg,
                                renorm_interval=interval)
-        traj, lam = m.trajectory_and_lyapunov(
+        traj, lam, error = m.trajectory_and_lyapunov(
             designed.params, (0.1, 0.0, 0.0), cfg, renorm_interval=interval)
         assert lam is None and len(traj.times) > 0
+        assert str(error) == (
+            "no complete renormalization interval after the transient (the "
+            f"interval is {interval!r} s); extend t_end or shorten "
+            "t_transient")
 
 
 class TestTrajectoryAndLyapunov:
@@ -325,8 +329,9 @@ class TestTrajectoryAndLyapunov:
         warn_cfg = m.IntegrationConfig(t_end=0.01, t_transient=0.0,
                                        record_stride=5)
         abort_cfg = replace(warn_cfg, soa_policy="abort")
-        warn, lam_warn = m.trajectory_and_lyapunov(params, init, warn_cfg)
-        abort, lam_abort = m.trajectory_and_lyapunov(params, init, abort_cfg)
+        warn, lam_warn, _ = m.trajectory_and_lyapunov(params, init, warn_cfg)
+        abort, lam_abort, _ = m.trajectory_and_lyapunov(params, init,
+                                                        abort_cfg)
 
         n = len(abort.times)
         assert np.array_equal(abort.times, warn.times[:n])
@@ -349,8 +354,10 @@ class TestTrajectoryAndLyapunov:
         runaway = m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=1e-6,
                                   g_n=1.46e-4, device=poly)
         cfg = m.IntegrationConfig(t_end=0.05, t_transient=0.0)
-        traj, lam = m.trajectory_and_lyapunov(runaway, (0.1, 0.0, 0.0), cfg)
+        traj, lam, error = m.trajectory_and_lyapunov(runaway, (0.1, 0.0, 0.0),
+                                                     cfg)
         assert traj.diverged and lam is None
+        assert str(error) == "reference trajectory diverged; no exponent"
         assert traj.events[-1].kind == "diverged"
 
     def test_sweep_point_makes_one_kernel_and_one_extrema_call(
@@ -509,11 +516,12 @@ class TestSweep:
         assert run() == expected
         assert seen == batches
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, None])
     def test_parallel_matches_serial(self, ref_state, spec, tmp_path,
                                      monkeypatch, backend, workers):
-        # three pairs, the last a lone point, on up to three threads
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+        # three pairs, the last a lone point, on up to three threads;
+        # None takes every CPU
+        monkeypatch.setattr(analysis, "_cpus", lambda: 4)
         table = m.StateTable((ref_state,))
         icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.005)
         acfg = m.AnalysisConfig()
@@ -529,10 +537,23 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers, n_points, cpus, started", [
         (5000, 5, 2, 2), (5000, 5, 64, 3), (2, 5, 64, 2), (5000, 2, 64, None),
-        (5000, 5, None, None), (1, 5, 64, None)])
+        (5000, 5, None, None), (1, 5, 64, None), (None, 5, 2, 2),
+        (None, 5, 64, 3), (None, 2, 64, None), (None, 5, 1, None)])
     def test_pool_size_is_bounded(self, ref_state, spec, monkeypatch,
                                   workers, n_points, cpus, started):
-        # no more threads than pairs of points or CPUs, and no pool for one
+        # no more threads than pairs of points or CPUs, and no pool for
+        # one; workers=None asks for every CPU
+        pools = self.fake_pools(monkeypatch)
+        monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
+        monkeypatch.setattr(kernels, "BACKEND", "c")
+        pts = self.small_sweep(ref_state, spec, n_points, workers)
+        assert len(pts) == n_points
+        assert pools == ([] if started is None else [started])
+
+    @staticmethod
+    def fake_pools(monkeypatch):
+        """The max_workers of each pool that analysis starts, which runs
+        its tasks on the calling thread."""
         pools = []
 
         class FakePool:
@@ -549,14 +570,32 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(analysis, "ThreadPoolExecutor", FakePool)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        return pools
+
+    @staticmethod
+    def small_sweep(ref_state, spec, n_points, workers):
         table = m.StateTable((ref_state,))
         icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.005)
-        pts = m.sweep(table, spec, icfg, m.AnalysisConfig(),
-                      0.5 * ref_state.r_prog, 1.1 * ref_state.r_prog,
-                      n_points, sigma=0.05, seed=3, workers=workers)
-        assert len(pts) == n_points
-        assert pools == ([] if started is None else [started])
+        return m.sweep(table, spec, icfg, m.AnalysisConfig(),
+                       0.5 * ref_state.r_prog, 1.1 * ref_state.r_prog,
+                       n_points, sigma=0.05, seed=3, workers=workers)
+
+    def test_auto_workers_on_the_python_backend_is_one(
+            self, ref_state, spec, monkeypatch):
+        # its threads would take turns on the GIL
+        pools = self.fake_pools(monkeypatch)
+        monkeypatch.setattr(analysis, "_cpus", lambda: 64)
+        monkeypatch.setattr(kernels, "BACKEND", "python")
+        assert len(self.small_sweep(ref_state, spec, 5, None)) == 5
+        assert pools == []
+
+    def test_cpus_are_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 7)
+        monkeypatch.setattr(analysis.os, "sched_getaffinity",
+                            lambda pid: {0, 3, 5}, raising=False)
+        assert analysis._cpus() == 3
+        monkeypatch.delattr(analysis.os, "sched_getaffinity")
+        assert analysis._cpus() == 7
 
     def test_import_loads_no_process_pool(self):
         # the sweep's workers are threads: a fresh interpreter's import
@@ -596,8 +635,8 @@ class TestSweep:
                 params = m.design_circuit(m.DeviceState(
                     pt.r_prog, state.v_set_mag, state.v_stop, poly),
                     spec).require_ok().params
-            traj, lam = m.trajectory_and_lyapunov(params, (0.1, 0.0, 0.0),
-                                                  icfg)
+            traj, lam, _ = m.trajectory_and_lyapunov(params, (0.1, 0.0, 0.0),
+                                                     icfg)
             values = [e.value for e in m.local_extrema(traj.times, traj.v1)]
             assert pt.extrema.tobytes() == np.array(values).tobytes()
             assert pt.verdict == m.classify(
@@ -653,7 +692,7 @@ class TestSweep:
         tiny_l = replace(designed.params, l=1e-310)
         run = analysis._SweepRun(m.StateTable((ref_state,)), None, icfg,
                                  m.AnalysisConfig(), "fixed", 0.0,
-                                 (0.1, 0.0, 0.0), tiny_l, 1e-8)
+                                 (0.1, 0.0, 0.0), tiny_l)
         (pt,) = analysis._sweep_points(run, [(ref_state.r_prog, 7)])
         assert (pt.verdict.label, pt.seed) == ("inconclusive", 7)
         assert pt.reason.startswith("equilibria: the Jacobian at v1=0.0 V")

@@ -250,7 +250,6 @@ analysis:
   lambda_periodic: 0.02
   fixed_point_tol: 2.0e-4
   min_samples: 40
-lyapunov: {{d0: 1.0e-9}}
 sweep:
   mode: redesign
   r_lo_frac: 0.5
@@ -446,6 +445,24 @@ class TestSimulate:
         summary = read_json(out / "classification.json")
         assert summary["label"] == "double_scroll"
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_missing_exponent_is_reported(self, tmp_path, capsys, method):
+        # 0.7 ms past the transient holds no whole 0.76 ms interval
+        cfg = write_config(tmp_path / "c.yaml", integration={
+            "method": method, "t_end": 0.0017, "t_transient": 0.001,
+            "record_stride": 1})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        reason = ("no complete renormalization interval after the "
+                  "transient (the interval is R*C2 = 0.0007621 s); extend "
+                  "t_end or shorten t_transient")
+        std = capsys.readouterr()
+        assert std.err == f"warning: no exponent: {reason}\n"
+        assert "lambda1*tau=n/a" in std.out
+        summary = read_json(out / "classification.json")
+        assert summary["lambda1_per_s"] is None
+        assert summary["lyapunov_failure"] == reason
+
 
 SMALL_SWEEP = {"n_points": 4, "sigma": 0.05, "seed": 11, "workers": 1,
                "r_lo_frac": 0.4, "r_hi_frac": 1.3}
@@ -581,19 +598,14 @@ class TestSweep:
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("override, error", [
-    ({"lyapunov": {"d0": -1.0}}, "lyapunov.d0 must be finite and > 0"),
-    ({"lyapunov": {"d0": 0.0}}, "lyapunov.d0 must be finite and > 0"),
-    ({"lyapunov": {"d0": float("nan")}}, "lyapunov.d0 must be finite and > 0"),
-    ({"lyapunov": {"d0": float("inf")}}, "lyapunov.d0 must be finite and > 0"),
     ({"initial_state": [float("nan"), 0.0, 0.0]},
      "initial_state must be finite"),
     ({"initial_state": [0.1, float("inf"), 0.0]},
      "initial_state must be finite"),
-], ids=["d0-neg", "d0-zero", "d0-nan", "d0-inf", "init-nan", "init-inf"])
+], ids=["init-nan", "init-inf"])
 def test_bad_start_value_is_parse_error(tmp_path, capsys, command, override,
                                         error):
-    # each once ended in a traceback (exit 1), or for d0 = nan in a run
-    # that reported no exponent
+    # each once ended in a traceback (exit 1)
     cfg = write_config(tmp_path / "c.yaml", integration=SHORT_INTEGRATION,
                        sweep=SMALL_SWEEP, **override)
     out = tmp_path / "out"
@@ -612,7 +624,6 @@ NUMERIC_KEYS = (
     + [("integration", k) for k in cli.CONFIG_TABLE["integration"]
        if k not in ("method", "soa_policy")]
     + [("analysis", k) for k in cli.CONFIG_TABLE["analysis"]]
-    + [("lyapunov", "d0")]
     + [("sweep", k) for k in cli.CONFIG_TABLE["sweep"] if k != "mode"]
     + [("components", k) for k in COMPONENTS])
 INTEGER_KEYS = {"record_stride", "max_periodic_clusters", "min_samples",
@@ -696,6 +707,8 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
     # every key a config gives is checked, whether or not the run reads it
     ({"components": {**COMPONENTS, "foo": 1.0}},
      "unknown key config.components.foo"),
+    # the shadow's offset is kernels.SHADOW_D0, no longer a key
+    ({"lyapunov": {"d0": 1e-9}}, "unknown key config.lyapunov"),
     ({"components": {k: v for k, v in COMPONENTS.items() if k != "c2"}},
      "config.components.c2 is required"),
     ({"components": {}}, "config.components.r is required"),
@@ -733,7 +746,7 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
 ], ids=["n-fraction", "stride-fraction", "workers-bool", "schema-bool",
         "v_eq-bool", "out_dir-null", "seed-negative", "workers-zero",
         "stride-huge", "n-huge", "n-huger", "schema-2",
-        "method", "components-extra", "components-missing",
+        "method", "components-extra", "lyapunov-d0", "components-missing",
         "components-empty", "v_set-unread", "r_lo_frac-unread",
         "r_lo_frac-negative", "coefficients-short", "init-short",
         "r_lo-zero", "block-list", "integration", "analysis", "design",
@@ -790,7 +803,6 @@ def test_defaults_are_the_library_defaults():
     assert rc.spec == m.DesignSpec()
     assert rc.integration == m.IntegrationConfig()
     assert rc.analysis == m.AnalysisConfig()
-    assert rc.lyap_d0 == kernels.SHADOW_D0
     device = cli._DEFAULTS["device"]
     assert (device["v_set"], device["v_stop"]) == (
         m.device.REFERENCE_V_SET, m.device.REFERENCE_V_STOP)
@@ -948,7 +960,7 @@ class TestRk45Overlap:
         params, eqs = cli._resolve_circuit(rc)
         traj = integrate_adaptive(params, rc.initial_state, rc.integration)
         lam = analysis.largest_lyapunov(params, rc.initial_state,
-                                        rc.integration, d0=rc.lyap_d0)
+                                        rc.integration)
         verdict = analysis.classify(traj, eqs, rc.analysis,
                                     lambda1=lam.lambda1,
                                     time_unit=params.time_unit)
@@ -999,8 +1011,8 @@ class TestRk45Overlap:
             tmp_path, capsys, integration={**RK45, "t_end": 0.001,
                                            "t_transient": 0.0005})
         reason = ("no complete renormalization interval after the "
-                  "transient; extend t_end or shrink the renormalization "
-                  "interval")
+                  "transient (the interval is R*C2 = 0.0007621 s); extend "
+                  "t_end or shorten t_transient")
         assert (code, err) == (0, f"warning: no exponent: {reason}\n")
         assert summary["lambda1_per_s"] is None
         assert summary["lyapunov_failure"] == reason
@@ -1181,7 +1193,7 @@ class TestOutOfRange:
            overrides=st.dictionaries(
                st.sampled_from([("design", "v_eq"), ("design", "c1"),
                                 ("design", "alpha"), ("design", "beta"),
-                                ("device", "r_prog"), ("lyapunov", "d0"),
+                                ("device", "r_prog"),
                                 ("sweep", "r_lo"), ("sweep", "r_hi")]),
                st.one_of(st.floats(5e-324, 1e300), st.floats(
                    -323.3, 300.0).map(lambda e: 10.0 ** e)),
