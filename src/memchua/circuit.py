@@ -8,8 +8,9 @@ the origin they are real roots of the deflated quartic
 
     q(v) = p5 v^4 + p4 v^3 + p3 v^2 + p2 v + (p1 + g - g_n).
 
-The quartic's roots come from np.roots and the spectra from
-np.linalg.eigvals of the 3x3 Jacobian.
+The quartic's roots come from np.roots. Every equilibrium's 3x3 Jacobian
+goes into one stack, whose spectra come from one np.linalg.eigvals call
+and whose stability verdicts come from one numpy pass over them.
 """
 
 import math
@@ -119,16 +120,22 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
-    """An equilibrium with its spectrum. v2 is 0 and iL = -g*v1 exactly."""
+    """An equilibrium with its spectrum and the spectrum's stability
+    verdict, classify_stability(eigenvalues). v2 is 0 and iL = -g*v1
+    exactly."""
 
     state: StateVector
     # "P0", else "P+"/"P-" numbered outward from the origin on each side:
     # "P+", "P+2", "P+3", ...
     label: str
     eigenvalues: tuple
-    stable: bool
+    verdict: StabilityVerdict
     in_window: bool
     residual: float
+
+    @property
+    def stable(self) -> bool:
+        return not self.verdict.unstable
 
 def classify_stability(eq_or_eigs) -> StabilityVerdict:
     """Instability check with tolerance 1e-9 relative to the spectral radius.
@@ -152,6 +159,26 @@ def classify_stability(eq_or_eigs) -> StabilityVerdict:
                     and (real_eig.real < 0) != (pair_a.real < 0))
     return StabilityVerdict(unstable=unstable, saddle_focus=saddle_focus,
                             max_real_part=float(np.max(eigs.real)))
+
+def _stability_verdicts(eigs):
+    """classify_stability of each row of an (n, 3) spectrum stack, in one
+    numpy pass; each verdict equals the per-row call's bit for bit."""
+    eigs = np.asarray(eigs, dtype=complex)
+    tol = 1e-9 * np.abs(eigs).max(axis=1)
+    unstable = (eigs.real > tol[:, None]).any(axis=1)
+    # before the reordering below: the max of 0.0 and -0.0 is the later one
+    max_real = eigs.real.max(axis=1)
+
+    # columns: the eigenvalue nearest the real axis, then the pair
+    order = np.abs(eigs.imag).argsort(axis=1)
+    eigs = eigs[np.arange(len(eigs))[:, None], order]
+    im, re = np.abs(eigs.imag), eigs.real
+    saddle_focus = ((im[:, 0] <= tol) & (im[:, 1] > tol) & (im[:, 2] > tol)
+                    & (np.abs(re[:, 0]) > tol) & (np.abs(re[:, 1]) > tol)
+                    & ((re[:, 0] < 0) != (re[:, 1] < 0)))
+    return [StabilityVerdict(unstable=u, saddle_focus=s, max_real_part=x)
+            for u, s, x in zip(unstable.tolist(), saddle_focus.tolist(),
+                               max_real.tolist())]
 
 _ORIGIN_MERGE = 1e-9
 # same-sign roots closer than this fraction of the window width are one
@@ -206,29 +233,33 @@ def find_equilibria(params: CircuitParams) -> list:
         else:
             groups.append([v])
 
-    def make_point(v, label):
-        v = float(v)
-        jac = jacobian(params, (v, 0.0, 0.0))
-        if not np.isfinite(jac).all():
-            raise ValueError(f"the Jacobian at v1={v!r} V is not finite: "
-                             "the circuit's rates overflow")
-        eigs = np.linalg.eigvals(jac)
-        return EquilibriumPoint(
-            state=StateVector(v, 0.0, -params.g * v),
-            label=label,
-            eigenvalues=tuple(complex(x) for x in eigs),
-            stable=not classify_stability(eigs).unstable,
-            in_window=bool(d.v_min <= v <= d.v_max),
-            residual=float(abs(_equilibrium_residual(params, v))),
-        )
-
     # min keeps the first of equal residuals, the lowest v1
     picked = [min(group, key=lambda u: abs(_equilibrium_residual(params, u)))
               for group in groups]
-    points = [make_point(0.0, "P0")]
+    vs, labels = [0.0], ["P0"]
     for sign, side in (("-", [v for v in reversed(picked) if v < 0]),
                        ("+", [v for v in picked if v > 0])):
         for k, v in enumerate(side, 1):  # nearest the origin first
-            points.append(make_point(v, f"P{sign}{k if k > 1 else ''}"))
+            vs.append(float(v))
+            labels.append(f"P{sign}{k if k > 1 else ''}")
+
+    jacs = np.array([jacobian(params, (v, 0.0, 0.0)) for v in vs])
+    finite = np.isfinite(jacs).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"the Jacobian at v1={vs[int(np.argmin(finite))]!r} "
+                         "V is not finite: the circuit's rates overflow")
+    # the stack's spectra come back real only when all of them are real;
+    # complex() of each value, as each point's own call was converted
+    eigs = np.linalg.eigvals(jacs).astype(complex, copy=False)
+
+    points = [EquilibriumPoint(
+                  state=StateVector(v, 0.0, -params.g * v),
+                  label=label,
+                  eigenvalues=tuple(row),
+                  verdict=verdict,
+                  in_window=bool(d.v_min <= v <= d.v_max),
+                  residual=float(abs(_equilibrium_residual(params, v))))
+              for v, label, row, verdict
+              in zip(vs, labels, eigs.tolist(), _stability_verdicts(eigs))]
     points.sort(key=lambda p: p.state.v1)
     return points

@@ -302,9 +302,10 @@ def _json_default(obj):
 
 
 def _write_json(path, payload):
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _report_dict(report):

@@ -16,8 +16,8 @@ and both off-origin voltages inside the device safe window.
 import math
 from dataclasses import dataclass, field
 
-from .circuit import (CircuitParams, classify_stability, existence_condition,
-                      find_equilibria, jacobian_trace)
+from .circuit import (CircuitParams, existence_condition, find_equilibria,
+                      jacobian_trace)
 from .device import DevicePoly, DeviceState, eval_current
 from .errors import DesignError
 
@@ -150,11 +150,10 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
         "three-equilibria", len(eqs) == 3, value=float(len(eqs)),
         note="origin plus both off-origin points"))
 
-    stabilities = [classify_stability(e) for e in eqs]
     checks.append(DesignCheck(
         "all-unstable",
-        bool(stabilities) and all(s.unstable for s in stabilities),
-        value=min((s.max_real_part for s in stabilities), default=math.nan),
+        bool(eqs) and all(e.verdict.unstable for e in eqs),
+        value=min((e.verdict.max_real_part for e in eqs), default=math.nan),
         note="min over equilibria of max Re(eigenvalue)"))
 
     off = [e for e in eqs if e.label != "P0"]

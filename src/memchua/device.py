@@ -13,6 +13,8 @@ follow the single-reference 1/R scaling law.
 import csv
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -150,10 +152,12 @@ def fit_poly(samples: Sequence[IVSample], window) -> FitResult:
 
     Only samples with v inside [window[0], window[1]] participate. Requires
     at least five distinct nonzero voltages among them; raises FitError
-    otherwise, or when the design matrix is numerically rank deficient.
+    otherwise, when the design matrix is numerically rank deficient or
+    past the float range, or when a residual overflows.
     """
     v_lo, v_hi = float(window[0]), float(window[1])
-    arr = np.asarray([(s[0], s[1]) for s in samples], dtype=float)
+    arr = np.fromiter(chain.from_iterable(map(itemgetter(0, 1), samples)),
+                      dtype=float, count=2 * len(samples)).reshape(-1, 2)
     if arr.size == 0:
         raise FitError("no samples supplied")
     if not np.isfinite(arr).all():
@@ -167,20 +171,29 @@ def fit_poly(samples: Sequence[IVSample], window) -> FitResult:
             f"underdetermined: {distinct.size} distinct nonzero voltages in "
             f"window, need at least 5")
 
-    basis = np.column_stack([v, v**2, v**3, v**4, v**5])
-    coef, _, rank, sv = np.linalg.lstsq(basis, i, rcond=None)
+    with np.errstate(over="ignore"):
+        basis = np.column_stack([v, v**2, v**3, v**4, v**5])
+    if not np.isfinite(basis).all():
+        raise FitError(f"voltages up to {float(np.max(np.abs(v)))!r} V "
+                       "overflow the quintic basis")
+    try:
+        coef, _, rank, sv = np.linalg.lstsq(basis, i, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"least squares failed: {exc}") from exc
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if rank < 5:
         raise FitError(
             f"singular normal system: rank {rank} < 5, condition {condition:.3e}")
 
-    res = i - basis @ coef
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = i - basis @ coef
+        rms = float(np.sqrt(np.mean(res**2)))
+        worst = float(np.max(np.abs(res))) if res.size else 0.0
+    if not (math.isfinite(rms) and math.isfinite(worst)):
+        raise FitError(f"residuals overflow: rms {rms!r} A, max {worst!r} A")
     poly = DevicePoly(*coef, v_min=v_lo, v_max=v_hi)
-    return FitResult(poly=poly,
-                     rms_residual=float(np.sqrt(np.mean(res**2))),
-                     max_residual=float(np.max(np.abs(res))) if res.size else 0.0,
-                     condition=condition,
-                     n_samples=int(v.size))
+    return FitResult(poly=poly, rms_residual=rms, max_residual=worst,
+                     condition=condition, n_samples=int(v.size))
 
 
 def resistance_at_low_bias(poly: DevicePoly, v_probe: float = 0.1) -> float:
@@ -258,7 +271,7 @@ def _csv_rows(path, header):
                 raise InputFormatError(
                     f"expected header {','.join(header)}", line=1)
             for ln, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
+                if not "".join(row).strip():
                     continue
                 if len(row) != len(header):
                     raise InputFormatError(

@@ -15,7 +15,15 @@ from memchua import analysis, kernels
 from memchua.errors import LyapunovError
 from memchua.integrate import rk4_call
 
-from extrema_oracle import local_extrema as extrema_oracle
+import extrema_oracle as _extrema_oracle
+
+
+def extrema_oracle(t, x):
+    """tests/extrema_oracle.py's extrema, under the errstate that
+    analysis._extrema runs in: a degenerate parabola may overflow or divide
+    0 by 0 in its vertex, which is then rejected."""
+    with np.errstate(all="ignore"):
+        return _extrema_oracle.local_extrema(t, x)
 
 
 @pytest.fixture(scope="module")

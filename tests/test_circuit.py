@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import memchua as m
+from memchua import circuit
 
+import equilibria_oracle
 from conftest import bisect_equilibrium
 
 
@@ -239,6 +243,32 @@ class TestStability:
                                         1e200 - 1e200j))
         assert verdict.unstable and verdict.saddle_focus
 
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.sampled_from(
+               [0.0, -0.0, 1e-300, -1e-12, 1.0, -1.0, 1e200, -1e200,
+                math.inf, math.nan]), min_size=6, max_size=30)
+           .map(lambda xs: xs[:len(xs) // 6 * 6]),
+           real=st.booleans())
+    @example(parts=[0.0, -0.0, -1.0, 2.0, 1.0, 0.0], real=False)
+    def test_batch_verdicts_match_classify_stability(self, parts, real):
+        # ties, signed zeros, infinities and NaNs among the spectra; a
+        # verdict's max_real_part compared by its bits. The max of 0.0 and
+        # -0.0 is the later of the two, so the example's max is -0.0 in
+        # the spectrum's order and 0.0 sorted by |imag|
+        x = np.array(parts).reshape(-1, 2, 3)
+        eigs = x[:, 0].copy()
+        if not real:
+            eigs = eigs.astype(complex)
+            eigs.imag = x[:, 1]
+
+        def bits(v):
+            return (v.unstable, v.saddle_focus,
+                    np.float64(v.max_real_part).tobytes())
+
+        got = circuit._stability_verdicts(eigs)
+        want = [m.classify_stability(row) for row in eigs]
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
     def test_overflowing_rate_raises(self, designed):
         # 1/l overflows, so the Jacobian has no spectrum
         tiny_l = m.CircuitParams(c1=1e-8, c2=1e-7, l=1e-310,
@@ -279,3 +309,137 @@ class TestEquilibriumProperties:
             mags = np.abs(eigs)
             assert abs(eigs.sum() - np.trace(jac)) <= 1e-9 * mags.sum()
             assert abs(eigs.prod() - np.linalg.det(jac)) <= 1e-9 * mags.prod()
+
+
+def point_bits(eq):
+    """Everything find_equilibria reports of a point, floats as their bits."""
+    return (eq.label, np.array(eq.state).tobytes(),
+            np.array(eq.eigenvalues, dtype=complex).tobytes(), eq.stable,
+            eq.in_window, np.float64(eq.residual).tobytes())
+
+
+def check_bits(checks):
+    return [(name, passed, np.float64(value).tobytes())
+            for name, passed, value in checks]
+
+
+def assert_matches_oracle(params):
+    points = m.find_equilibria(params)
+    oracle = equilibria_oracle.find_equilibria(params)
+    assert [point_bits(e) for e in points] == [point_bits(e) for e in oracle]
+    # each point carries the verdict classify_stability gives its spectrum
+    for e in points:
+        assert e.verdict == m.classify_stability(e)
+    return points
+
+
+def quartic_circuit(real_roots, pair, p5, l):
+    """A circuit whose deflated quartic is p5 times the product of
+    (v - r) over `real_roots` and, for each missing pair of them, the
+    complex pair pair[0] +- 1j*pair[1]."""
+    roots = list(real_roots)
+    while len(roots) < 4:
+        roots += [complex(*pair), complex(pair[0], -pair[1])]
+    _, p4, p3, p2, c0 = p5 * np.real(np.poly(roots))
+    g, g_n = 1e-4, 1.1e-4
+    poly = m.DevicePoly(c0 - g + g_n, p2, p3, p4, p5, v_min=-1.2, v_max=2.6)
+    return m.CircuitParams(c1=1e-8, c2=1e-7, l=l, g=g, g_n=g_n, device=poly)
+
+
+class TestEquilibriaOracle:
+    """find_equilibria's stacked spectra and verdicts against the per-point
+    loop kept in tests/equilibria_oracle.py: the same points, eigenvalues
+    and residuals bit for bit, and design_circuit's checks against the
+    checks as that loop's points gave them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1),
+           v_eq=st.floats(0.05, 1.19), c1=st.floats(1e-10, 1e-6),
+           alpha=st.floats(0.5, 30.0), beta=st.floats(0.5, 50.0))
+    def test_designs(self, ref_state, sigma, seed, v_eq, c1, alpha, beta):
+        poly = m.perturb(ref_state.poly, sigma, seed)
+        state = m.DeviceState(ref_state.r_prog, ref_state.v_set_mag,
+                              ref_state.v_stop, poly)
+        spec = m.DesignSpec(v_eq=v_eq, c1=c1, alpha=alpha, beta=beta)
+        try:
+            report = m.design_circuit(state, spec)
+        except m.DesignError:
+            assume(False)
+        points = assert_matches_oracle(report.params)
+        assert list(report.equilibria) == points
+        expected = equilibria_oracle.design_checks(
+            report.params, spec,
+            equilibria_oracle.find_equilibria(report.params))
+        assert check_bits((c.name, c.passed, c.value)
+                          for c in report.checks) == check_bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(real_roots=st.sampled_from([0, 2, 4]).flatmap(
+               lambda n: st.lists(st.floats(-1.6, 3.0), min_size=n,
+                                  max_size=n)),
+           pair=st.tuples(st.floats(-2.0, 2.0), st.floats(1e-3, 2.0)),
+           p5=st.floats(1e-7, 1e-4) | st.floats(-1e-4, -1e-7),
+           log_l=st.floats(-3.0, 6.0))
+    def test_circuits(self, real_roots, pair, p5, log_l):
+        # up to two equilibria on each side, inside and outside the window,
+        # with complex and with all-real spectra (a large l decouples the
+        # inductor)
+        assert_matches_oracle(quartic_circuit(real_roots, pair, p5,
+                                              0.41 * 10.0 ** log_l))
+
+    @pytest.mark.parametrize("l, kinds", [(2.0, ["C", "R", "C"]),
+                                          (6.0, ["R", "R", "R"])],
+                             ids=["mixed", "all-real"])
+    def test_real_spectra(self, l, kinds):
+        # one stacked call returns a real array only when every spectrum is
+        # real; a real spectrum among complex ones keeps +0.0 imaginary parts
+        params = odd_cubic_params(1e-4, g_n=1e-4 + 8.1e-6)
+        params = m.CircuitParams(c1=params.c1, c2=params.c2, l=l, g=params.g,
+                                 g_n=params.g_n, device=params.device)
+        points = assert_matches_oracle(params)
+        assert ["R" if all(z.imag == 0.0 for z in e.eigenvalues) else "C"
+                for e in points] == kinds
+
+    def test_lossless_lc(self, lc_params):
+        # zero real parts, whose signs the verdicts' max must keep
+        assert_matches_oracle(lc_params)
+
+    @pytest.mark.parametrize("p3, c1, l, g_n, v1", [
+        (1e-5, 1e-8, 1e-310, 1.1e-4, "0.0"),  # 1/l overflows at every point
+        # equilibria at +-1 V, where the slope overflows its rate
+        (1e300, 6e-9, 0.41, 1e300, "-1.0"),
+    ], ids=["origin", "off-origin"])
+    def test_overflowing_jacobian(self, p3, c1, l, g_n, v1):
+        poly = m.DevicePoly(0.0, 0.0, p3, 0.0, 0.0, v_min=-1.2, v_max=2.6)
+        params = m.CircuitParams(c1=c1, c2=1e-7, l=l, g=1e-4, g_n=g_n,
+                                 device=poly)
+        with pytest.raises(ValueError) as oracle:
+            equilibria_oracle.find_equilibria(params)
+        with pytest.raises(ValueError) as got:
+            m.find_equilibria(params)
+        assert str(got.value) == str(oracle.value)
+        assert str(got.value).startswith(f"the Jacobian at v1={v1} V ")
+
+    def test_one_eigvals_call_and_no_stability_pass_in_design(
+            self, ref_state, spec, monkeypatch):
+        # the reference design: one eigvals call for its three equilibria,
+        # and design_circuit reads their verdicts instead of classifying
+        # them again
+        calls = {"eigvals": 0, "classify_stability": 0}
+        eigvals, classify = np.linalg.eigvals, circuit.classify_stability
+
+        def counted_eigvals(*args):
+            calls["eigvals"] += 1
+            return eigvals(*args)
+
+        def counted_classify(*args):
+            calls["classify_stability"] += 1
+            return classify(*args)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        for module in (circuit, m.design):
+            monkeypatch.setattr(module, "classify_stability",
+                                counted_classify, raising=False)
+        report = m.design_circuit(ref_state, spec)
+        assert len(report.equilibria) == 3
+        assert calls == {"eigvals": 1, "classify_stability": 0}

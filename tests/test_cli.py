@@ -102,6 +102,48 @@ class TestFit:
         assert capsys.readouterr().err.splitlines() == [
             f"input error: {iv} is not UTF-8 text (invalid start byte)"]
 
+    def test_overflowing_voltages_are_fit_failure(self, tmp_path, capfd):
+        # v**5 overflows: the fit refuses its basis before LAPACK sees it
+        voltages = np.linspace(-1.05e62, 2.55e62, 50)
+        iv = tmp_path / "iv.csv"
+        m.save_iv_csv(iv, [m.IVSample(float(v), 1e-6 * float(v))
+                           for v in voltages if v != 0])
+        out = tmp_path / "out"
+        rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1e62",
+                       "--v-stop", "3e62", "--out", str(out)])
+        assert rc == 3
+        assert capfd.readouterr().err == (
+            "fit failure: voltages up to 2.55e+62 V overflow the quintic "
+            "basis\n")
+        assert not out.exists()
+
+    def test_lstsq_failure_is_fit_failure(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fails)
+        with pytest.raises(m.FitError,
+                           match="least squares failed: SVD did not converge"):
+            m.fit_poly(make_samples(REF_COEFFS, [0.5, 1.0, 1.5, 2.0, -1.0]),
+                       (-1.08, 2.6))
+
+    def test_overflowing_residuals_are_fit_failure(self, tmp_path, capfd):
+        # the fit itself is finite, but its squared residuals overflow, so
+        # the rms would be written as Infinity, which is not JSON
+        iv = tmp_path / "iv.csv"
+        voltages = np.linspace(-1.05, 2.55, 50)
+        m.save_iv_csv(iv, [m.IVSample(float(v), 1e300 * float(v) ** 3)
+                           for v in voltages if v != 0])
+        out = tmp_path / "out"
+        rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
+                       "--v-stop", "2.6", "--out", str(out)])
+        assert rc == 3
+        err = capfd.readouterr().err
+        assert err.startswith("fit failure: residuals overflow: rms inf A, "
+                              "max ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, must", [
         (["--v-set", "-1.2"], "--v-set must be finite and > 0, got -1.2"),
         (["--v-set", "nan"], "--v-set must be finite and > 0, got nan"),
