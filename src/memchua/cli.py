@@ -45,6 +45,7 @@ EXIT_RUNTIME = 5
 
 CONFIG_ENV_VAR = "MEMCHUA_CONFIG"
 SCHEMA_VERSION = 1
+SWEEP_SPAN = {"r_lo": 0.3, "r_hi": 1.5}  # an unset bound, times r_prog
 
 # libyaml's loader where PyYAML was built with it; both use the same safe
 # constructor and resolver, so they yield the same values
@@ -106,9 +107,7 @@ CONFIG_TABLE = {
     "sweep": {
         "mode": Key(str, "fixed", (lambda v: v in ("fixed", "redesign"),
                                    "be fixed|redesign")),
-        "r_lo_frac": Key(float, 0.3, _FINITE_POSITIVE),
-        "r_hi_frac": Key(float, 1.5, _FINITE_POSITIVE),
-        "r_lo": Key(float, None),  # ohm; unset: r_lo_frac * r_prog
+        "r_lo": Key(float, None),  # ohm; unset: SWEEP_SPAN * r_prog
         "r_hi": Key(float, None),
         # each point keeps its extrema until the CSV is written
         "n_points": Key(int, 32, (lambda v: 1 <= v <= 100_000,
@@ -249,8 +248,7 @@ def load_config(path, overrides=None) -> RunConfig:
     integ = dict(cfg["integration"])
     method = integ.pop("method")
     sw = cfg["sweep"]
-    # an unset bound is its fraction of the programmed state
-    bounds = {end: sw[f"{end}_frac"] * state.r_prog if sw[end] is None
+    bounds = {end: SWEEP_SPAN[end] * state.r_prog if sw[end] is None
               else sw[end] for end in ("r_lo", "r_hi")}
     if not 0 < bounds["r_lo"] <= bounds["r_hi"] < math.inf:
         raise InputFormatError(

@@ -23,6 +23,7 @@ from .errors import FitError, InputFormatError
 
 IV_HEADER = ["voltage_V", "current_A"]
 STATE_HEADER = ["r_prog_ohm", "v_set_V", "v_stop_V", "p1", "p2", "p3", "p4", "p5"]
+R_PROBE_V = 0.1  # V; a state's r_prog is v/i at this voltage
 
 # rows formatted per write in write_csv: about 6 MB of strings for four
 # float columns, whatever the row count
@@ -81,7 +82,7 @@ class DevicePoly:
 class DeviceState:
     """A programmed high-resistance state.
 
-    r_prog is the resistance measured at 0.1 V (ohms); v_set_mag the
+    r_prog is the resistance v/i at R_PROBE_V, 0.1 V (ohms); v_set_mag the
     magnitude of the negative switching threshold; v_stop the maximum
     programming sweep voltage. The polynomial window must equal
     [-v_set_mag, v_stop].
@@ -93,8 +94,9 @@ class DeviceState:
     poly: DevicePoly
 
     def __post_init__(self):
-        if not (self.r_prog > 0 and self.v_set_mag > 0 and self.v_stop > 0):
-            raise ValueError("r_prog, v_set_mag and v_stop must be positive")
+        # a window straddles zero: the check below makes v_set_mag, v_stop > 0
+        if not 0 < self.r_prog < math.inf:
+            raise ValueError(f"r_prog must be finite and > 0, got {self.r_prog}")
         if self.poly.v_min != -self.v_set_mag or self.poly.v_max != self.v_stop:
             raise ValueError("polynomial window must equal [-v_set_mag, v_stop]")
 
@@ -196,12 +198,15 @@ def fit_poly(samples: Sequence[IVSample], window) -> FitResult:
                      condition=condition, n_samples=int(v.size))
 
 
-def resistance_at_low_bias(poly: DevicePoly, v_probe: float = 0.1) -> float:
-    """Resistance v/i at the probe voltage, the r_prog measurement convention."""
-    i = eval_current(poly, v_probe)
+def resistance_at_low_bias(poly: DevicePoly) -> float:
+    """Resistance v/i at R_PROBE_V, the r_prog measurement convention;
+    FitError unless it is positive and finite."""
+    i = eval_current(poly, R_PROBE_V)
     if i <= 0:
-        raise FitError(f"nonpositive current {i:.3e} A at {v_probe} V probe")
-    return v_probe / i
+        raise FitError(f"nonpositive current {i:.3e} A at {R_PROBE_V} V probe")
+    if R_PROBE_V / i == math.inf:
+        raise FitError(f"v/i overflows: {i:.3e} A at {R_PROBE_V} V probe")
+    return R_PROBE_V / i
 
 
 def state_at(table: StateTable, r_prog: float) -> DeviceState:

@@ -699,15 +699,12 @@ def _prune_cache(keep):
     effort.
 
     Each is an earlier build, for another source or other flags. Builds for
-    another compiler or machine stay, for the interpreters that use them,
-    but one-hash names (``_kernels-<hash>.so``) all go: they predate the
-    toolchain part, so their source is gone. A process that has one loaded
-    keeps using it after the unlink; a concurrent builder's temporary file
-    matches neither pattern.
+    another compiler or machine stay, for the interpreters that use them. A
+    process that has one loaded keeps using it after the unlink; a
+    concurrent builder's temporary file does not match the pattern.
     """
     toolchain = keep.name.split("-")[1]
-    for stale in (*_C_CACHE.glob(f"_kernels-{toolchain}-*.so"),
-                  *_C_CACHE.glob("_kernels-" + "[0-9a-f]" * 16 + ".so")):
+    for stale in _C_CACHE.glob(f"_kernels-{toolchain}-*.so"):
         if stale != keep:
             try:
                 stale.unlink()

@@ -38,6 +38,8 @@ def write_config(path, **overrides):
 
 
 SHORT_INTEGRATION = {"t_end": 0.05, "t_transient": 0.01}
+# the programmed resistance of the default state, the reference state
+REF_R = m.reference_state().r_prog
 
 # alpha = 1 sizes a circuit whose equilibria are not all unstable
 FAILED_DESIGN = {"alpha": 1.0}
@@ -144,6 +146,23 @@ class TestFit:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e-318])
+    def test_subnormal_probe_current_is_fit_failure(self, tmp_path, capfd,
+                                                    scale):
+        # the fit is finite, but 0.1 V over its probe current overflows, so
+        # the card's r_prog_ohm would be inf
+        iv = tmp_path / "iv.csv"
+        voltages = np.linspace(-1.05, 2.55, 50)
+        m.save_iv_csv(iv, [m.IVSample(float(v), scale * float(v))
+                           for v in voltages])
+        out = tmp_path / "out"
+        rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
+                       "--v-stop", "2.6", "--out", str(out)])
+        assert rc == 3
+        err = capfd.readouterr().err
+        assert err.startswith("fit failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, must", [
         (["--v-set", "-1.2"], "--v-set must be finite and > 0, got -1.2"),
         (["--v-set", "nan"], "--v-set must be finite and > 0, got nan"),
@@ -196,6 +215,33 @@ class TestDesign:
         rc = cli.main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 4
         assert "infeasible-G" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p1, error", [
+        (-1e-6, "fit failure: nonpositive current -1.000e-07 A at 0.1 V "
+                "probe"),
+        (1e-310, "fit failure: v/i overflows: 1.000e-311 A at 0.1 V probe"),
+    ], ids=["negative", "subnormal"])
+    def test_coefficients_without_resistance_are_fit_failure(
+            self, tmp_path, capsys, p1, error):
+        cfg = write_config(tmp_path / "c.yaml",
+                           device={"coefficients": [p1, 0, 0, 0, 0]})
+        out = tmp_path / "o"
+        assert cli.main(["design", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not out.exists()
+
+    def test_infinite_table_resistance_names_its_line(self, tmp_path, capsys):
+        table = tmp_path / "states.csv"
+        table.write_text(
+            "r_prog_ohm,v_set_V,v_stop_V,p1,p2,p3,p4,p5\n"
+            "inf,1.2,2.6,1e-06,0.0,0.0,0.0,0.0\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "c.yaml",
+                           device={"table_csv": str(table)})
+        out = tmp_path / "o"
+        assert cli.main(["design", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: r_prog must be finite and > 0, got inf (line 2)"]
+        assert not out.exists()
 
     def test_unknown_config_key_is_parse_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", desing={"v_eq": 0.9})
@@ -294,8 +340,6 @@ analysis:
   min_samples: 40
 sweep:
   mode: redesign
-  r_lo_frac: 0.5
-  r_hi_frac: 1.2
   r_lo: 2.0e+5
   r_hi: ~
   n_points: 8
@@ -365,6 +409,7 @@ class TestYamlLoaders:
         rc = configs[0]
         assert rc.spec.c1 == 2e-8 and rc.integration.soa_policy == "abort"
         assert rc.sweep["r_lo"] == 2e5 and rc.out_dir == "results"
+        assert rc.sweep["r_hi"] == 1.5 * 3e5
 
 
 class TestEquilibria:
@@ -507,7 +552,7 @@ class TestSimulate:
 
 
 SMALL_SWEEP = {"n_points": 4, "sigma": 0.05, "seed": 11, "workers": 1,
-               "r_lo_frac": 0.4, "r_hi_frac": 1.3}
+               "r_lo": 0.4 * REF_R, "r_hi": 1.3 * REF_R}
 
 
 class TestSweep:
@@ -515,8 +560,8 @@ class TestSweep:
         cfg = write_config(
             tmp_path / "c.yaml",
             integration=SHORT_INTEGRATION,
-            sweep={"n_points": 1, "sigma": 0.0, "r_lo_frac": 1.0,
-                   "r_hi_frac": 1.0})
+            sweep={"n_points": 1, "sigma": 0.0, "r_lo": REF_R,
+                   "r_hi": REF_R})
         sweep_out = tmp_path / "sw"
         sim_out = tmp_path / "sim"
         assert cli.main(["sweep", "--config", cfg, "--out", str(sweep_out)]) == 0
@@ -586,7 +631,7 @@ class TestSweep:
             integration={"t_end": 0.01, "t_transient": 0.005,
                          "soa_policy": "abort"},
             sweep={**SMALL_SWEEP, "n_points": 1, "sigma": 0.0,
-                   "r_lo_frac": 2.0, "r_hi_frac": 2.0})
+                   "r_lo": 2.0 * REF_R, "r_hi": 2.0 * REF_R})
         rc = cli.main(["sweep", "--config", cfg, "--out",
                        str(tmp_path / "out")])
         assert rc == 5
@@ -756,10 +801,9 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
     ({"components": {}}, "config.components.r is required"),
     ({"device": {"v_set": "two"}},
      "config.device.v_set: expected a number, got 'two'"),
-    ({"sweep": {"r_lo": 2.0e5, "r_lo_frac": "x"}},
-     "config.sweep.r_lo_frac: expected a number, got 'x'"),
-    ({"sweep": {"r_lo": 2.0e5, "r_lo_frac": -1.0}},
-     "config.sweep.r_lo_frac must be finite and > 0, got -1.0"),
+    # the sweep range is set in ohms only
+    ({"sweep": {"r_lo_frac": 0.5}}, "unknown key config.sweep.r_lo_frac"),
+    ({"sweep": {"r_hi_frac": 1.2}}, "unknown key config.sweep.r_hi_frac"),
     ({"device": {"coefficients": [1e-6, 0.0, 0.0]}},
      "config.device.coefficients must have 5 entries, got [1e-06, 0.0, 0.0]"),
     ({"initial_state": [0.1, 0.0]},
@@ -789,8 +833,8 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
         "v_eq-bool", "out_dir-null", "seed-negative", "workers-zero",
         "stride-huge", "n-huge", "n-huger", "schema-2",
         "method", "components-extra", "lyapunov-d0", "components-missing",
-        "components-empty", "v_set-unread", "r_lo_frac-unread",
-        "r_lo_frac-negative", "coefficients-short", "init-short",
+        "components-empty", "v_set-unread", "r_lo_frac-unknown",
+        "r_hi_frac-unknown", "coefficients-short", "init-short",
         "r_lo-zero", "block-list", "integration", "analysis", "design",
         "device", "components", "dt-huge", "dt-past-t_end"])
 def test_rejected_config_names_its_key(tmp_path, capsys, overrides, error):
@@ -851,6 +895,25 @@ def test_defaults_are_the_library_defaults():
     # the defaults pass the table's own conversions and checks
     assert cli._convert(cli.CONFIG_TABLE, cli._DEFAULTS,
                         cli._DEFAULTS) == cli._DEFAULTS
+
+
+def test_unset_sweep_bounds_span_the_programmed_state(tmp_path):
+    # the reference state, and a card fitted to a device of half its
+    # resistance
+    iv, out = tmp_path / "iv.csv", tmp_path / "fit"
+    m.save_iv_csv(iv, make_samples([2 * c for c in REF_COEFFS],
+                                   np.linspace(-1.05, 2.55, 50)))
+    assert cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
+                     "--v-stop", "2.6", "--out", str(out)]) == 0
+    ref = cli.load_config(None)
+    fitted = cli.load_config(None, {"device": {
+        "table_csv": str(out / "device_card.csv")}})
+    assert ref.state.r_prog == REF_R
+    assert fitted.state.r_prog == pytest.approx(REF_R / 2, rel=1e-6)
+    for rc in (ref, fitted):
+        r_prog = rc.state.r_prog
+        assert (rc.sweep["r_lo"], rc.sweep["r_hi"]) == (0.3 * r_prog,
+                                                        1.5 * r_prog)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -917,7 +980,8 @@ class TestPinnedOutputs:
             tmp_path / "c.yaml",
             integration={"t_end": 0.02, "t_transient": 0.005},
             sweep={"mode": "fixed", "n_points": 3, "sigma": 0.1, "seed": 5,
-                   "workers": 1, "r_lo_frac": 0.4, "r_hi_frac": 1.3})
+                   "workers": 1, "r_lo": 0.4 * REF_R,
+                   "r_hi": 1.3 * REF_R})
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert sha256(out / "bifurcation.csv") == (

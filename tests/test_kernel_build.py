@@ -158,10 +158,8 @@ def test_build_removes_stale_libraries(tmp_path):
     cache = root / "memchua" / "__pycache__"
     cache.mkdir()
     toolchain = kernels._library_path(CC, b"").name.split("-")[1]
-    # an earlier build for this toolchain, and one named before the cache
-    # name had a toolchain part
-    stale = [cache / f"_kernels-{toolchain}-0000000000000000.so",
-             cache / "_kernels-0000000000000000.so"]
+    # an earlier build for this toolchain
+    stale = [cache / f"_kernels-{toolchain}-0000000000000000.so"]
     # a build for another compiler or machine sharing the tree, and another
     # builder's library, not yet renamed into place
     kept = [cache / "_kernels-ffffffffffffffff-0000000000000000.so",
