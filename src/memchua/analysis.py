@@ -59,6 +59,13 @@ class TrajectoryClass:
                 "n_extrema_clusters": self.n_extrema_clusters}
 
 @dataclass(frozen=True)
+class LyapunovResult:
+    lambda1: float          # 1/s
+    dimensionless: float    # lambda1 * time_unit
+    time_unit: float        # s
+    n_intervals: int
+
+@dataclass(frozen=True)
 class AnalysisConfig:
     """Thresholds of the trajectory taxonomy.
 
@@ -163,8 +170,7 @@ def _distances(states, eq_state, w):
     return np.maximum(dv1, np.maximum(dv2, dil))
 
 def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
-             lambda1: Optional[float] = None,
-             time_unit: Optional[float] = None,
+             lyapunov: Optional[LyapunovResult] = None,
              extrema=None) -> TrajectoryClass:
     """Sort a (transient-free) trajectory into the five-way taxonomy.
 
@@ -174,17 +180,16 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     chaotic, double- or single-scroll by which off-origin neighborhoods
     were visited. Distances mix units as volts via the iL = -g*v1 scale.
 
-    When lambda1 is None the exponent condition is skipped (only the
-    cluster count decides periodicity); when given, time_unit must be
-    given too. A run that diverged is labelled so however few samples it
-    kept; others with fewer than min_samples samples, or too few extrema
-    to characterize, come back inconclusive. `extrema`, when given, must
-    be the array of extremum values of traj.v1, _extrema(traj.times,
-    traj.v1)[1]; it saves computing them again.
+    When lyapunov is None the exponent condition is skipped (only the
+    cluster count decides periodicity); when given, its dimensionless
+    exponent decides, and its lambda1 is the verdict's. A run that diverged
+    is labelled so however few samples it kept; others with fewer than
+    min_samples samples, or too few extrema to characterize, come back
+    inconclusive. `extrema`, when given, must be the array of extremum
+    values of traj.v1, _extrema(traj.times, traj.v1)[1]; it saves computing
+    them again.
     """
-    if lambda1 is not None and time_unit is None:
-        raise ValueError("time_unit is required when lambda1 is given")
-
+    lambda1 = lyapunov.lambda1 if lyapunov is not None else None
     if traj.diverged or any(ev.kind == "diverged" for ev in traj.events):
         return TrajectoryClass(Label.DIVERGED, Side.NONE, lambda1, 0)
 
@@ -228,74 +233,54 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     span = float(np.max(traj.v1) - np.min(traj.v1))
     ncl = cluster_count(values, cfg.cluster_tol_fraction * max(span, 1e-30))
 
-    lam_ok = True
-    if lambda1 is not None:
-        lam_ok = lambda1 * time_unit < cfg.lambda_periodic
+    lam_ok = (lyapunov is None
+              or lyapunov.dimensionless < cfg.lambda_periodic)
     if ncl <= cfg.max_periodic_clusters and lam_ok:
         return TrajectoryClass(Label.PERIODIC, side, lambda1, ncl)
 
     label = Label.DOUBLE_SCROLL if side == Side.BOTH else Label.SINGLE_SCROLL
     return TrajectoryClass(label, side, lambda1, ncl)
 
-@dataclass(frozen=True)
-class LyapunovResult:
-    lambda1: float          # 1/s
-    dimensionless: float    # lambda1 * time_unit
-    time_unit: float        # s
-    n_intervals: int
-
-def _lyapunov_result(params: CircuitParams, call: kernels.Rk4Call,
-                     out: kernels.Rk4Out,
-                     renorm_interval: Optional[float] = None) -> LyapunovResult:
-    """The exponent from the shadow half of the kernel's `out` for
-    `call`, whose renormalization interval is `renorm_interval` (default:
-    the circuit time unit)."""
+def _lyapunov(params: CircuitParams, call: kernels.Rk4Call,
+              out: kernels.Rk4Out):
+    """The exponent from the shadow half of the kernel's `out` for `call`:
+    (LyapunovResult, None), or (None, the LyapunovError that says why there
+    is none)."""
     if out.lyap_status == kernels.STATUS_DIVERGED:
-        raise LyapunovError("reference trajectory diverged; no exponent")
+        return None, LyapunovError("reference trajectory diverged; no exponent")
     if out.lyap_status == kernels.STATUS_SHADOW_FAIL:
-        raise LyapunovError("shadow separation collapsed or became non-finite")
+        return None, LyapunovError(
+            "shadow separation collapsed or became non-finite")
     if out.n_intervals == 0:
-        interval = (f"{float(renorm_interval)!r} s" if renorm_interval else
-                    f"R*C2 = {params.time_unit:.4g} s")
-        raise LyapunovError(
+        return None, LyapunovError(
             "no complete renormalization interval after the transient (the "
-            f"interval is {interval}); extend t_end or shorten t_transient")
+            f"interval is R*C2 = {params.time_unit:.4g} s); extend t_end or "
+            "shorten t_transient")
     lam = out.lyap_sum / (out.n_intervals * call.renorm_every * call.dt)
     return LyapunovResult(lambda1=lam, dimensionless=lam * params.time_unit,
                           time_unit=params.time_unit,
-                          n_intervals=out.n_intervals)
+                          n_intervals=out.n_intervals), None
 
 
-def largest_lyapunov(params: CircuitParams, init, cfg: IntegrationConfig,
-                     renorm_interval: Optional[float] = None) -> LyapunovResult:
+def largest_lyapunov(params: CircuitParams, init,
+                     cfg: IntegrationConfig) -> LyapunovResult:
     """Largest exponent by the two-trajectory (shadow) method.
 
     The shadow starts kernels.SHADOW_D0 volts away on v1 and is pulled back
-    to that distance every renorm_interval (default: the circuit time unit
-    R*C2); the mean log stretch per interval after t_transient is the
-    exponent estimate. Raises LyapunovError when there is none.
+    to that distance every circuit time unit R*C2; the mean log stretch per
+    interval after t_transient is the exponent estimate. Raises
+    LyapunovError when there is none.
     """
-    call = rk4_call(params, init, cfg, record=False, shadow=True,
-                    renorm_interval=renorm_interval)
+    call = rk4_call(params, init, cfg, record=False, shadow=True)
     (out,) = kernels.rk4_trajectories([call])
-    return _lyapunov_result(params, call, out, renorm_interval)
-
-
-def _fused_result(params: CircuitParams, call: kernels.Rk4Call,
-                  out: kernels.Rk4Out,
-                  renorm_interval: Optional[float] = None):
-    """trajectory_and_lyapunov's result from the kernel's `out` for
-    `call`."""
-    traj = trajectory_of(out)
-    try:
-        return traj, _lyapunov_result(params, call, out, renorm_interval), None
-    except LyapunovError as exc:
-        return traj, None, exc
+    lyap, error = _lyapunov(params, call, out)
+    if error is not None:
+        raise error
+    return lyap
 
 
 def trajectory_and_lyapunov(
         params: CircuitParams, init, cfg: IntegrationConfig,
-        renorm_interval: Optional[float] = None,
 ) -> Tuple[Trajectory, Optional[LyapunovResult], Optional[LyapunovError]]:
     """integrate() and largest_lyapunov() from one RK4 pass.
 
@@ -307,10 +292,9 @@ def trajectory_and_lyapunov(
     the error is then the LyapunovError that largest_lyapunov() would
     raise; otherwise the error is None.
     """
-    call = rk4_call(params, init, cfg, shadow=True,
-                    renorm_interval=renorm_interval)
+    call = rk4_call(params, init, cfg, shadow=True)
     (out,) = kernels.rk4_trajectories([call])
-    return _fused_result(params, call, out, renorm_interval)
+    return (trajectory_of(out), *_lyapunov(params, call, out))
 
 
 def perturb(poly: DevicePoly, sigma: float, seed) -> DevicePoly:
@@ -359,7 +343,7 @@ class _SweepRun(NamedTuple):
     mode: str
     sigma: float
     init: tuple
-    ref_params: Optional[CircuitParams]
+    reference: Optional[CircuitParams]  # fixed mode's circuit
 
 
 def _prepare_point(run: _SweepRun, r, seed_k):
@@ -377,7 +361,7 @@ def _prepare_point(run: _SweepRun, r, seed_k):
                             f"perturbed coefficients not finite: {exc}")
 
     if run.mode == "fixed":
-        params = replace(run.ref_params, device=poly)
+        params = replace(run.reference, device=poly)
         try:
             eqs = find_equilibria(params)
         except ValueError as exc:
@@ -395,13 +379,12 @@ def _prepare_point(run: _SweepRun, r, seed_k):
 
 def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
     """The sweep point at `r` from the kernel's `out` for its `call`."""
-    traj, lyap, _ = _fused_result(params, call, out)
+    traj = trajectory_of(out)
+    lyap, _ = _lyapunov(params, call, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
     values = (_extrema(traj.times, traj.v1)[1] if len(traj.times) >= 3
               else np.empty(0))
-    verdict = classify(traj, eqs, run.acfg,
-                       lambda1=lyap.lambda1 if lyap else None,
-                       time_unit=params.time_unit, extrema=values)
+    verdict = classify(traj, eqs, run.acfg, lyap, values)
     reason = None
     if verdict.label == Label.INCONCLUSIVE:
         reason = ("record stopped at the first window crossing "
@@ -431,13 +414,14 @@ def _cpus():
 def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
           acfg: AnalysisConfig, r_lo: float, r_hi: float, n_points: int,
           mode: str = "fixed", sigma: float = 0.0, seed: int = 0,
-          init=(0.1, 0.0, 0.0), reference_r: Optional[float] = None,
+          init=(0.1, 0.0, 0.0), reference: Optional[CircuitParams] = None,
           workers: Optional[int] = None) -> list:
     """Classify the circuit at log-spaced programmed resistances.
 
-    In "fixed" mode all circuit components stay at the reference design
-    (the bench experiment: only the device is reprogrammed); "redesign"
-    recomputes the components per point. Point k uses seed + k for its
+    In "fixed" mode all circuit components stay at those of `reference`
+    (the bench experiment: only the device is reprogrammed), by default the
+    design at the table's highest row; "redesign" recomputes the components
+    per point and reads no `reference`. Point k uses seed + k for its
     variability draw, so results are reproducible and independent of
     worker count. At most `workers` threads of this process run the
     points, and no more than there are batches of points or CPUs that the
@@ -449,8 +433,8 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     coefficient, variability draws that overflow and fixed-mode points
     whose Jacobian overflows are recorded as inconclusive, with the cause
     on SweepPoint.reason, without stopping the sweep; in "fixed" mode a
-    reference design that fails its checks raises DesignError before any
-    point runs.
+    default reference design that fails its checks raises DesignError
+    before any point runs.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -459,15 +443,11 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     if mode not in ("fixed", "redesign"):
         raise ValueError(f"unknown sweep mode {mode!r}")
 
-    ref_params = None
-    if mode == "fixed":
-        ref_r = (reference_r if reference_r is not None
-                 else table.states[-1].r_prog)
-        ref_params = design_circuit(state_at(table, ref_r),
-                                    spec).require_ok().params
+    if mode == "fixed" and reference is None:
+        reference = design_circuit(table.states[-1], spec).require_ok().params
 
     run = partial(_sweep_points, _SweepRun(table, spec, icfg, acfg, mode,
-                                           sigma, tuple(init), ref_params))
+                                           sigma, tuple(init), reference))
     points = [(float(r), int(seed) + k)
               for k, r in enumerate(np.geomspace(r_lo, r_hi, n_points))]
     # in batches of kernels.LANES points, which the C kernels step

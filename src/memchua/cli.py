@@ -254,6 +254,10 @@ def load_config(path, overrides=None) -> RunConfig:
         raise InputFormatError(
             f"config.sweep: needs 0 < r_lo <= r_hi < inf, got "
             f"r_lo={bounds['r_lo']} ohm, r_hi={bounds['r_hi']} ohm")
+    if cfg["components"] and sw["mode"] == "redesign":
+        raise InputFormatError(
+            "config.components: a redesign sweep sizes the circuit at each "
+            "point; drop the block or set sweep.mode to fixed")
     return RunConfig(
         table=table, state=state,
         spec=_in_block("design", DesignSpec, **cfg["design"]),
@@ -440,9 +444,7 @@ def cmd_simulate(args) -> int:
         print(f"warning: {traj.events_dropped} events past the event buffer "
               "cap are missing from events.csv", file=sys.stderr)
 
-    verdict = classify(traj, eqs, rc.analysis,
-                       lambda1=lam.lambda1 if lam else None,
-                       time_unit=params.time_unit)
+    verdict = classify(traj, eqs, rc.analysis, lam)
     summary = verdict.as_dict()
     summary["lambda1_dimensionless"] = lam.dimensionless if lam else None
     summary["n_events"] = len(traj.events)
@@ -468,10 +470,12 @@ def cmd_sweep(args) -> int:
     flags = {k: v for k, v in vars(args).items() if k in CONFIG_TABLE["sweep"]}
     rc = load_config(_config_path(args), {"sweep": flags})
     sw = rc.sweep
+    # a fixed-mode sweep reprograms the device of the run's own circuit
+    reference = _resolve_circuit(rc)[0] if sw["mode"] == "fixed" else None
     points = sweep(rc.table, rc.spec, rc.integration, rc.analysis,
                    r_lo=sw["r_lo"], r_hi=sw["r_hi"], n_points=sw["n_points"],
                    mode=sw["mode"], sigma=sw["sigma"], seed=sw["seed"],
-                   init=rc.initial_state, reference_r=rc.state.r_prog,
+                   init=rc.initial_state, reference=reference,
                    workers=sw["workers"])
 
     ok_points = [p for p in points if p.verdict.label != "inconclusive"]

@@ -310,9 +310,13 @@ def write_csv(path, header, columns):
     holds a comma, a quote or a line break, and the string columns hold
     fixed identifiers without any. Rows are formatted and written
     _CSV_CHUNK_ROWS at a time, so memory use does not grow with the file.
+    Columns of unequal length raise ValueError before the file is opened.
     """
     cols = [np.asarray(c) for c in columns]
-    n = min(map(len, cols), default=0)
+    lengths = [len(c) for c in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    n = lengths[0] if lengths else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, n, _CSV_CHUNK_ROWS):

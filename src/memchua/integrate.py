@@ -11,7 +11,7 @@ crossing. All work is in SI units.
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -157,29 +157,27 @@ def trajectory_of(out) -> Trajectory:
 
 
 def rk4_call(params: CircuitParams, init, cfg: IntegrationConfig,
-             record: bool = True, shadow: bool = False,
-             renorm_interval: Optional[float] = None) -> kernels.Rk4Call:
+             record: bool = True, shadow: bool = False) -> kernels.Rk4Call:
     """The kernels.Rk4Call of a fixed-step run; every RK4 call is built here.
 
     record=False turns the recorder off, window checks included. shadow=True
     turns on the exponent estimator's shadow, kernels.SHADOW_D0 volts off on
-    v1 and pulled back every renorm_interval (default: the circuit time
-    unit); it sums the intervals that start at or after t_transient. Raises
-    IntegrationError, before anything is allocated, for a recorded run of
-    more than MAX_RECORDED_ROWS samples or a run of more than cfg.max_steps
-    steps (at most 2**63 - 1, the C kernels' int64).
+    v1 and pulled back every circuit time unit (R*C2); it sums the intervals
+    that start at or after t_transient. Raises IntegrationError, before
+    anything is allocated, for a recorded run of more than MAX_RECORDED_ROWS
+    samples or a run of more than cfg.max_steps steps (at most 2**63 - 1,
+    the C kernels' int64).
     """
     n_steps = _steps_for(cfg.t_end, cfg.dt)
     transient_steps = _steps_for(cfg.t_transient, cfg.dt)
     estimator = {}
     if shadow:
-        tau = float(renorm_interval) if renorm_interval else params.time_unit
         # an interval longer than the run completes none, whatever its
         # length, so n_steps + 1 steps stand in for any longer one, an
-        # infinite one too
+        # infinite one too (R*C2 overflows for r = c2 = 1e300)
+        every = max(1, _steps_for(params.time_unit, cfg.dt))
         estimator = dict(shadow=True, transient_steps=transient_steps,
-                         renorm_every=min(max(1, _steps_for(tau, cfg.dt)),
-                                          n_steps + 1))
+                         renorm_every=min(every, n_steps + 1))
     call = kernels.Rk4Call(
         *params.kernel_args, dt=cfg.dt, n_steps=n_steps,
         rec_start=transient_steps if record else n_steps + 1,

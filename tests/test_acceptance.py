@@ -16,6 +16,7 @@ import pytest
 
 import memchua as m
 from memchua import cli
+from memchua.errors import LyapunovError
 
 from conftest import lc_period
 
@@ -39,7 +40,10 @@ def warm_kernels():
     cfg = m.IntegrationConfig(t_end=1e-4, t_transient=0.0)
     m.integrate(params, (0.1, 0.0, 0.0), cfg)
     m.integrate_adaptive(params, (0.1, 0.0, 0.0), cfg)
-    m.largest_lyapunov(params, (0.1, 0.0, 0.0), cfg, renorm_interval=2e-5)
+    try:
+        m.largest_lyapunov(params, (0.1, 0.0, 0.0), cfg)
+    except LyapunovError:
+        pass  # the horizon is shorter than one renormalization interval
 
 
 @pytest.fixture(scope="module")

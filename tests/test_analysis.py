@@ -207,9 +207,7 @@ class TestClusterCount:
 class TestClassify:
     def test_designed_circuit_is_double_scroll(self, designed, designed_run):
         traj, lam, eqs = designed_run
-        verdict = m.classify(traj, eqs, m.AnalysisConfig(),
-                             lambda1=lam.lambda1,
-                             time_unit=designed.params.time_unit)
+        verdict = m.classify(traj, eqs, m.AnalysisConfig(), lam)
         assert verdict.label == "double_scroll"
         assert verdict.scroll_side == "both"
 
@@ -256,11 +254,6 @@ class TestClassify:
         eqs = m.find_equilibria(runaway)
         assert m.classify(traj, eqs, m.AnalysisConfig()).label == "diverged"
 
-    def test_lambda1_requires_time_unit(self, designed, designed_run):
-        traj, _, eqs = designed_run
-        with pytest.raises(ValueError):
-            m.classify(traj, eqs, m.AnalysisConfig(), lambda1=100.0)
-
     def test_double_scroll_implies_extrema_on_both_sides(self, designed_run):
         traj, lam, eqs = designed_run
         values = np.array([e.value for e in m.local_extrema(traj.times, traj.v1)])
@@ -285,8 +278,7 @@ class TestLargestLyapunov:
         assert abs(lam.dimensionless) < 0.01
         traj = m.integrate(params, (0.1, 0.0, 0.0), cfg)
         verdict = m.classify(traj, m.find_equilibria(params),
-                             m.AnalysisConfig(), lambda1=lam.lambda1,
-                             time_unit=params.time_unit)
+                             m.AnalysisConfig(), lam)
         assert verdict.label == "periodic"
 
     def test_linear_system_matches_eigenvalue(self, linear_params):
@@ -307,22 +299,24 @@ class TestLargestLyapunov:
     @pytest.mark.parametrize("interval", [1e300, math.inf])
     def test_interval_past_the_run_completes_none(self, designed, backend,
                                                   interval):
-        # 1e300 s is 1e306 steps, past the C kernels' int64: an interval
-        # longer than the run stands in as n_steps + 1 steps
+        # R*C2 of 1e300 s is 1e306 steps, past the C kernels' int64: an
+        # interval longer than the run stands in as n_steps + 1 steps
+        params = replace(designed.params, c2=interval * designed.params.g)
+        assert params.time_unit == interval
         cfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
-        call = rk4_call(designed.params, (0.1, 0.0, 0.0), cfg, shadow=True,
-                        renorm_interval=interval)
+        call = rk4_call(params, (0.1, 0.0, 0.0), cfg, shadow=True)
         assert call.renorm_every == call.n_steps + 1
-        with pytest.raises(LyapunovError, match="no complete renormalization"):
-            m.largest_lyapunov(designed.params, (0.1, 0.0, 0.0), cfg,
-                               renorm_interval=interval)
-        traj, lam, error = m.trajectory_and_lyapunov(
-            designed.params, (0.1, 0.0, 0.0), cfg, renorm_interval=interval)
-        assert lam is None and len(traj.times) > 0
-        assert str(error) == (
+        message = (
             "no complete renormalization interval after the transient (the "
-            f"interval is {interval!r} s); extend t_end or shorten "
+            f"interval is R*C2 = {interval:.4g} s); extend t_end or shorten "
             "t_transient")
+        with pytest.raises(LyapunovError) as raised:
+            m.largest_lyapunov(params, (0.1, 0.0, 0.0), cfg)
+        assert str(raised.value) == message
+        traj, lam, error = m.trajectory_and_lyapunov(params, (0.1, 0.0, 0.0),
+                                                     cfg)
+        assert lam is None and len(traj.times) > 0
+        assert str(error) == message
 
 
 class TestTrajectoryAndLyapunov:
@@ -480,8 +474,7 @@ class TestSweep:
         traj = m.integrate(designed.params, (0.1, 0.0, 0.0), icfg)
         lam = m.largest_lyapunov(designed.params, (0.1, 0.0, 0.0), icfg)
         direct = m.classify(traj, m.find_equilibria(designed.params), acfg,
-                            lambda1=lam.lambda1,
-                            time_unit=designed.params.time_unit)
+                            lam)
         assert pts[0].verdict.label == direct.label
         values = np.array([e.value
                            for e in m.local_extrema(traj.times, traj.v1)])
@@ -648,9 +641,7 @@ class TestSweep:
             values = [e.value for e in m.local_extrema(traj.times, traj.v1)]
             assert pt.extrema.tobytes() == np.array(values).tobytes()
             assert pt.verdict == m.classify(
-                traj, m.find_equilibria(params), acfg,
-                lambda1=lam.lambda1 if lam else None,
-                time_unit=params.time_unit)
+                traj, m.find_equilibria(params), acfg, lam)
             assert pt.reason is None
 
     def test_points_ordered_by_resistance(self, ref_state, spec):
@@ -675,8 +666,7 @@ class TestSweep:
         table = m.StateTable.from_states([linear, ref_state])
         icfg, acfg = small_cfgs()
         pts = m.sweep(table, spec, icfg, acfg, linear.r_prog,
-                      ref_state.r_prog, 3, mode="redesign", sigma=0.0,
-                      reference_r=ref_state.r_prog)
+                      ref_state.r_prog, 3, mode="redesign", sigma=0.0)
         labels = [p.verdict.label for p in pts]
         assert labels[0] == "inconclusive"
         assert len(pts) == 3

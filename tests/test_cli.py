@@ -310,7 +310,8 @@ YAML_LOADERS = [yaml.SafeLoader] + (
     [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 # every key of CONFIG_TABLE, written by hand so that both loaders
-# resolve the same plain scalars (1e-8 without a dot is a string to both)
+# resolve the same plain scalars (1e-8 without a dot is a string to both);
+# its components block rules out sweep.mode redesign
 EVERY_KEY_YAML = """\
 schema: 1
 device:
@@ -339,7 +340,7 @@ analysis:
   fixed_point_tol: 2.0e-4
   min_samples: 40
 sweep:
-  mode: redesign
+  mode: fixed
   r_lo: 2.0e+5
   r_hi: ~
   n_points: 8
@@ -409,6 +410,7 @@ class TestYamlLoaders:
         rc = configs[0]
         assert rc.spec.c1 == 2e-8 and rc.integration.soa_policy == "abort"
         assert rc.sweep["r_lo"] == 2e5 and rc.out_dir == "results"
+        assert rc.sweep["mode"] == "fixed" and rc.components["r_n"] == 6856.0
         assert rc.sweep["r_hi"] == 1.5 * 3e5
 
 
@@ -556,12 +558,18 @@ SMALL_SWEEP = {"n_points": 4, "sigma": 0.05, "seed": 11, "workers": 1,
 
 
 class TestSweep:
-    def test_single_point_matches_simulate_extrema(self, tmp_path):
+    @pytest.mark.parametrize("components", [None, {
+        "r": 1000.0, "r_n": 900.0, "l": 0.1, "c1": 1.0e-8, "c2": 1.0e-7}],
+        ids=["designed", "components"])
+    def test_single_point_matches_simulate(self, tmp_path, components):
+        # a fixed-mode sweep runs around the circuit that simulate runs,
+        # the one its explicit components give when there are some
+        blocks = {"components": components} if components else {}
         cfg = write_config(
             tmp_path / "c.yaml",
             integration=SHORT_INTEGRATION,
             sweep={"n_points": 1, "sigma": 0.0, "r_lo": REF_R,
-                   "r_hi": REF_R})
+                   "r_hi": REF_R}, **blocks)
         sweep_out = tmp_path / "sw"
         sim_out = tmp_path / "sim"
         assert cli.main(["sweep", "--config", cfg, "--out", str(sweep_out)]) == 0
@@ -574,6 +582,10 @@ class TestSweep:
         direct = np.array([e.value
                            for e in m.local_extrema(data[:, 0], data[:, 1])])
         assert np.array_equal(sweep_vals, direct)
+        (point,) = read_json(sweep_out / "sweep_summary.json")
+        simulated = read_json(sim_out / "classification.json")
+        assert (point["label"], point["lambda1_per_s"]) == (
+            simulated["label"], simulated["lambda1_per_s"])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml",
@@ -801,6 +813,10 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
     ({"components": {}}, "config.components.r is required"),
     ({"device": {"v_set": "two"}},
      "config.device.v_set: expected a number, got 'two'"),
+    # a redesign sweep sizes its own circuit at each point
+    ({"components": COMPONENTS, "sweep": {"mode": "redesign"}},
+     "config.components: a redesign sweep sizes the circuit at each point; "
+     "drop the block or set sweep.mode to fixed"),
     # the sweep range is set in ohms only
     ({"sweep": {"r_lo_frac": 0.5}}, "unknown key config.sweep.r_lo_frac"),
     ({"sweep": {"r_hi_frac": 1.2}}, "unknown key config.sweep.r_hi_frac"),
@@ -833,7 +849,8 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
         "v_eq-bool", "out_dir-null", "seed-negative", "workers-zero",
         "stride-huge", "n-huge", "n-huger", "schema-2",
         "method", "components-extra", "lyapunov-d0", "components-missing",
-        "components-empty", "v_set-unread", "r_lo_frac-unknown",
+        "components-empty", "v_set-unread", "components-redesign",
+        "r_lo_frac-unknown",
         "r_hi_frac-unknown", "coefficients-short", "init-short",
         "r_lo-zero", "block-list", "integration", "analysis", "design",
         "device", "components", "dt-huge", "dt-past-t_end"])
@@ -1067,9 +1084,7 @@ class TestRk45Overlap:
         traj = integrate_adaptive(params, rc.initial_state, rc.integration)
         lam = analysis.largest_lyapunov(params, rc.initial_state,
                                         rc.integration)
-        verdict = analysis.classify(traj, eqs, rc.analysis,
-                                    lambda1=lam.lambda1,
-                                    time_unit=params.time_unit)
+        verdict = analysis.classify(traj, eqs, rc.analysis, lam)
         cli._write_json(tmp_path / "serial.json", {
             **verdict.as_dict(), "lambda1_dimensionless": lam.dimensionless,
             "n_events": len(traj.events), "n_samples": len(traj.times)})

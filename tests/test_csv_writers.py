@@ -7,6 +7,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,3 +210,15 @@ class TestChunkedWrites:
 
         one, eight = peak_bytes(2000), peak_bytes(16000)
         assert eight < 1.5 * one, (one, eight)
+
+
+def test_unequal_columns_are_refused(tmp_path):
+    # 5 times and 3 state rows once wrote 3 rows and no error
+    traj = random_trajectory(5)
+    short = m.Trajectory(times=traj.times, states=traj.states[:3], events=(),
+                         status=0)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError,
+                       match=r"columns differ in length: \[5, 3, 3, 3\]"):
+        m.write_trajectory_csv(path, short)
+    assert not path.exists()
