@@ -60,10 +60,17 @@ class TrajectoryClass:
 
 @dataclass(frozen=True)
 class LyapunovResult:
-    lambda1: float          # 1/s
-    dimensionless: float    # lambda1 * time_unit
-    time_unit: float        # s
+    """The largest exponent lambda1 (1/s), estimated over n_intervals
+    renormalization intervals of one circuit time unit (s) each."""
+
+    lambda1: float
+    time_unit: float
     n_intervals: int
+
+    @property
+    def dimensionless(self) -> float:
+        """lambda1 * time_unit, the exponent per circuit time unit."""
+        return self.lambda1 * self.time_unit
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -257,8 +264,7 @@ def _lyapunov(params: CircuitParams, call: kernels.Rk4Call,
             f"interval is R*C2 = {params.time_unit:.4g} s); extend t_end or "
             "shorten t_transient")
     lam = out.lyap_sum / (out.n_intervals * call.renorm_every * call.dt)
-    return LyapunovResult(lambda1=lam, dimensionless=lam * params.time_unit,
-                          time_unit=params.time_unit,
+    return LyapunovResult(lambda1=lam, time_unit=params.time_unit,
                           n_intervals=out.n_intervals), None
 
 
@@ -368,9 +374,8 @@ def _prepare_point(run: _SweepRun, r, seed_k):
             return _unrun_point(r, seed_k, f"equilibria: {exc}")
     else:
         try:
-            report = design_circuit(
-                DeviceState(r, state.v_set_mag, state.v_stop, poly),
-                run.spec).require_ok()
+            report = design_circuit(DeviceState(r, poly),
+                                    run.spec).require_ok()
         except DesignError as exc:
             return _unrun_point(r, seed_k, f"design failure: {exc}")
         params, eqs = report.params, report.equilibria

@@ -65,13 +65,13 @@ _FINITE = (math.isfinite, "be finite")
 _NONZERO = (lambda v: v != 0, "be nonzero")
 
 
-def _fields(cls, skip=(), **checks):
-    """The Keys of the fields of the dataclass `cls` but `skip`, in order:
-    each takes its kind from the field's annotation, its default from the
-    field and its check, if any, from `checks`. The class makes its own
-    checks when the block builds it."""
+def _fields(cls, **checks):
+    """The Keys of the fields of the dataclass `cls`, in order: each takes
+    its kind from the field's annotation, its default from the field and
+    its check, if any, from `checks`. The class makes its own checks when
+    the block builds it."""
     return {f.name: Key(f.type, f.default, checks.get(f.name))
-            for f in fields(cls) if f.name not in skip}
+            for f in fields(cls)}
 
 
 # every config key: block -> key -> Key. A check runs on the converted
@@ -96,8 +96,8 @@ CONFIG_TABLE = {
     "integration": {
         "method": Key(str, "rk4", (lambda v: v in ("rk4", "rk45"),
                                    "be rk4|rk45")),
-        # the C kernels count in int64; max_steps stays out of the config
-        **_fields(IntegrationConfig, skip={"max_steps"}, record_stride=(
+        # the C kernels count in int64
+        **_fields(IntegrationConfig, record_stride=(
             lambda v: v <= I64_MAX, "be <= 2**63 - 1")),
     },
     "initial_state": Key(list, [0.1, 0.0, 0.0], (
@@ -213,10 +213,9 @@ def _device(dev):
     if dev["table_csv"]:
         table = load_state_table(dev["table_csv"])
     elif dev["coefficients"] is not None:
-        v_set, v_stop = dev["v_set"], dev["v_stop"]
-        poly = DevicePoly(*dev["coefficients"], v_min=-v_set, v_max=v_stop)
-        table = StateTable((DeviceState(
-            resistance_at_low_bias(poly), v_set, v_stop, poly),))
+        poly = DevicePoly(*dev["coefficients"], v_min=-dev["v_set"],
+                          v_max=dev["v_stop"])
+        table = StateTable((DeviceState(resistance_at_low_bias(poly), poly),))
     else:
         table = reference_table()
     state = (state_at(table, dev["r_prog"]) if dev["r_prog"] is not None
@@ -349,7 +348,7 @@ def cmd_fit(args) -> int:
         raise InputFormatError("I-V file holds no samples", line=2)
     result = fit_poly(samples, (lo, hi))
     poly = DevicePoly(*result.poly.coefficients, v_min=-v_set, v_max=v_stop)
-    state = DeviceState(resistance_at_low_bias(poly), v_set, v_stop, poly)
+    state = DeviceState(resistance_at_low_bias(poly), poly)
 
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
@@ -556,7 +555,8 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FitError as exc:

@@ -50,13 +50,20 @@ class DesignCheck:
 class DesignReport:
     """The sized circuit, its validation checks, and the equilibria that
     the checks were computed from (find_equilibria's points, kept so no
-    caller solves for them again; left out of ==)."""
+    caller solves for them again; left out of ==). The resistances r and
+    r_n (ohms) are read from the conductances of `params`."""
 
     params: CircuitParams
-    r: float
-    r_n: float
     checks: tuple
     equilibria: tuple = field(compare=False)
+
+    @property
+    def r(self) -> float:
+        return 1.0 / self.params.g
+
+    @property
+    def r_n(self) -> float:
+        return 1.0 / self.params.g_n
 
     @property
     def ok(self) -> bool:
@@ -107,8 +114,9 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
 
     Raises DesignError for the two hard preconditions (v_eq outside the
     safe window; linear device) and for sized components that no circuit
-    can have. Validation failures do not raise: they are
-    returned as failed checks so callers can report which one broke.
+    can have, a converter conductance g_n without a finite 1/g_n among
+    them. Validation failures do not raise: they are returned as failed
+    checks so callers can report which one broke.
     """
     if spec.v_eq >= state.v_set_mag:
         raise DesignError(
@@ -121,6 +129,10 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
     try:
         c2, l = design_reactive(spec.c1, g, spec)
         g_n = design_gn(g, spec.c1, c2, poly.p1)
+        if g_n == 0.0 or not math.isfinite(1.0 / g_n):
+            raise DesignError("component-range",
+                              f"the converter conductance g_n={g_n!r} S has "
+                              "no finite resistance 1/g_n")
         params = CircuitParams(c1=spec.c1, c2=c2, l=l, g=g, g_n=g_n,
                                device=poly)
         eqs = find_equilibria(params)
@@ -163,5 +175,5 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
         value=max((abs(e.state.v1) for e in off), default=math.nan),
         note=f"off-origin equilibria inside [{poly.v_min}, {poly.v_max}] V"))
 
-    return DesignReport(params=params, r=1.0 / g, r_n=1.0 / g_n,
-                        checks=tuple(checks), equilibria=tuple(eqs))
+    return DesignReport(params=params, checks=tuple(checks),
+                        equilibria=tuple(eqs))

@@ -12,7 +12,7 @@ follow the single-reference 1/R scaling law.
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -82,23 +82,26 @@ class DevicePoly:
 class DeviceState:
     """A programmed high-resistance state.
 
-    r_prog is the resistance v/i at R_PROBE_V, 0.1 V (ohms); v_set_mag the
-    magnitude of the negative switching threshold; v_stop the maximum
-    programming sweep voltage. The polynomial window must equal
-    [-v_set_mag, v_stop].
+    r_prog is the resistance v/i at R_PROBE_V, 0.1 V (ohms). The state's
+    window is its polynomial's, [-v_set_mag, v_stop]: v_set_mag is the
+    magnitude of the negative switching threshold, v_stop the maximum
+    programming sweep voltage.
     """
 
     r_prog: float
-    v_set_mag: float
-    v_stop: float
     poly: DevicePoly
 
     def __post_init__(self):
-        # a window straddles zero: the check below makes v_set_mag, v_stop > 0
         if not 0 < self.r_prog < math.inf:
             raise ValueError(f"r_prog must be finite and > 0, got {self.r_prog}")
-        if self.poly.v_min != -self.v_set_mag or self.poly.v_max != self.v_stop:
-            raise ValueError("polynomial window must equal [-v_set_mag, v_stop]")
+
+    @property
+    def v_set_mag(self) -> float:
+        return -self.poly.v_min
+
+    @property
+    def v_stop(self) -> float:
+        return self.poly.v_max
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,11 @@ def resistance_at_low_bias(poly: DevicePoly) -> float:
 def state_at(table: StateTable, r_prog: float) -> DeviceState:
     """Programmed state at the requested resistance.
 
-    Exact table rows are returned unchanged. Between rows, coefficients,
-    v_set_mag and v_stop interpolate linearly in log(r_prog). Outside the
-    table range the single nearest row is scaled by r_ref/r_prog (the 1/R
-    law) with v_set_mag and v_stop clamped to that row.
+    Exact table rows are returned unchanged. Between rows, the seven
+    fields of the polynomial (coefficients and window) interpolate
+    linearly in log(r_prog). Outside the table range the single nearest
+    row is scaled by r_ref/r_prog (the 1/R law) and keeps that row's
+    window.
     """
     if not (r_prog > 0 and math.isfinite(r_prog)):
         raise ValueError(f"r_prog must be positive and finite, got {r_prog}")
@@ -229,16 +233,11 @@ def state_at(table: StateTable, r_prog: float) -> DeviceState:
         a, b = states[hi - 1], states[hi]
         w = (math.log(r_prog) - math.log(a.r_prog)) / \
             (math.log(b.r_prog) - math.log(a.r_prog))
-        coef = (1.0 - w) * a.poly.coefficients + w * b.poly.coefficients
-        v_set = (1.0 - w) * a.v_set_mag + w * b.v_set_mag
-        v_stop = (1.0 - w) * a.v_stop + w * b.v_stop
-        poly = DevicePoly(*coef, v_min=-v_set, v_max=v_stop)
-        return DeviceState(r_prog=r_prog, v_set_mag=v_set, v_stop=v_stop, poly=poly)
+        fa, fb = (np.array(astuple(s.poly)) for s in (a, b))
+        return DeviceState(r_prog, DevicePoly(*((1.0 - w) * fa + w * fb)))
 
     ref = states[0] if r_prog < states[0].r_prog else states[-1]
-    poly = ref.poly.scaled(ref.r_prog / r_prog)
-    return DeviceState(r_prog=r_prog, v_set_mag=ref.v_set_mag,
-                       v_stop=ref.v_stop, poly=poly)
+    return DeviceState(r_prog, ref.poly.scaled(ref.r_prog / r_prog))
 
 
 # Bundled characterization of the high-resistance state used by the default
@@ -253,10 +252,7 @@ def reference_state() -> DeviceState:
     """The bundled reference device state (anchor of the default 1/R family)."""
     poly = DevicePoly(*REFERENCE_COEFFICIENTS,
                       v_min=-REFERENCE_V_SET, v_max=REFERENCE_V_STOP)
-    return DeviceState(r_prog=resistance_at_low_bias(poly),
-                       v_set_mag=REFERENCE_V_SET,
-                       v_stop=REFERENCE_V_STOP,
-                       poly=poly)
+    return DeviceState(resistance_at_low_bias(poly), poly)
 
 
 def reference_table() -> StateTable:
@@ -342,8 +338,8 @@ def load_state_table(path) -> StateTable:
         try:
             r, v_set, v_stop = (float(x) for x in row[:3])
             coef = [float(x) for x in row[3:]]
-            poly = DevicePoly(*coef, v_min=-v_set, v_max=v_stop)
-            states.append(DeviceState(r, v_set, v_stop, poly))
+            states.append(DeviceState(
+                r, DevicePoly(*coef, v_min=-v_set, v_max=v_stop)))
         except ValueError as exc:
             raise InputFormatError(str(exc), line=ln) from exc
     if not states:

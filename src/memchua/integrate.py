@@ -34,18 +34,20 @@ DIVERGENCE_FACTOR = 1e3
 # stops at it
 MAX_RECORDED_ROWS = 10_000_000
 
+# cap on the steps of a run: the adaptive controller's iterations, and the
+# t_end / dt steps of a fixed-step run, which is refused before it starts
+MAX_STEPS = 20_000_000
+
 
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Shared configuration for the fixed-step and adaptive integrators.
 
     dt applies to the fixed-step path; abs_tol (applied to every component,
-    volts or amps alike) and rel_tol drive the adaptive controller.
-    max_steps caps the steps of both: the adaptive controller's iterations,
-    and the t_end / dt steps of a fixed-step run, which is refused before
-    it starts. States are recorded every record_stride-th accepted step
-    once past t_transient. A dt longer than t_end is refused: a fixed-step
-    run would step past t_end.
+    volts or amps alike) and rel_tol drive the adaptive controller; the
+    module constant MAX_STEPS caps the steps of both. States are recorded
+    every record_stride-th accepted step once past t_transient. A dt
+    longer than t_end is refused: a fixed-step run would step past t_end.
     """
 
     dt: float = 1e-6
@@ -55,7 +57,6 @@ class IntegrationConfig:
     soa_policy: str = "warn"
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    max_steps: int = 20_000_000
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -73,8 +74,6 @@ class IntegrationConfig:
             raise ValueError(f"unknown soa_policy {self.soa_policy!r}")
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,7 @@ def rk4_call(params: CircuitParams, init, cfg: IntegrationConfig,
     v1 and pulled back every circuit time unit (R*C2); it sums the intervals
     that start at or after t_transient. Raises IntegrationError, before
     anything is allocated, for a recorded run of more than MAX_RECORDED_ROWS
-    samples or a run of more than cfg.max_steps steps (at most 2**63 - 1,
-    the C kernels' int64).
+    samples or a run of more than MAX_STEPS steps.
     """
     n_steps = _steps_for(cfg.t_end, cfg.dt)
     transient_steps = _steps_for(cfg.t_transient, cfg.dt)
@@ -188,11 +186,10 @@ def rk4_call(params: CircuitParams, init, cfg: IntegrationConfig,
             f"run would record {_count(call.rows)} samples, above the cap of "
             f"{MAX_RECORDED_ROWS}; raise record_stride or shorten "
             "t_end - t_transient")
-    max_steps = min(cfg.max_steps, kernels.I64_MAX)
-    if n_steps > max_steps:
+    if n_steps > MAX_STEPS:
         raise IntegrationError(
             f"run would take {_count(n_steps)} RK4 steps, above the cap of "
-            f"{max_steps} (max_steps); raise dt or shorten t_end")
+            f"{MAX_STEPS} (max_steps); raise dt or shorten t_end")
     return call
 
 
@@ -217,7 +214,7 @@ def integrate_adaptive(params: CircuitParams, init,
     call = kernels.DopriCall(
         *params.kernel_args, t_end=cfg.t_end, t_transient=cfg.t_transient,
         stride=cfg.record_stride, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-        h0=h0, h_max=h_max, max_steps=cfg.max_steps,
+        h0=h0, h_max=h_max, max_steps=MAX_STEPS,
         max_rows=MAX_RECORDED_ROWS, **_shared_args(params, init, cfg))
     traj = trajectory_of(kernels.dopri_trajectory(call))
     t_reached = traj.times[-1] if len(traj.times) else 0.0
@@ -239,7 +236,7 @@ def integrate_adaptive(params: CircuitParams, init,
         raise exc
     if traj.status == kernels.STATUS_STEP_LIMIT:
         exc = IntegrationError(
-            f"exceeded max_steps={cfg.max_steps} before reaching t_end")
+            f"exceeded max_steps={MAX_STEPS} before reaching t_end")
         exc.trajectory = traj
         raise exc
     return traj

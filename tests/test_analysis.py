@@ -392,7 +392,7 @@ class TestPythonFloatCoefficients:
     def two_row_table(ref_state):
         poly = m.DevicePoly(*(0.5 * ref_state.poly.coefficients),
                             v_min=-1.1, v_max=2.5)
-        upper = m.DeviceState(2.0 * ref_state.r_prog, 1.1, 2.5, poly)
+        upper = m.DeviceState(2.0 * ref_state.r_prog, poly)
         return m.StateTable.from_states([ref_state, upper])
 
     @settings(max_examples=60, deadline=None)
@@ -416,8 +416,7 @@ class TestPythonFloatCoefficients:
 
         # redesign mode: the components sized around the perturbed device
         try:
-            report = m.design_circuit(
-                m.DeviceState(r, state.v_set_mag, state.v_stop, poly), spec)
+            report = m.design_circuit(m.DeviceState(r, poly), spec)
         except m.DesignError:
             return
         assert all(type(x) is float for x in report.params.kernel_args)
@@ -633,9 +632,8 @@ class TestSweep:
             if mode == "fixed":
                 params = replace(ref, device=poly)
             else:
-                params = m.design_circuit(m.DeviceState(
-                    pt.r_prog, state.v_set_mag, state.v_stop, poly),
-                    spec).require_ok().params
+                params = m.design_circuit(m.DeviceState(pt.r_prog, poly),
+                                          spec).require_ok().params
             traj, lam, _ = m.trajectory_and_lyapunov(params, (0.1, 0.0, 0.0),
                                                      icfg)
             values = [e.value for e in m.local_extrema(traj.times, traj.v1)]
@@ -661,7 +659,7 @@ class TestSweep:
 
     def test_redesign_mode_records_infeasible_points(self, ref_state, spec):
         linear = m.DeviceState(
-            r_prog=ref_state.r_prog / 100, v_set_mag=1.2, v_stop=2.6,
+            r_prog=ref_state.r_prog / 100,
             poly=m.DevicePoly(1e-4, 0, 0, 0, 0, v_min=-1.2, v_max=2.6))
         table = m.StateTable.from_states([linear, ref_state])
         icfg, acfg = small_cfgs()
@@ -673,7 +671,7 @@ class TestSweep:
 
     def test_redesign_failure_keeps_reason(self, ref_state, spec):
         linear = m.DeviceState(
-            r_prog=ref_state.r_prog / 100, v_set_mag=1.2, v_stop=2.6,
+            r_prog=ref_state.r_prog / 100,
             poly=m.DevicePoly(1e-4, 0, 0, 0, 0, v_min=-1.2, v_max=2.6))
         table = m.StateTable.from_states([linear, ref_state])
         icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
@@ -683,6 +681,21 @@ class TestSweep:
         assert pts[0].reason.startswith("design failure: infeasible-G")
         assert pts[1].verdict.label != "inconclusive"
         assert pts[1].reason is None
+
+    def test_redesign_without_converter_resistance_keeps_reason(self, spec):
+        # the converter conductance sizes to exactly 0 at the table's row
+        poly = m.DevicePoly(-1.0, 100.0, 0.0, 0.0, -99.5, v_min=-1.2,
+                            v_max=2.6)
+        state = m.DeviceState(m.resistance_at_low_bias(poly), poly)
+        icfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
+        (pt,) = m.sweep(m.StateTable((state,)),
+                        replace(spec, v_eq=1.0, alpha=1.0), icfg,
+                        m.AnalysisConfig(), state.r_prog, state.r_prog, 1,
+                        mode="redesign")
+        assert pt.verdict.label == "inconclusive"
+        assert pt.reason == (
+            "design failure: component-range: the converter conductance "
+            "g_n=0.0 S has no finite resistance 1/g_n")
 
     def test_point_without_spectrum_keeps_reason(self, ref_state, designed):
         # a fixed-mode point whose Jacobian overflows is recorded, not raised

@@ -290,8 +290,7 @@ class TestEquilibriumProperties:
         poly = m.perturb(ref_state.poly, sigma, seed)
         try:
             report = m.design_circuit(
-                m.DeviceState(ref_state.r_prog, ref_state.v_set_mag,
-                              ref_state.v_stop, poly), spec)
+                m.DeviceState(ref_state.r_prog, poly), spec)
         except m.DesignError:
             assume(False)
         p = report.params
@@ -358,8 +357,7 @@ class TestEquilibriaOracle:
            alpha=st.floats(0.5, 30.0), beta=st.floats(0.5, 50.0))
     def test_designs(self, ref_state, sigma, seed, v_eq, c1, alpha, beta):
         poly = m.perturb(ref_state.poly, sigma, seed)
-        state = m.DeviceState(ref_state.r_prog, ref_state.v_set_mag,
-                              ref_state.v_stop, poly)
+        state = m.DeviceState(ref_state.r_prog, poly)
         spec = m.DesignSpec(v_eq=v_eq, c1=c1, alpha=alpha, beta=beta)
         try:
             report = m.design_circuit(state, spec)

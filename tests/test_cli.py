@@ -715,6 +715,24 @@ def test_bad_start_value_is_parse_error(tmp_path, capsys, command, override,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "design"])
+@pytest.mark.parametrize("below, error", [
+    (False, "File exists"), (True, "Not a directory")],
+    ids=["existing-file", "below-a-file"])
+def test_out_naming_a_file_is_parse_error(tmp_path, capsys, command, below,
+                                          error):
+    # each once ended in a traceback (exit 1)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    out = taken / "sub" if below else taken
+    args = ([command, "--iv", str(TestFit().make_iv(tmp_path)), "--v-set",
+             "1.2", "--v-stop", "2.6"] if command == "fit" else [command])
+    assert cli.main([*args, "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("input error: ") and error in err
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
 COMPONENTS = {"r": 7643.0, "r_n": 6856.0, "l": 0.41, "c1": 1.0e-8,
               "c2": 1.0e-7}
 NUMERIC_KEYS = (
@@ -1110,10 +1128,12 @@ class TestRk45Overlap:
 
     def test_step_limit_keeps_its_failure(self, tmp_path, capsys,
                                           monkeypatch):
-        monkeypatch.setattr(cli, "integrate_adaptive", lambda p, x, cfg: (
-            integrate_adaptive(p, x, dataclasses.replace(cfg, max_steps=300))))
-        code, summary, err = self.simulate(tmp_path, capsys,
-                                           integration=RK45)
+        # the exponent pass takes 200 RK4 steps, under the cap; the tight
+        # tolerance takes DOPRI5 past it
+        monkeypatch.setattr(sys.modules["memchua.integrate"], "MAX_STEPS",
+                            300)
+        code, summary, err = self.simulate(tmp_path, capsys, integration={
+            **RK45, "dt": 1e-4, "rel_tol": 1e-10})
         failure = "exceeded max_steps=300 before reaching t_end"
         assert code == 5
         assert summary["integration_failure"] == failure
@@ -1266,6 +1286,11 @@ class TestRunLimits:
             assert events[2:] == ["0.0,diverged,3000.0"]
 
 
+# a device and design whose converter conductance sizes to exactly 0
+ZERO_GN_DEVICE = {"coefficients": [-1.0, 100.0, 0.0, 0.0, -99.5]}
+ZERO_GN_DESIGN = {"v_eq": 1.0, "alpha": 1.0}
+
+
 class TestOutOfRange:
     """Finite inputs that take a sized component or a step count past the
     float range end with a documented exit code and a one-line message."""
@@ -1284,6 +1309,22 @@ class TestOutOfRange:
         assert err.startswith("design failure: component-range: a sized "
                               "component underflows to 0")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["design", "equilibria", "simulate",
+                                         "sweep"])
+    def test_zero_converter_conductance_exits_4(self, tmp_path, capsys,
+                                                command):
+        # g = 0.5 S and g_n = g + g / alpha + p1 = 0.5 + 0.5 - 1.0 = 0,
+        # which once ended in a traceback (exit 1)
+        cfg = write_config(tmp_path / "c.yaml", device=ZERO_GN_DEVICE,
+                           design=ZERO_GN_DESIGN, integration=self.HORIZON,
+                           sweep={"n_points": 2})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "design failure: component-range: the converter conductance "
+            "g_n=0.0 S has no finite resistance 1/g_n\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, method", [

@@ -105,7 +105,7 @@ def state_lists(draw):
         v_set, v_stop = draw(positive_doubles), draw(positive_doubles)
         coeffs = draw(st.lists(finite_doubles, min_size=5, max_size=5))
         poly = m.DevicePoly(*coeffs, v_min=-v_set, v_max=v_stop)
-        states.append(m.DeviceState(r, v_set, v_stop, poly))
+        states.append(m.DeviceState(r, poly))
     return states
 
 

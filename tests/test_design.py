@@ -84,7 +84,7 @@ class TestDesignCircuit:
 
     def test_linear_device_propagates_infeasible(self, spec):
         poly = m.DevicePoly(1e-6, 0, 0, 0, 0, v_min=-1.2, v_max=2.6)
-        state = m.DeviceState(1e6, 1.2, 2.6, poly)
+        state = m.DeviceState(1e6, poly)
         with pytest.raises(DesignError, match="infeasible-G"):
             m.design_circuit(state, spec)
 
@@ -97,6 +97,17 @@ class TestDesignCircuit:
         state = m.state_at(m.StateTable((ref_state,)), r_prog)
         with pytest.raises(DesignError, match="component-range"):
             m.design_circuit(state, replace(spec, **spec_kw))
+
+    def test_zero_converter_conductance(self, spec):
+        # g = 0.5 S and g_n = g + g / alpha + p1 = 0.5 + 0.5 - 1.0 = 0,
+        # which once raised ZeroDivisionError
+        poly = m.DevicePoly(-1.0, 100.0, 0.0, 0.0, -99.5, v_min=-1.2,
+                            v_max=2.6)
+        state = m.DeviceState(m.resistance_at_low_bias(poly), poly)
+        with pytest.raises(DesignError) as err:
+            m.design_circuit(state, replace(spec, v_eq=1.0, alpha=1.0))
+        assert err.value.check == "component-range"
+        assert "g_n=0.0 S" in str(err.value)
 
     def test_positive_equilibrium_lands_on_target(self, designed, spec):
         eqs = {e.label: e for e in m.find_equilibria(designed.params)}

@@ -1,6 +1,9 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import memchua as m
@@ -113,10 +116,10 @@ class TestStateAt:
 
     def test_log_linear_interpolation_between_rows(self, ref_state):
         low = m.DeviceState(
-            r_prog=1e5, v_set_mag=1.0, v_stop=2.0,
+            r_prog=1e5,
             poly=m.DevicePoly(1e-5, 0, 2e-5, 0, 1e-6, v_min=-1.0, v_max=2.0))
         high = m.DeviceState(
-            r_prog=1e6, v_set_mag=1.4, v_stop=2.6,
+            r_prog=1e6,
             poly=m.DevicePoly(1e-6, 0, 1e-5, 0, 3e-6, v_min=-1.4, v_max=2.6))
         table = m.StateTable((low, high))
         mid = m.state_at(table, 10 ** 5.5)
@@ -183,7 +186,7 @@ class TestCsvIO:
 
     def test_state_table_sorts_rows(self, tmp_path, ref_state):
         other = m.DeviceState(
-            r_prog=ref_state.r_prog / 3, v_set_mag=1.0, v_stop=2.0,
+            r_prog=ref_state.r_prog / 3,
             poly=m.DevicePoly(1e-5, 0, 1e-5, 0, 1e-6, v_min=-1.0, v_max=2.0))
         path = tmp_path / "states.csv"
         m.save_state_table(path, [ref_state, other])
@@ -196,10 +199,6 @@ class TestValidation:
     def test_window_must_straddle_zero(self):
         with pytest.raises(ValueError):
             m.DevicePoly(1e-6, 0, 0, 0, 0, v_min=0.1, v_max=2.0)
-
-    def test_state_window_consistency(self, ref_state):
-        with pytest.raises(ValueError):
-            m.DeviceState(1e5, 1.0, 2.6, ref_state.poly)  # v_set mismatch
 
     def test_table_rejects_duplicate_resistance(self, ref_state):
         with pytest.raises(ValueError):
@@ -228,16 +227,16 @@ def quintics(draw):
 
 
 @st.composite
-def state_tables(draw, coeff=st.floats(-1e3, 1e3)):
-    """1-4 rows with distinct r_prog; the default coefficient range keeps
-    1/R scaling by up to 1e3 finite."""
+def state_tables(draw, coeff=st.floats(-1e3, 1e3), min_rows=1):
+    """min_rows-4 rows with distinct r_prog; the default coefficient range
+    keeps 1/R scaling by up to 1e3 finite."""
     states = []
-    for r in draw(st.lists(st.floats(1e3, 1e8), min_size=1, max_size=4,
-                           unique=True)):
+    for r in draw(st.lists(st.floats(1e3, 1e8), min_size=min_rows,
+                           max_size=4, unique=True)):
         v_set, v_stop = draw(positive), draw(positive)
         poly = m.DevicePoly(*draw(st.lists(coeff, min_size=5, max_size=5)),
                             v_min=-v_set, v_max=v_stop)
-        states.append(m.DeviceState(r, v_set, v_stop, poly))
+        states.append(m.DeviceState(r, poly))
     return m.StateTable.from_states(states)
 
 
@@ -276,6 +275,32 @@ class TestDeviceProperties:
         assert (got.v_set_mag, got.v_stop) == (ref.v_set_mag, ref.v_stop)
         want = ref.poly.coefficients * (ref.r_prog / r)
         assert got.poly.coefficients.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=state_tables(min_rows=2), k=st.integers(0, 2),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_state_at_interpolates_every_field_between_rows(self, table, k,
+                                                            frac):
+        """Each of the seven polynomial fields, window included, is the
+        per-field (1-w)*a + w*b bit for bit, and so are v_set_mag and
+        v_stop."""
+        k %= len(table) - 1
+        a, b = table.states[k], table.states[k + 1]
+        r = math.exp(math.log(a.r_prog)
+                     + frac * (math.log(b.r_prog) - math.log(a.r_prog)))
+        assume(a.r_prog < r < b.r_prog)
+        w = (math.log(r) - math.log(a.r_prog)) / \
+            (math.log(b.r_prog) - math.log(a.r_prog))
+        got = m.state_at(table, r)
+        want = [(1.0 - w) * x + w * y
+                for x, y in zip(astuple(a.poly), astuple(b.poly))]
+        assert got.r_prog == r
+        assert (np.array(astuple(got.poly)).tobytes()
+                == np.array(want).tobytes())
+        window = [(1.0 - w) * a.v_set_mag + w * b.v_set_mag,
+                  (1.0 - w) * a.v_stop + w * b.v_stop]
+        assert (np.array([got.v_set_mag, got.v_stop]).tobytes()
+                == np.array(window).tobytes())
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(finite, finite), max_size=30))

@@ -250,9 +250,10 @@ class TestAdaptive:
             "step, t_end * 1e-4, is below the 1e-15 s step floor")
         assert err.value.trajectory.status == kernels.STATUS_STEP_UNDERFLOW
 
-    def test_iteration_cap_reported(self, designed):
-        cfg = m.IntegrationConfig(t_end=0.5, t_transient=0.0, max_steps=300)
-        with pytest.raises(IntegrationError, match="max_steps"):
+    def test_iteration_cap_reported(self, designed, monkeypatch):
+        monkeypatch.setattr(integrate_mod, "MAX_STEPS", 300)
+        cfg = m.IntegrationConfig(t_end=0.5, t_transient=0.0)
+        with pytest.raises(IntegrationError, match="max_steps=300 "):
             m.integrate_adaptive(designed.params, (0.1, 0.0, 0.0), cfg)
 
 
@@ -906,7 +907,7 @@ class TestSampleCap:
 
 
 class TestStepCap:
-    """A fixed-step run of more than max_steps steps is refused before the
+    """A fixed-step run of more than MAX_STEPS steps is refused before the
     kernel runs, with the recorder on or off."""
 
     @pytest.fixture
@@ -921,11 +922,13 @@ class TestStepCap:
                              ids=["record", "shadow", "both"])
     def test_cap_is_inclusive(self, designed, monkeypatch, run):
         cfg = m.IntegrationConfig(t_end=1e-3, t_transient=0.0,
-                                  record_stride=100, max_steps=1000)
+                                  record_stride=100)
+        monkeypatch.setattr(integrate_mod, "MAX_STEPS", 1000)
         run(designed.params, (0.1, 0.0, 0.0), cfg)
+        monkeypatch.setattr(integrate_mod, "MAX_STEPS", 999)
         with pytest.raises(IntegrationError,
                            match=r"1000 RK4 steps, above the cap of 999 "):
-            run(designed.params, (0.1, 0.0, 0.0), replace(cfg, max_steps=999))
+            run(designed.params, (0.1, 0.0, 0.0), cfg)
 
     @pytest.mark.parametrize("dt, steps, runs", [
         (1e-20, "2000000000000000256", (m.integrate, m.largest_lyapunov)),
