@@ -1,21 +1,20 @@
 """Design and simulation toolkit for a memristor-based Chua oscillator."""
 
-from .analysis import (AnalysisConfig, Extremum, Label, LyapunovResult, Side,
+from .analysis import (AnalysisConfig, Label, LyapunovResult, Side,
                        SweepPoint, TrajectoryClass, classify, cluster_count,
                        largest_lyapunov, local_extrema, perturb, sweep,
                        trajectory_and_lyapunov, write_bifurcation_csv)
 from .circuit import (CircuitParams, EquilibriumPoint, StabilityVerdict,
-                      StateVector, classify_stability, existence_condition,
-                      find_equilibria, jacobian, jacobian_trace,
-                      nonlinear_current, nonlinear_slope, vector_field)
-from .design import (DesignCheck, DesignReport, DesignSpec, design_circuit,
-                     design_g, design_gn, design_reactive)
+                      StateVector, existence_condition, find_equilibria,
+                      jacobian, jacobian_trace, nonlinear_current,
+                      nonlinear_slope, vector_field)
+from .design import DesignCheck, DesignReport, DesignSpec, design_circuit
 from .device import (REFERENCE_COEFFICIENTS, DevicePoly, DeviceState,
                      FitResult, IVSample, StateTable, eval_current,
                      eval_differential_conductance, fit_poly, load_iv_csv,
                      load_state_table, reference_state, reference_table,
                      resistance_at_low_bias, save_iv_csv, save_state_table,
-                     small_signal_conductance, state_at)
+                     state_at)
 from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
 from .integrate import (Event, IntegrationConfig, Trajectory, integrate,

@@ -41,12 +41,6 @@ class Side:
     NONE = "none"
 
 @dataclass(frozen=True)
-class Extremum:
-    time: float
-    value: float
-    kind: str  # "max" | "min"
-
-@dataclass(frozen=True)
 class TrajectoryClass:
     label: str
     scroll_side: str
@@ -98,9 +92,10 @@ class AnalysisConfig:
         if self.max_periodic_clusters < 1 or self.min_samples < 3:
             raise ValueError("cluster cap must be >= 1 and min_samples >= 3")
 
-def _extrema(times, values):
-    """The strict interior extrema of a sampled signal as three arrays:
-    their times, their values and whether each is a maximum.
+def local_extrema(times, values):
+    """The strict interior extrema of a sampled signal, in time order, as
+    three arrays: their times, their values and whether each is a maximum.
+    A constant signal has none.
 
     Plateaus (runs of equal samples) are compressed to their midpoint
     before comparison; single-sample extrema are refined to the vertex of
@@ -148,13 +143,6 @@ def _extrema(times, values):
         xe[k[ok]] = (y2 + dt * (b + a * dt))[ok]
     return te, xe, is_max[j - 1]
 
-def local_extrema(times, values):
-    """Strict interior extrema of a sampled signal, as Extrema in time
-    order (see _extrema). A constant signal yields an empty list."""
-    te, xe, top = _extrema(times, values)
-    return [Extremum(time=ti, value=yi, kind="max" if m else "min")
-            for ti, yi, m in zip(te.tolist(), xe.tolist(), top.tolist())]
-
 def cluster_count(values, tol: float) -> int:
     """Number of groups after splitting the sorted values at gaps > tol."""
     v = np.sort(np.asarray(values, dtype=float))
@@ -193,8 +181,8 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     is labelled so however few samples it kept; others with fewer than
     min_samples samples, or too few extrema to characterize, come back
     inconclusive. `extrema`, when given, must be the array of extremum
-    values of traj.v1, _extrema(traj.times, traj.v1)[1]; it saves computing
-    them again.
+    values of traj.v1, local_extrema(traj.times, traj.v1)[1]; it saves
+    computing them again.
     """
     lambda1 = lyapunov.lambda1 if lyapunov is not None else None
     if traj.diverged or any(ev.kind == "diverged" for ev in traj.events):
@@ -234,7 +222,8 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     else:
         side = Side.NONE
 
-    values = _extrema(traj.times, traj.v1)[1] if extrema is None else extrema
+    values = (local_extrema(traj.times, traj.v1)[1] if extrema is None
+              else extrema)
     if values.size < 2:
         return TrajectoryClass(Label.INCONCLUSIVE, side, lambda1, int(values.size))
     span = float(np.max(traj.v1) - np.min(traj.v1))
@@ -387,7 +376,7 @@ def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
     traj = trajectory_of(out)
     lyap, _ = _lyapunov(params, call, out)
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
-    values = (_extrema(traj.times, traj.v1)[1] if len(traj.times) >= 3
+    values = (local_extrema(traj.times, traj.v1)[1] if len(traj.times) >= 3
               else np.empty(0))
     verdict = classify(traj, eqs, run.acfg, lyap, values)
     reason = None

@@ -32,9 +32,9 @@ class StateVector(NamedTuple):
 class CircuitParams:
     """All constants of the state equations plus the device polynomial.
 
-    g and g_n are conductances (1/R and 1/R_N). They may be zero to express
-    the degenerate linear fixtures used in testing (pure LC, no negative
-    converter); physical designs always have both positive.
+    g and g_n are finite conductances (1/R and 1/R_N). They may be zero to
+    express the degenerate linear fixtures used in testing (pure LC, no
+    negative converter); physical designs always have both positive.
     """
 
     c1: float
@@ -47,8 +47,9 @@ class CircuitParams:
     def __post_init__(self):
         if not (self.c1 > 0 and self.c2 > 0 and self.l > 0):
             raise ValueError("c1, c2 and l must be positive")
-        if self.g < 0 or self.g_n < 0:
-            raise ValueError("g and g_n must be nonnegative")
+        if not (0 <= self.g < math.inf and 0 <= self.g_n < math.inf):
+            raise ValueError("g and g_n must be finite and nonnegative, got "
+                             f"g={self.g!r} S, g_n={self.g_n!r} S")
 
     @property
     def voltage_scale(self) -> float:
@@ -121,8 +122,7 @@ class StabilityVerdict:
 @dataclass(frozen=True)
 class EquilibriumPoint:
     """An equilibrium with its spectrum and the spectrum's stability
-    verdict, classify_stability(eigenvalues). v2 is 0 and iL = -g*v1
-    exactly."""
+    verdict (_stability_verdicts). v2 is 0 and iL = -g*v1 exactly."""
 
     state: StateVector
     # "P0", else "P+"/"P-" numbered outward from the origin on each side:
@@ -137,32 +137,17 @@ class EquilibriumPoint:
     def stable(self) -> bool:
         return not self.verdict.unstable
 
-def classify_stability(eq_or_eigs) -> StabilityVerdict:
-    """Instability check with tolerance 1e-9 relative to the spectral radius.
-
-    Also flags the saddle-focus pattern: one real eigenvalue and a complex
-    pair whose real parts have opposite signs.
-    """
-    eigs = np.asarray(getattr(eq_or_eigs, "eigenvalues", eq_or_eigs),
-                      dtype=complex)
-    radius = float(np.max(np.abs(eigs)))
-    tol = 1e-9 * radius
-    unstable = bool(np.any(eigs.real > tol))
-
-    order = np.argsort(np.abs(eigs.imag))
-    real_eig, pair_a, pair_b = eigs[order[0]], eigs[order[1]], eigs[order[2]]
-    saddle_focus = (abs(real_eig.imag) <= tol
-                    and abs(pair_a.imag) > tol
-                    and abs(pair_b.imag) > tol
-                    and abs(real_eig.real) > tol
-                    and abs(pair_a.real) > tol
-                    and (real_eig.real < 0) != (pair_a.real < 0))
-    return StabilityVerdict(unstable=unstable, saddle_focus=saddle_focus,
-                            max_real_part=float(np.max(eigs.real)))
-
 def _stability_verdicts(eigs):
-    """classify_stability of each row of an (n, 3) spectrum stack, in one
-    numpy pass; each verdict equals the per-row call's bit for bit."""
+    """The StabilityVerdict of each row of an (n, 3) spectrum stack, in one
+    numpy pass.
+
+    An eigenvalue counts as real, and a real part as zero, within 1e-9
+    times the spectral radius. A spectrum is unstable when a real part
+    exceeds that tolerance. It is a saddle focus when the eigenvalue
+    nearest the real axis is real, the other two are not, and the real
+    parts of the real one and of the nearer of the other two are nonzero
+    and of opposite signs. max_real_part is the largest real part.
+    """
     eigs = np.asarray(eigs, dtype=complex)
     tol = 1e-9 * np.abs(eigs).max(axis=1)
     unstable = (eigs.real > tol[:, None]).any(axis=1)

@@ -5,7 +5,7 @@ dimensionless pair (alpha, beta), the procedure fixes
 
     g   = alpha * (i_dev(v_eq)/v_eq - p1)          # places P+/- at +-v_eq
     c2  = alpha * c1
-    l   = c2 / (beta * g^2)
+    l   = c2 / (beta * g * g)
     g_n = g + (c1/c2) * g + p1                     # zeroes the trace at P0
 
 and then validates the result: existence of the off-origin equilibria,
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .circuit import (CircuitParams, existence_condition, find_equilibria,
                       jacobian_trace)
-from .device import DevicePoly, DeviceState, eval_current
+from .device import DeviceState, eval_current
 from .errors import DesignError
 
 
@@ -34,8 +34,10 @@ class DesignSpec:
     beta: float = 14.22
 
     def __post_init__(self):
-        if not (self.v_eq > 0 and self.c1 > 0 and self.alpha > 0 and self.beta > 0):
-            raise ValueError("v_eq, c1, alpha and beta must all be positive")
+        if not all(0 < v < math.inf
+                   for v in (self.v_eq, self.c1, self.alpha, self.beta)):
+            raise ValueError(
+                "v_eq, c1, alpha and beta must all be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -80,42 +82,14 @@ class DesignReport:
         return self
 
 
-def design_g(poly: DevicePoly, spec: DesignSpec) -> float:
-    """Load conductance from the equilibrium placement rule.
-
-    Uses the device current at v_eq; the excess of its mean slope over p1
-    must be positive, otherwise the device is effectively linear there and
-    no load can place the equilibria.
-    """
-    excess = eval_current(poly, spec.v_eq) / spec.v_eq - poly.p1
-    g = spec.alpha * excess
-    if g <= 0:
-        raise DesignError(
-            "infeasible-G",
-            f"device mean slope excess {excess:.3e} S at v_eq={spec.v_eq} V "
-            "is nonpositive")
-    return g
-
-
-def design_gn(g: float, c1: float, c2: float, p1: float) -> float:
-    """Negative-converter conductance that zeroes the origin trace."""
-    return g + (c1 / c2) * g + p1
-
-
-def design_reactive(c1: float, g: float, spec: DesignSpec):
-    """(c2, l) from the dimensionless regime parameters."""
-    c2 = spec.alpha * c1
-    l = c2 / (spec.beta * g * g)
-    return c2, l
-
-
 def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
     """Full sizing chain plus validation checks.
 
     Raises DesignError for the two hard preconditions (v_eq outside the
-    safe window; linear device) and for sized components that no circuit
-    can have, a converter conductance g_n without a finite 1/g_n among
-    them. Validation failures do not raise: they are returned as failed
+    safe window; a device linear at v_eq, whose mean slope there does not
+    exceed p1, so that no load places the equilibria) and for sized
+    components that no circuit can have, a converter conductance g_n
+    without a finite 1/g_n among them. Validation failures do not raise: they are returned as failed
     checks so callers can report which one broke.
     """
     if spec.v_eq >= state.v_set_mag:
@@ -125,10 +99,17 @@ def design_circuit(state: DeviceState, spec: DesignSpec) -> DesignReport:
             f"magnitude {state.v_set_mag} V")
 
     poly = state.poly
-    g = design_g(poly, spec)
+    excess = eval_current(poly, spec.v_eq) / spec.v_eq - poly.p1
+    g = spec.alpha * excess
+    if g <= 0:
+        raise DesignError(
+            "infeasible-G",
+            f"device mean slope excess {excess:.3e} S at v_eq={spec.v_eq} V "
+            "is nonpositive")
     try:
-        c2, l = design_reactive(spec.c1, g, spec)
-        g_n = design_gn(g, spec.c1, c2, poly.p1)
+        c2 = spec.alpha * spec.c1
+        l = c2 / (spec.beta * g * g)
+        g_n = g + (spec.c1 / c2) * g + poly.p1
         if g_n == 0.0 or not math.isfinite(1.0 / g_n):
             raise DesignError("component-range",
                               f"the converter conductance g_n={g_n!r} S has "

@@ -147,11 +147,6 @@ def eval_differential_conductance(poly: DevicePoly, v):
             + v * (4.0 * poly.p4 + v * 5.0 * poly.p5))))
 
 
-def small_signal_conductance(poly: DevicePoly) -> float:
-    """Low-voltage conductance estimate: the linear coefficient p1."""
-    return poly.p1
-
-
 def fit_poly(samples: Sequence[IVSample], window) -> FitResult:
     """Least-squares quintic fit without intercept over the given window.
 

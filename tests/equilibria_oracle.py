@@ -1,10 +1,12 @@
 """Reference copy of ``circuit.find_equilibria`` as it stood before every
 equilibrium's spectrum came from one stacked ``np.linalg.eigvals`` call: one
 Jacobian, one ``eigvals`` call and one ``classify_stability`` call per point.
-``design_checks`` keeps ``design_circuit``'s validation checks as they stood
-then, with a second ``classify_stability`` call per point. The tests compare
-``memchua.find_equilibria`` and ``memchua.design_circuit`` with them. Do not
-edit the function bodies; they are the oracle.
+``classify_stability`` is the per-spectrum verdict that the batch
+``circuit._stability_verdicts`` replaced. ``design_checks`` keeps
+``design_circuit``'s validation checks as they stood then, with a second
+``classify_stability`` call per point. The tests compare
+``memchua.find_equilibria``, its verdicts and ``memchua.design_circuit``
+with them. Do not edit the function bodies; they are the oracle.
 """
 
 import math
@@ -13,9 +15,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from memchua.circuit import (_ORIGIN_MERGE, _RESIDUAL_TOL, _ROOT_MERGE,
-                             StateVector, _equilibrium_residual,
-                             classify_stability, existence_condition,
+                             StabilityVerdict, StateVector,
+                             _equilibrium_residual, existence_condition,
                              jacobian, jacobian_trace, nonlinear_slope)
+
+
+def classify_stability(eq_or_eigs) -> StabilityVerdict:
+    """Instability check with tolerance 1e-9 relative to the spectral radius.
+
+    Also flags the saddle-focus pattern: one real eigenvalue and a complex
+    pair whose real parts have opposite signs.
+    """
+    eigs = np.asarray(getattr(eq_or_eigs, "eigenvalues", eq_or_eigs),
+                      dtype=complex)
+    radius = float(np.max(np.abs(eigs)))
+    tol = 1e-9 * radius
+    unstable = bool(np.any(eigs.real > tol))
+
+    order = np.argsort(np.abs(eigs.imag))
+    real_eig, pair_a, pair_b = eigs[order[0]], eigs[order[1]], eigs[order[2]]
+    saddle_focus = (abs(real_eig.imag) <= tol
+                    and abs(pair_a.imag) > tol
+                    and abs(pair_b.imag) > tol
+                    and abs(real_eig.real) > tol
+                    and abs(pair_a.real) > tol
+                    and (real_eig.real < 0) != (pair_a.real < 0))
+    return StabilityVerdict(unstable=unstable, saddle_focus=saddle_focus,
+                            max_real_part=float(np.max(eigs.real)))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 """Reference copy of ``analysis.local_extrema`` as it stood before its
 candidates were found by one numpy comparison: a Python loop over every
-plateau-compressed sample, with numpy scalars throughout. The tests compare
-``memchua.local_extrema`` with it. Do not edit the function bodies; they
-are the oracle.
+plateau-compressed sample, with numpy scalars throughout, returning one
+``Extremum`` per extremum. The tests compare ``memchua.local_extrema``'s
+arrays with it. Do not edit the function bodies; they are the oracle.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from memchua.analysis import Extremum
+
+@dataclass(frozen=True)
+class Extremum:
+    time: float
+    value: float
+    kind: str  # "max" | "min"
 
 
 def _parabola_vertex(t1, y1, t2, y2, t3, y3):

@@ -83,7 +83,7 @@ def test_criterion_3_instability_construction(designed):
     p = designed.params
     tr = m.jacobian_trace(p, 0.0)
     eqs = m.find_equilibria(p)
-    unstable = all(m.classify_stability(e).unstable for e in eqs)
+    unstable = all(e.verdict.unstable for e in eqs)
     elapsed = time.perf_counter() - t0
     ok = (abs(tr) < 1e-9 * (p.g / p.c1) and len(eqs) == 3 and unstable
           and elapsed < 1.0)

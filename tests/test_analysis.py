@@ -1,6 +1,5 @@
 import math
 import os
-import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,11 +18,14 @@ import extrema_oracle as _extrema_oracle
 
 
 def extrema_oracle(t, x):
-    """tests/extrema_oracle.py's extrema, under the errstate that
-    analysis._extrema runs in: a degenerate parabola may overflow or divide
-    0 by 0 in its vertex, which is then rejected."""
+    """tests/extrema_oracle.py's extrema as local_extrema's three arrays,
+    under the errstate that local_extrema runs in: a degenerate parabola
+    may overflow or divide 0 by 0 in its vertex, which is then rejected."""
     with np.errstate(all="ignore"):
-        return _extrema_oracle.local_extrema(t, x)
+        ex = _extrema_oracle.local_extrema(t, x)
+    return (np.array([e.time for e in ex], dtype=float),
+            np.array([e.value for e in ex], dtype=float),
+            np.array([e.kind == "max" for e in ex], dtype=bool))
 
 
 @pytest.fixture(scope="module")
@@ -51,45 +53,38 @@ class TestLocalExtrema:
     def test_sampled_sine(self):
         t = np.linspace(0.0, 3.0, 1000)
         x = np.sin(2 * np.pi * t)
-        ex = m.local_extrema(t, x)
-        maxima = [e for e in ex if e.kind == "max"]
-        minima = [e for e in ex if e.kind == "min"]
-        assert len(maxima) == 3 and len(minima) == 3
-        for e in maxima:
-            assert abs(e.value - 1.0) < 1e-4
-        for e in minima:
-            assert abs(e.value + 1.0) < 1e-4
+        _, values, is_max = m.local_extrema(t, x)
+        assert is_max.sum() == 3 and (~is_max).sum() == 3
+        assert (np.abs(values[is_max] - 1.0) < 1e-4).all()
+        assert (np.abs(values[~is_max] + 1.0) < 1e-4).all()
 
     def test_kinds_alternate(self):
         t = np.linspace(0.0, 3.0, 1000)
-        ex = m.local_extrema(t, np.sin(2 * np.pi * t))
-        kinds = [e.kind for e in ex]
-        assert all(a != b for a, b in zip(kinds, kinds[1:]))
+        is_max = m.local_extrema(t, np.sin(2 * np.pi * t))[2]
+        assert (is_max[1:] != is_max[:-1]).all()
 
     def test_refinement_error_scales_at_least_quadratically(self):
         def err(n):
             t = np.linspace(0.0, 3.0, n)
-            ex = m.local_extrema(t, np.sin(2 * np.pi * t))
-            return max(abs(abs(e.value) - 1.0) for e in ex)
+            values = m.local_extrema(t, np.sin(2 * np.pi * t))[1]
+            return np.abs(np.abs(values) - 1.0).max()
 
         assert err(500) / err(1000) > 3.0
 
     def test_constant_signal(self):
         t = np.linspace(0, 1, 100)
-        assert m.local_extrema(t, np.ones(100)) == []
+        assert [a.size for a in m.local_extrema(t, np.ones(100))] == [0, 0, 0]
 
     def test_plateau_resolved_to_midpoint(self):
         t = np.arange(7.0)
         x = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0])
-        ex = m.local_extrema(t, x)
-        assert len(ex) == 1
-        assert ex[0].kind == "max"
-        assert ex[0].time == 3.0
-        assert ex[0].value == 2.0
+        times, values, is_max = m.local_extrema(t, x)
+        assert (times.tolist(), values.tolist(), is_max.tolist()) == (
+            [3.0], [2.0], [True])
 
     def test_designed_circuit_has_extrema_of_both_signs(self, designed_run):
         traj, _, _ = designed_run
-        values = np.array([e.value for e in m.local_extrema(traj.times, traj.v1)])
+        values = m.local_extrema(traj.times, traj.v1)[1]
         assert (values > 0.2).any() and (values < -0.2).any()
 
     def test_too_few_samples_rejected(self):
@@ -98,10 +93,11 @@ class TestLocalExtrema:
 
 
 def as_bytes(extrema):
-    """Each extremum's time and value by their bytes, and its kind."""
-    assert all(type(e.time) is float and type(e.value) is float
-               for e in extrema)
-    return [(struct.pack("<dd", e.time, e.value), e.kind) for e in extrema]
+    """The bytes of local_extrema's (times, values, is-max) arrays."""
+    times, values, is_max = extrema
+    assert (times.dtype, values.dtype, is_max.dtype) == (
+        np.float64, np.float64, np.bool_)
+    return times.tobytes(), values.tobytes(), is_max.tobytes()
 
 
 @st.composite
@@ -174,7 +170,7 @@ class TestLocalExtremaOracle:
         with np.errstate(all="ignore"):
             ex = m.local_extrema(t, x)
             assert as_bytes(ex) == as_bytes(extrema_oracle(t, x))
-        assert [(e.time, e.value) for e in ex] == [(t[1], 2.0)]
+        assert (ex[0].tolist(), ex[1].tolist()) == ([t[1]], [2.0])
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.3),
@@ -186,7 +182,7 @@ class TestLocalExtremaOracle:
                                   record_stride=stride)
         traj = m.integrate(params, (0.1, 0.0, 0.0), cfg)
         ex = m.local_extrema(traj.times, traj.v1)
-        assert ex and as_bytes(ex) == as_bytes(
+        assert ex[0].size and as_bytes(ex) == as_bytes(
             extrema_oracle(traj.times, traj.v1))
 
 
@@ -256,7 +252,7 @@ class TestClassify:
 
     def test_double_scroll_implies_extrema_on_both_sides(self, designed_run):
         traj, lam, eqs = designed_run
-        values = np.array([e.value for e in m.local_extrema(traj.times, traj.v1)])
+        values = m.local_extrema(traj.times, traj.v1)[1]
         r_vis = 0.3 * 0.9
         assert (values > r_vis).any() and (values < -r_vis).any()
 
@@ -367,7 +363,7 @@ class TestTrajectoryAndLyapunov:
         # a 2-point sweep: one kernel call steps both points, and each
         # point finds its extrema once
         calls = {"kernel": 0, "extrema": 0}
-        kernel, extrema = kernels.rk4_trajectories, analysis._extrema
+        kernel, extrema = kernels.rk4_trajectories, analysis.local_extrema
 
         def counted_kernel(*args):
             calls["kernel"] += 1
@@ -378,7 +374,7 @@ class TestTrajectoryAndLyapunov:
             return extrema(*args)
 
         monkeypatch.setattr(kernels, "rk4_trajectories", counted_kernel)
-        monkeypatch.setattr(analysis, "_extrema", counted_extrema)
+        monkeypatch.setattr(analysis, "local_extrema", counted_extrema)
         icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
         pts = m.sweep(m.StateTable((ref_state,)), spec, icfg,
                       m.AnalysisConfig(), ref_state.r_prog, ref_state.r_prog,
@@ -475,8 +471,7 @@ class TestSweep:
         direct = m.classify(traj, m.find_equilibria(designed.params), acfg,
                             lam)
         assert pts[0].verdict.label == direct.label
-        values = np.array([e.value
-                           for e in m.local_extrema(traj.times, traj.v1)])
+        values = m.local_extrema(traj.times, traj.v1)[1]
         assert np.array_equal(pts[0].extrema, values)
 
     def test_rerun_is_bit_identical(self, ref_state, spec):
@@ -636,8 +631,8 @@ class TestSweep:
                                           spec).require_ok().params
             traj, lam, _ = m.trajectory_and_lyapunov(params, (0.1, 0.0, 0.0),
                                                      icfg)
-            values = [e.value for e in m.local_extrema(traj.times, traj.v1)]
-            assert pt.extrema.tobytes() == np.array(values).tobytes()
+            values = m.local_extrema(traj.times, traj.v1)[1]
+            assert pt.extrema.tobytes() == values.tobytes()
             assert pt.verdict == m.classify(
                 traj, m.find_equilibria(params), acfg, lam)
             assert pt.reason is None

@@ -17,6 +17,19 @@ def odd_cubic_params(g, g_n, p3=1e-5):
     return m.CircuitParams(c1=1e-8, c2=1e-7, l=0.41, g=g, g_n=g_n, device=poly)
 
 
+class TestCircuitParams:
+    @pytest.mark.parametrize("g, g_n", [
+        (math.nan, 1e-4), (math.inf, 1e-4), (1e-4, math.nan),
+        (1e-4, math.inf), (-1e-4, 1e-4)])
+    def test_rejects_conductances_not_finite_and_nonnegative(self, g, g_n):
+        # a NaN or infinite conductance once reached np.roots
+        with pytest.raises(ValueError) as err:
+            odd_cubic_params(g, g_n)
+        assert str(err.value) == (
+            "g and g_n must be finite and nonnegative, got "
+            f"g={g!r} S, g_n={g_n!r} S")
+
+
 class TestNonlinearCurrent:
     def test_zero_at_origin(self, designed):
         assert m.nonlinear_current(designed.params, 0.0) == 0.0
@@ -206,8 +219,7 @@ class TestFindEquilibria:
 class TestStability:
     def test_designed_equilibria_all_unstable(self, designed):
         for eq in m.find_equilibria(designed.params):
-            verdict = m.classify_stability(eq)
-            assert verdict.unstable, eq.label
+            assert eq.verdict.unstable, eq.label
             # the reported spectrum belongs to the Jacobian at the point
             ref = np.sort_complex(np.linalg.eigvals(
                 m.jacobian(designed.params, eq.state)))
@@ -217,7 +229,7 @@ class TestStability:
     def test_designed_off_origin_points_are_saddle_foci(self, designed):
         for eq in m.find_equilibria(designed.params):
             if eq.label != "P0":
-                assert m.classify_stability(eq).saddle_focus
+                assert eq.verdict.saddle_focus
 
     def test_stable_linear_network(self, linear_params):
         """Analytic characteristic polynomial of the damped RLC network
@@ -233,14 +245,15 @@ class TestStability:
         eigs = np.array(eqs[0].eigenvalues)
         assert np.abs(np.sort_complex(eigs) - np.sort_complex(ref)).max() \
             < 1e-9 * np.abs(ref).max()
-        verdict = m.classify_stability(eigs)
+        (verdict,) = circuit._stability_verdicts(eigs[None])
+        assert verdict == eqs[0].verdict
         assert not verdict.unstable
         assert verdict.max_real_part < 0
 
     def test_saddle_focus_of_huge_spectrum(self):
         # the real parts' product overflows; their signs decide
-        verdict = m.classify_stability((-1e200, 1e200 + 1e200j,
-                                        1e200 - 1e200j))
+        (verdict,) = circuit._stability_verdicts(
+            [(-1e200, 1e200 + 1e200j, 1e200 - 1e200j)])
         assert verdict.unstable and verdict.saddle_focus
 
     @settings(max_examples=300, deadline=None)
@@ -266,7 +279,7 @@ class TestStability:
                     np.float64(v.max_real_part).tobytes())
 
         got = circuit._stability_verdicts(eigs)
-        want = [m.classify_stability(row) for row in eigs]
+        want = [equilibria_oracle.classify_stability(row) for row in eigs]
         assert [bits(v) for v in got] == [bits(v) for v in want]
 
     def test_overflowing_rate_raises(self, designed):
@@ -326,9 +339,10 @@ def assert_matches_oracle(params):
     points = m.find_equilibria(params)
     oracle = equilibria_oracle.find_equilibria(params)
     assert [point_bits(e) for e in points] == [point_bits(e) for e in oracle]
-    # each point carries the verdict classify_stability gives its spectrum
+    # each point carries the verdict the oracle's classify_stability gives
+    # its spectrum
     for e in points:
-        assert e.verdict == m.classify_stability(e)
+        assert e.verdict == equilibria_oracle.classify_stability(e)
     return points
 
 
@@ -420,24 +434,22 @@ class TestEquilibriaOracle:
 
     def test_one_eigvals_call_and_no_stability_pass_in_design(
             self, ref_state, spec, monkeypatch):
-        # the reference design: one eigvals call for its three equilibria,
-        # and design_circuit reads their verdicts instead of classifying
-        # them again
-        calls = {"eigvals": 0, "classify_stability": 0}
-        eigvals, classify = np.linalg.eigvals, circuit.classify_stability
+        # the reference design: one eigvals call and one stability pass for
+        # its three equilibria, and design_circuit reads their verdicts
+        # instead of classifying them again
+        calls = {"eigvals": 0, "verdicts": 0}
+        eigvals, verdicts = np.linalg.eigvals, circuit._stability_verdicts
 
         def counted_eigvals(*args):
             calls["eigvals"] += 1
             return eigvals(*args)
 
-        def counted_classify(*args):
-            calls["classify_stability"] += 1
-            return classify(*args)
+        def counted_verdicts(*args):
+            calls["verdicts"] += 1
+            return verdicts(*args)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-        for module in (circuit, m.design):
-            monkeypatch.setattr(module, "classify_stability",
-                                counted_classify, raising=False)
+        monkeypatch.setattr(circuit, "_stability_verdicts", counted_verdicts)
         report = m.design_circuit(ref_state, spec)
         assert len(report.equilibria) == 3
-        assert calls == {"eigvals": 1, "classify_stability": 0}
+        assert calls == {"eigvals": 1, "verdicts": 1}

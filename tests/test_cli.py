@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -579,8 +580,7 @@ class TestSweep:
         sweep_vals = np.array([float(r.split(",")[1]) for r in rows])
         data = np.genfromtxt(sim_out / "trajectory.csv", delimiter=",",
                              skip_header=1, encoding="utf-8")
-        direct = np.array([e.value
-                           for e in m.local_extrema(data[:, 0], data[:, 1])])
+        direct = m.local_extrema(data[:, 0], data[:, 1])[1]
         assert np.array_equal(sweep_vals, direct)
         (point,) = read_json(sweep_out / "sweep_summary.json")
         simulated = read_json(sim_out / "classification.json")
@@ -852,7 +852,8 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
     ({"analysis": {"min_samples": 2}},
      "config.analysis: cluster cap must be >= 1 and min_samples >= 3"),
     ({"design": {"alpha": -1.0}},
-     "config.design: v_eq, c1, alpha and beta must all be positive"),
+     "config.design: v_eq, c1, alpha and beta must all be finite and "
+     "positive"),
     ({"device": {"r_prog": -5.0}},
      "config.device: r_prog must be positive and finite, got -5.0"),
     ({"components": {**COMPONENTS, "c1": -1.0e-8}},
@@ -863,6 +864,17 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
      "config.integration: need dt <= t_end, got 1e+300, 0.5"),
     ({"integration": {"dt": 0.01, "t_end": 0.001, "t_transient": 0.0}},
      "config.integration: need dt <= t_end, got 0.01, 0.001"),
+    # a conductance 1/r that is NaN or overflows once reached numpy's
+    # solvers, and an infinite design value once failed as a sizing
+    ({"components": {**COMPONENTS, "r": math.nan}},
+     "config.components: g and g_n must be finite and nonnegative, got "
+     f"g=nan S, g_n={1.0 / 6856.0!r} S"),
+    ({"components": {**COMPONENTS, "r_n": 1.0e-320}},
+     "config.components: g and g_n must be finite and nonnegative, got "
+     f"g={1.0 / 7643.0!r} S, g_n=inf S"),
+    *[({"design": {key: math.inf}},
+       "config.design: v_eq, c1, alpha and beta must all be finite and "
+       "positive") for key in ("v_eq", "c1", "alpha", "beta")],
 ], ids=["n-fraction", "stride-fraction", "workers-bool", "schema-bool",
         "v_eq-bool", "out_dir-null", "seed-negative", "workers-zero",
         "stride-huge", "n-huge", "n-huger", "schema-2",
@@ -871,7 +883,9 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
         "r_lo_frac-unknown",
         "r_hi_frac-unknown", "coefficients-short", "init-short",
         "r_lo-zero", "block-list", "integration", "analysis", "design",
-        "device", "components", "dt-huge", "dt-past-t_end"])
+        "device", "components", "dt-huge", "dt-past-t_end", "r-nan",
+        "r_n-tiny", "v_eq-inf", "c1-inf", "alpha-inf",
+        "beta-inf"])
 def test_rejected_config_names_its_key(tmp_path, capsys, overrides, error):
     assert bad_value_error(tmp_path, capsys, overrides) == [
         f"input error: {error}"]

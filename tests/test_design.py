@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import memchua as m
 from memchua.errors import DesignError
@@ -14,53 +16,82 @@ NOMINAL_RN = 6856.0
 NOMINAL_L = 0.410
 
 
+def cubic_state(p3):
+    """A device state whose current is p3 * v**3 on [-1.2, 2.6] V."""
+    poly = m.DevicePoly(0, 0, p3, 0, 0, v_min=-1.2, v_max=2.6)
+    return m.DeviceState(1e6, poly)
+
+
 class TestDesignG:
-    def test_reference_value_within_one_percent(self, ref_state, spec):
-        g = m.design_g(ref_state.poly, spec)
+    def test_reference_value_within_one_percent(self, designed):
+        g = designed.params.g
         assert g == pytest.approx(1.312e-4, rel=1e-3)
         assert 1.0 / g == pytest.approx(NOMINAL_R, rel=0.01)
 
     def test_linear_device_is_infeasible(self, spec):
         poly = m.DevicePoly(1e-6, 0, 0, 0, 0, v_min=-1.2, v_max=2.6)
-        with pytest.raises(DesignError, match="infeasible-G"):
-            m.design_g(poly, spec)
+        with pytest.raises(DesignError) as err:
+            m.design_circuit(m.DeviceState(1e6, poly), spec)
+        assert err.value.check == "infeasible-G"
+        assert str(err.value).endswith("at v_eq=0.9 V is nonpositive")
 
     def test_odd_cubic_closed_form(self, spec):
         p3 = 1e-5
-        poly = m.DevicePoly(0, 0, p3, 0, 0, v_min=-1.2, v_max=2.6)
-        g = m.design_g(poly, spec)
+        g = m.design_circuit(cubic_state(p3), spec).params.g
         assert g == pytest.approx(spec.alpha * p3 * spec.v_eq**2, rel=1e-12)
 
 
 class TestDesignGn:
-    def test_reference_value(self):
-        g_n = m.design_gn(1.0 / NOMINAL_R, 1e-8, 1e-7, 1.91e-6)
-        assert g_n == pytest.approx(1.4585e-4, rel=1e-3)
-        assert 1.0 / g_n == pytest.approx(NOMINAL_RN, rel=1e-3)
+    def test_reference_value(self, designed):
+        assert designed.params.g_n == pytest.approx(1.4625e-4, rel=1e-3)
+        assert designed.r_n == pytest.approx(NOMINAL_RN, rel=0.01)
 
     def test_equal_capacitors_without_device(self):
-        assert m.design_gn(2e-4, 1e-8, 1e-8, 0.0) == pytest.approx(4e-4)
-
-    def test_zero_load(self):
-        assert m.design_gn(0.0, 1e-8, 1e-7, 1.91e-6) == 1.91e-6
+        # g = 2e-4 S and p1 = 0
+        spec = m.DesignSpec(v_eq=1.0, c1=1e-8, alpha=1.0, beta=14.22)
+        report = m.design_circuit(cubic_state(2e-4), spec)
+        assert report.params.g == 2e-4
+        assert report.params.g_n == pytest.approx(4e-4)
 
 
 class TestDesignReactive:
-    def test_reference_values(self, spec):
-        c2, l = m.design_reactive(1e-8, 1.0 / NOMINAL_R, spec)
-        assert c2 == 1e-7
-        assert l == pytest.approx(0.411, abs=1e-3)
-        assert l == pytest.approx(NOMINAL_L, rel=0.01)
+    def test_reference_values(self, designed):
+        assert designed.params.c2 == 1e-7
+        assert designed.params.l == pytest.approx(0.4085, abs=1e-3)
+        assert designed.params.l == pytest.approx(NOMINAL_L, rel=0.01)
 
-    def test_alpha_one(self):
+    def test_alpha_one(self, ref_state):
         spec = m.DesignSpec(v_eq=0.9, c1=3e-9, alpha=1.0, beta=14.22)
-        c2, _ = m.design_reactive(3e-9, 1e-4, spec)
-        assert c2 == 3e-9
+        assert m.design_circuit(ref_state, spec).params.c2 == 3e-9
 
     def test_unit_values(self):
-        spec = m.DesignSpec(v_eq=0.9, c1=1.0, alpha=1.0, beta=1.0)
-        _, l = m.design_reactive(1.0, 1.0, spec)
-        assert l == 1.0
+        # g = 1 S
+        spec = m.DesignSpec(v_eq=1.0, c1=1.0, alpha=1.0, beta=1.0)
+        assert m.design_circuit(cubic_state(1.0), spec).params.l == 1.0
+
+
+class TestSizingFormulas:
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1),
+           v_eq=st.floats(0.05, 1.19), c1=st.floats(1e-10, 1e-6),
+           alpha=st.floats(0.5, 30.0), beta=st.floats(0.5, 50.0))
+    def test_components_are_the_docstring_formulas(
+            self, ref_state, sigma, seed, v_eq, c1, alpha, beta):
+        # bit for bit, each formula evaluated in the module docstring's
+        # order
+        poly = m.perturb(ref_state.poly, sigma, seed)
+        spec = m.DesignSpec(v_eq=v_eq, c1=c1, alpha=alpha, beta=beta)
+        try:
+            p = m.design_circuit(m.DeviceState(ref_state.r_prog, poly),
+                                 spec).params
+        except DesignError:
+            assume(False)
+        g = alpha * (m.eval_current(poly, v_eq) / v_eq - poly.p1)
+        c2 = alpha * c1
+        l = c2 / (beta * g * g)
+        g_n = g + (c1 / c2) * g + poly.p1
+        assert np.array([p.g, p.c2, p.l, p.g_n]).tobytes() == \
+            np.array([g, c2, l, g_n]).tobytes()
 
 
 class TestDesignCircuit:

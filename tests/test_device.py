@@ -46,19 +46,6 @@ class TestEvalCurrent:
                 pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
-class TestSmallSignalConductance:
-    def test_reference_value(self, ref_state):
-        assert m.small_signal_conductance(ref_state.poly) == 1.91e-6
-
-    def test_zero_device(self):
-        poly = m.DevicePoly(0, 0, 0, 0, 0, v_min=-1, v_max=1)
-        assert m.small_signal_conductance(poly) == 0.0
-
-    def test_scales_linearly(self, ref_state):
-        assert m.small_signal_conductance(ref_state.poly.scaled(3.0)) == \
-            pytest.approx(3.0 * 1.91e-6, rel=1e-15)
-
-
 class TestFitPoly:
     def test_roundtrip_recovers_reference_coefficients(self):
         voltages = np.linspace(-0.9, 2.6, 50)
