@@ -1,7 +1,7 @@
 """Design and simulation toolkit for a memristor-based Chua oscillator."""
 
-from .analysis import (AnalysisConfig, Label, LyapunovResult, Side,
-                       SweepPoint, TrajectoryClass, classify, cluster_count,
+from .analysis import (Label, LyapunovResult, Side, SweepPoint,
+                       TrajectoryClass, classify, cluster_count,
                        largest_lyapunov, local_extrema, perturb, sweep,
                        trajectory_and_lyapunov, write_bifurcation_csv)
 from .circuit import (CircuitParams, EquilibriumPoint, StabilityVerdict,

@@ -2,12 +2,12 @@
 
 The taxonomy mirrors how the oscillator is read off the bench: a run is a
 fixed point, a periodic orbit, a single-scroll or double-scroll chaotic
-attractor, or it diverged. Verdicts are produced by explicit, configurable
-thresholds (see AnalysisConfig) so they are testable rather than judged by
-eye. The resistance sweep reprograms the device model point by point while
-the surrounding circuit stays fixed, optionally drawing a seeded lognormal
-coefficient perturbation per point to model cycle-to-cycle programming
-variability.
+attractor, or it diverged. Verdicts are produced by fixed, named
+thresholds (VISIT_FRACTION and the rest) so they are testable rather than
+judged by eye. The resistance sweep reprograms the device model point by
+point while the surrounding circuit stays fixed, optionally drawing a
+seeded lognormal coefficient perturbation per point to model
+cycle-to-cycle programming variability.
 """
 
 import os
@@ -25,6 +25,22 @@ from .device import (DevicePoly, DeviceState, StateTable, state_at,
                      write_csv)
 from .errors import DesignError, LyapunovError
 from .integrate import IntegrationConfig, Trajectory, rk4_call, trajectory_of
+
+# The taxonomy's thresholds. A run of fewer than MIN_SAMPLES samples is
+# inconclusive. It rests at a fixed point when its last sample lies within
+# FIXED_POINT_TOL (volts, currents weighted by the iL = -g*v1 scale) of an
+# equilibrium, no farther than at the start of its last tenth. It visits an
+# off-origin equilibrium when it comes within VISIT_FRACTION of the largest
+# |v1| among them. Its v1 extrema split into clusters at gaps wider than
+# CLUSTER_TOL_FRACTION of its v1 span, and it is periodic when they form at
+# most MAX_PERIODIC_CLUSTERS clusters and, when an exponent is given, the
+# dimensionless lambda1 * time_unit stays below LAMBDA_PERIODIC.
+VISIT_FRACTION = 0.3
+CLUSTER_TOL_FRACTION = 0.01
+MAX_PERIODIC_CLUSTERS = 8
+LAMBDA_PERIODIC = 0.01
+FIXED_POINT_TOL = 1e-4
+MIN_SAMPLES = 32
 
 class Label:
     FIXED_POINT = "fixed_point"
@@ -65,32 +81,6 @@ class LyapunovResult:
     def dimensionless(self) -> float:
         """lambda1 * time_unit, the exponent per circuit time unit."""
         return self.lambda1 * self.time_unit
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Thresholds of the trajectory taxonomy.
-
-    visit_fraction: neighborhood radius for "visiting" an off-origin
-    equilibrium, as a fraction of the largest |v1| among them.
-    cluster_tol_fraction: extremum clustering tolerance as a fraction of
-    the observed v1 span. A run is periodic when its extrema collapse to at
-    most max_periodic_clusters clusters AND the dimensionless exponent
-    lambda1 * time_unit stays below lambda_periodic.
-    """
-
-    visit_fraction: float = 0.3
-    cluster_tol_fraction: float = 0.01
-    max_periodic_clusters: int = 8
-    lambda_periodic: float = 0.01
-    fixed_point_tol: float = 1e-4
-    min_samples: int = 32
-
-    def __post_init__(self):
-        if not (self.visit_fraction > 0 and self.cluster_tol_fraction > 0
-                and self.lambda_periodic > 0 and self.fixed_point_tol > 0):
-            raise ValueError("analysis thresholds must be positive")
-        if self.max_periodic_clusters < 1 or self.min_samples < 3:
-            raise ValueError("cluster cap must be >= 1 and min_samples >= 3")
 
 def local_extrema(times, values):
     """The strict interior extrema of a sampled signal, in time order, as
@@ -164,13 +154,13 @@ def _distances(states, eq_state, w):
     dil = np.abs(states[:, 2] - eq_state.i_l) * w
     return np.maximum(dv1, np.maximum(dv2, dil))
 
-def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
+def classify(traj: Trajectory, equilibria,
              lyapunov: Optional[LyapunovResult] = None,
              extrema=None) -> TrajectoryClass:
     """Sort a (transient-free) trajectory into the five-way taxonomy.
 
     Decision order: diverged; fixed point (terminal state inside
-    fixed_point_tol of an equilibrium, distance not growing); periodic
+    FIXED_POINT_TOL of an equilibrium, distance not growing); periodic
     (few extrema clusters and small dimensionless exponent); otherwise
     chaotic, double- or single-scroll by which off-origin neighborhoods
     were visited. Distances mix units as volts via the iL = -g*v1 scale.
@@ -179,17 +169,17 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     cluster count decides periodicity); when given, its dimensionless
     exponent decides, and its lambda1 is the verdict's. A run that diverged
     is labelled so however few samples it kept; others with fewer than
-    min_samples samples, or too few extrema to characterize, come back
+    MIN_SAMPLES samples, or too few extrema to characterize, come back
     inconclusive. `extrema`, when given, must be the array of extremum
     values of traj.v1, local_extrema(traj.times, traj.v1)[1]; it saves
     computing them again.
     """
     lambda1 = lyapunov.lambda1 if lyapunov is not None else None
-    if traj.diverged or any(ev.kind == "diverged" for ev in traj.events):
+    if traj.diverged:
         return TrajectoryClass(Label.DIVERGED, Side.NONE, lambda1, 0)
 
     n = len(traj.times)
-    if n < cfg.min_samples:
+    if n < MIN_SAMPLES:
         return TrajectoryClass(Label.INCONCLUSIVE, Side.NONE, lambda1, 0)
 
     w = _current_weight(equilibria)
@@ -200,12 +190,12 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
         dist = _distances(traj.states[-tail:], eq.state, w)
         if best is None or dist[-1] < best[0]:
             best = (float(dist[-1]), float(dist[0]))
-    if best is not None and best[0] < cfg.fixed_point_tol and best[0] <= best[1]:
+    if best is not None and best[0] < FIXED_POINT_TOL and best[0] <= best[1]:
         return TrajectoryClass(Label.FIXED_POINT, Side.NONE, lambda1, 0)
 
     off = [eq for eq in equilibria if eq.label != "P0"]
-    r_vis = cfg.visit_fraction * max((abs(eq.state.v1) for eq in off),
-                                     default=0.0)
+    r_vis = VISIT_FRACTION * max((abs(eq.state.v1) for eq in off),
+                                 default=0.0)
     visited_pos = visited_neg = False
     for eq in off:
         if r_vis > 0 and bool(np.any(_distances(traj.states, eq.state, w) < r_vis)):
@@ -227,11 +217,10 @@ def classify(traj: Trajectory, equilibria, cfg: AnalysisConfig,
     if values.size < 2:
         return TrajectoryClass(Label.INCONCLUSIVE, side, lambda1, int(values.size))
     span = float(np.max(traj.v1) - np.min(traj.v1))
-    ncl = cluster_count(values, cfg.cluster_tol_fraction * max(span, 1e-30))
+    ncl = cluster_count(values, CLUSTER_TOL_FRACTION * max(span, 1e-30))
 
-    lam_ok = (lyapunov is None
-              or lyapunov.dimensionless < cfg.lambda_periodic)
-    if ncl <= cfg.max_periodic_clusters and lam_ok:
+    lam_ok = lyapunov is None or lyapunov.dimensionless < LAMBDA_PERIODIC
+    if ncl <= MAX_PERIODIC_CLUSTERS and lam_ok:
         return TrajectoryClass(Label.PERIODIC, side, lambda1, ncl)
 
     label = Label.DOUBLE_SCROLL if side == Side.BOTH else Label.SINGLE_SCROLL
@@ -334,7 +323,6 @@ class _SweepRun(NamedTuple):
     table: StateTable
     spec: DesignSpec
     icfg: IntegrationConfig
-    acfg: AnalysisConfig
     mode: str
     sigma: float
     init: tuple
@@ -378,7 +366,7 @@ def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
     soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
     values = (local_extrema(traj.times, traj.v1)[1] if len(traj.times) >= 3
               else np.empty(0))
-    verdict = classify(traj, eqs, run.acfg, lyap, values)
+    verdict = classify(traj, eqs, lyap, values)
     reason = None
     if verdict.label == Label.INCONCLUSIVE:
         reason = ("record stopped at the first window crossing "
@@ -406,7 +394,7 @@ def _cpus():
     return os.cpu_count()
 
 def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
-          acfg: AnalysisConfig, r_lo: float, r_hi: float, n_points: int,
+          r_lo: float, r_hi: float, n_points: int,
           mode: str = "fixed", sigma: float = 0.0, seed: int = 0,
           init=(0.1, 0.0, 0.0), reference: Optional[CircuitParams] = None,
           workers: Optional[int] = None) -> list:
@@ -440,8 +428,8 @@ def sweep(table: StateTable, spec: DesignSpec, icfg: IntegrationConfig,
     if mode == "fixed" and reference is None:
         reference = design_circuit(table.states[-1], spec).require_ok().params
 
-    run = partial(_sweep_points, _SweepRun(table, spec, icfg, acfg, mode,
-                                           sigma, tuple(init), reference))
+    run = partial(_sweep_points, _SweepRun(table, spec, icfg, mode, sigma,
+                                           tuple(init), reference))
     points = [(float(r), int(seed) + k)
               for k, r in enumerate(np.geomspace(r_lo, r_hi, n_points))]
     # in batches of kernels.LANES points, which the C kernels step

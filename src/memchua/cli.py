@@ -1,8 +1,8 @@
 """Command-line pipeline: fit, design, equilibria, simulate, sweep.
 
 One YAML configuration file (versioned via its `schema` field) drives
-everything; every threshold and default can be overridden there, and a few
-common knobs (--out, --seed, --mode, --workers) on the command line. All
+everything; it may set any key of CONFIG_TABLE, and the command line a few
+common knobs (--out, --seed, --mode, --workers). All
 outputs are plain CSV/JSON so any plotting tool can consume them.
 
 Exit codes are a stable contract:
@@ -19,11 +19,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import yaml
 
-from .analysis import (AnalysisConfig, classify, largest_lyapunov, sweep,
+from .analysis import (classify, largest_lyapunov, sweep,
                        trajectory_and_lyapunov, write_bifurcation_csv)
 from .circuit import CircuitParams, find_equilibria
 from .design import DesignSpec, design_circuit
@@ -76,8 +76,8 @@ def _fields(cls, **checks):
 
 # every config key: block -> key -> Key. A check runs on the converted
 # value of each key a config gives. A block of REQUIRED keys may be left
-# out as a whole, and is then None. The design, integration and analysis
-# blocks are the fields of the library classes they build
+# out as a whole, and is then None. The design and integration blocks are
+# the fields of the library classes they build
 CONFIG_TABLE = {
     "schema": Key(int, SCHEMA_VERSION, (lambda v: v == SCHEMA_VERSION,
                                         f"be {SCHEMA_VERSION}")),
@@ -103,7 +103,6 @@ CONFIG_TABLE = {
     "initial_state": Key(list, [0.1, 0.0, 0.0], (
         lambda v: len(v) == 3 and all(map(math.isfinite, v)),
         "be finite and have 3 entries")),
-    "analysis": _fields(AnalysisConfig),
     "sweep": {
         "mode": Key(str, "fixed", (lambda v: v in ("fixed", "redesign"),
                                    "be fixed|redesign")),
@@ -190,11 +189,10 @@ class RunConfig:
     table: StateTable
     state: DeviceState
     spec: DesignSpec
-    components: dict
+    components: Optional[CircuitParams]  # None: design_circuit sizes it
     method: str
     integration: IntegrationConfig
     initial_state: tuple
-    analysis: AnalysisConfig
     sweep: dict  # checked, r_lo/r_hi in ohms
     out_dir: str
 
@@ -257,13 +255,17 @@ def load_config(path, overrides=None) -> RunConfig:
         raise InputFormatError(
             "config.components: a redesign sweep sizes the circuit at each "
             "point; drop the block or set sweep.mode to fixed")
+    comp = cfg["components"]
     return RunConfig(
         table=table, state=state,
         spec=_in_block("design", DesignSpec, **cfg["design"]),
-        components=cfg["components"], method=method,
+        components=None if comp is None else _in_block(
+            "components", CircuitParams, c1=comp["c1"], c2=comp["c2"],
+            l=comp["l"], g=1.0 / comp["r"], g_n=1.0 / comp["r_n"],
+            device=state.poly),
+        method=method,
         integration=_in_block("integration", IntegrationConfig, **integ),
         initial_state=tuple(cfg["initial_state"]),
-        analysis=_in_block("analysis", AnalysisConfig, **cfg["analysis"]),
         sweep={**sw, **bounds}, out_dir=cfg["out_dir"])
 
 
@@ -280,12 +282,9 @@ def _resolve_circuit(rc: RunConfig):
     design chain has solved for the equilibria already; explicit
     components are solved once here.
     """
-    if rc.components:
-        comp = rc.components
-        params = _in_block("components", CircuitParams, c1=comp["c1"],
-                           c2=comp["c2"], l=comp["l"], g=1.0 / comp["r"],
-                           g_n=1.0 / comp["r_n"], device=rc.state.poly)
-        return params, _in_block("components", find_equilibria, params)
+    if rc.components is not None:
+        return rc.components, _in_block("components", find_equilibria,
+                                        rc.components)
     report = design_circuit(rc.state, rc.spec).require_ok()
     return report.params, report.equilibria
 
@@ -443,7 +442,7 @@ def cmd_simulate(args) -> int:
         print(f"warning: {traj.events_dropped} events past the event buffer "
               "cap are missing from events.csv", file=sys.stderr)
 
-    verdict = classify(traj, eqs, rc.analysis, lam)
+    verdict = classify(traj, eqs, lam)
     summary = verdict.as_dict()
     summary["lambda1_dimensionless"] = lam.dimensionless if lam else None
     summary["n_events"] = len(traj.events)
@@ -471,7 +470,7 @@ def cmd_sweep(args) -> int:
     sw = rc.sweep
     # a fixed-mode sweep reprograms the device of the run's own circuit
     reference = _resolve_circuit(rc)[0] if sw["mode"] == "fixed" else None
-    points = sweep(rc.table, rc.spec, rc.integration, rc.analysis,
+    points = sweep(rc.table, rc.spec, rc.integration,
                    r_lo=sw["r_lo"], r_hi=sw["r_hi"], n_points=sw["n_points"],
                    mode=sw["mode"], sigma=sw["sigma"], seed=sw["seed"],
                    init=rc.initial_state, reference=reference,

@@ -121,9 +121,9 @@ def test_criterion_5_bifurcation_sweep():
     t0 = time.perf_counter()
     table = m.reference_table()
     ref_r = table.states[-1].r_prog
-    points = m.sweep(table, SPEC, m.IntegrationConfig(), m.AnalysisConfig(),
-                     r_lo=0.3 * ref_r, r_hi=1.5 * ref_r, n_points=32,
-                     mode="fixed", sigma=SWEEP_SIGMA, seed=SWEEP_SEED)
+    points = m.sweep(table, SPEC, m.IntegrationConfig(), r_lo=0.3 * ref_r,
+                     r_hi=1.5 * ref_r, n_points=32, mode="fixed",
+                     sigma=SWEEP_SIGMA, seed=SWEEP_SEED)
     elapsed = time.perf_counter() - t0
 
     labels = [p.verdict.label for p in points]

@@ -203,7 +203,7 @@ class TestClusterCount:
 class TestClassify:
     def test_designed_circuit_is_double_scroll(self, designed, designed_run):
         traj, lam, eqs = designed_run
-        verdict = m.classify(traj, eqs, m.AnalysisConfig(), lam)
+        verdict = m.classify(traj, eqs, lam)
         assert verdict.label == "double_scroll"
         assert verdict.scroll_side == "both"
 
@@ -223,13 +223,13 @@ class TestClassify:
         cfg = m.IntegrationConfig(t_end=0.2, t_transient=0.05)
         traj = m.integrate(stable_params, (0.95, 0.0, -stable_params.g * 0.9),
                            cfg)
-        verdict = m.classify(traj, eqs, m.AnalysisConfig())
+        verdict = m.classify(traj, eqs)
         assert verdict.label == "fixed_point"
 
     def test_synthetic_limit_cycle_is_periodic_positive(self, designed):
         traj = synthetic_orbit(designed)
         eqs = m.find_equilibria(designed.params)
-        verdict = m.classify(traj, eqs, m.AnalysisConfig())
+        verdict = m.classify(traj, eqs)
         assert verdict.label == "periodic"
         assert verdict.scroll_side == "positive"
         assert verdict.n_extrema_clusters <= 8
@@ -237,7 +237,7 @@ class TestClassify:
     def test_short_trajectory_is_inconclusive(self, designed):
         traj = synthetic_orbit(designed, n=16)
         eqs = m.find_equilibria(designed.params)
-        verdict = m.classify(traj, eqs, m.AnalysisConfig())
+        verdict = m.classify(traj, eqs)
         assert verdict.label == "inconclusive"
 
     def test_diverged_event_wins(self):
@@ -248,7 +248,7 @@ class TestClassify:
         cfg = m.IntegrationConfig(t_end=0.05, t_transient=0.0)
         traj = m.integrate(runaway, (0.1, 0.0, 0.0), cfg)
         eqs = m.find_equilibria(runaway)
-        assert m.classify(traj, eqs, m.AnalysisConfig()).label == "diverged"
+        assert m.classify(traj, eqs).label == "diverged"
 
     def test_double_scroll_implies_extrema_on_both_sides(self, designed_run):
         traj, lam, eqs = designed_run
@@ -273,8 +273,7 @@ class TestLargestLyapunov:
         lam = m.largest_lyapunov(params, (0.1, 0.0, 0.0), cfg)
         assert abs(lam.dimensionless) < 0.01
         traj = m.integrate(params, (0.1, 0.0, 0.0), cfg)
-        verdict = m.classify(traj, m.find_equilibria(params),
-                             m.AnalysisConfig(), lam)
+        verdict = m.classify(traj, m.find_equilibria(params), lam)
         assert verdict.label == "periodic"
 
     def test_linear_system_matches_eigenvalue(self, linear_params):
@@ -377,8 +376,8 @@ class TestTrajectoryAndLyapunov:
         monkeypatch.setattr(analysis, "local_extrema", counted_extrema)
         icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
         pts = m.sweep(m.StateTable((ref_state,)), spec, icfg,
-                      m.AnalysisConfig(), ref_state.r_prog, ref_state.r_prog,
-                      2, sigma=0.1, seed=4)
+                      ref_state.r_prog, ref_state.r_prog, 2, sigma=0.1,
+                      seed=4)
         assert [p.verdict.label for p in pts] == ["double_scroll"] * 2
         assert calls == {"kernel": 1, "extrema": 2}
 
@@ -453,34 +452,32 @@ class TestPerturb:
             m.perturb(ref_state.poly, -0.1, seed=0)
 
 
-def small_cfgs():
-    icfg = m.IntegrationConfig(t_end=0.1, t_transient=0.02)
-    return icfg, m.AnalysisConfig()
+def small_icfg():
+    return m.IntegrationConfig(t_end=0.1, t_transient=0.02)
 
 
 class TestSweep:
     def test_single_point_matches_direct_pipeline(self, designed, ref_state,
                                                   spec):
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
-        pts = m.sweep(table, spec, icfg, acfg, ref_state.r_prog,
+        icfg = small_icfg()
+        pts = m.sweep(table, spec, icfg, ref_state.r_prog,
                       ref_state.r_prog, 1, sigma=0.0, seed=9)
         assert len(pts) == 1
         traj = m.integrate(designed.params, (0.1, 0.0, 0.0), icfg)
         lam = m.largest_lyapunov(designed.params, (0.1, 0.0, 0.0), icfg)
-        direct = m.classify(traj, m.find_equilibria(designed.params), acfg,
-                            lam)
+        direct = m.classify(traj, m.find_equilibria(designed.params), lam)
         assert pts[0].verdict.label == direct.label
         values = m.local_extrema(traj.times, traj.v1)[1]
         assert np.array_equal(pts[0].extrema, values)
 
     def test_rerun_is_bit_identical(self, ref_state, spec):
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
+        icfg = small_icfg()
         kw = dict(mode="fixed", sigma=0.1, seed=77)
-        a = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+        a = m.sweep(table, spec, icfg, 0.4 * ref_state.r_prog,
                     1.2 * ref_state.r_prog, 4, **kw)
-        b = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+        b = m.sweep(table, spec, icfg, 0.4 * ref_state.r_prog,
                     1.2 * ref_state.r_prog, 4, **kw)
         for pa, pb in zip(a, b):
             assert pa.r_prog == pb.r_prog
@@ -494,10 +491,10 @@ class TestSweep:
         # the sweep hands the kernels kernels.LANES points at a time, and
         # each point is the same at any width
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
+        icfg = small_icfg()
 
         def run():
-            pts = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+            pts = m.sweep(table, spec, icfg, 0.4 * ref_state.r_prog,
                           1.2 * ref_state.r_prog, 5, sigma=0.1, seed=5)
             return [(p.r_prog, p.extrema.tobytes(), p.verdict, p.reason)
                     for p in pts]
@@ -519,11 +516,10 @@ class TestSweep:
         monkeypatch.setattr(analysis, "_cpus", lambda: 4)
         table = m.StateTable((ref_state,))
         icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.005)
-        acfg = m.AnalysisConfig()
         kw = dict(mode="fixed", sigma=0.05, seed=3)
         runs = []
         for w in (1, workers):
-            pts = m.sweep(table, spec, icfg, acfg, 0.5 * ref_state.r_prog,
+            pts = m.sweep(table, spec, icfg, 0.5 * ref_state.r_prog,
                           1.1 * ref_state.r_prog, 5, workers=w, **kw)
             m.write_bifurcation_csv(tmp_path / "bif.csv", pts)
             runs.append(((tmp_path / "bif.csv").read_bytes(),
@@ -571,9 +567,9 @@ class TestSweep:
     def small_sweep(ref_state, spec, n_points, workers):
         table = m.StateTable((ref_state,))
         icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.005)
-        return m.sweep(table, spec, icfg, m.AnalysisConfig(),
-                       0.5 * ref_state.r_prog, 1.1 * ref_state.r_prog,
-                       n_points, sigma=0.05, seed=3, workers=workers)
+        return m.sweep(table, spec, icfg, 0.5 * ref_state.r_prog,
+                       1.1 * ref_state.r_prog, n_points, sigma=0.05, seed=3,
+                       workers=workers)
 
     def test_auto_workers_on_the_python_backend_is_one(
             self, ref_state, spec, monkeypatch):
@@ -610,10 +606,9 @@ class TestSweep:
         # what a run of its own gives, at any worker count
         table = m.StateTable((ref_state,))
         icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
-        acfg = m.AnalysisConfig()
         csvs = []
         for workers in (1, 2):
-            pts = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+            pts = m.sweep(table, spec, icfg, 0.4 * ref_state.r_prog,
                           1.4 * ref_state.r_prog, 5, mode=mode, sigma=0.1,
                           seed=11, workers=workers)
             m.write_bifurcation_csv(tmp_path / "bif.csv", pts)
@@ -634,21 +629,21 @@ class TestSweep:
             values = m.local_extrema(traj.times, traj.v1)[1]
             assert pt.extrema.tobytes() == values.tobytes()
             assert pt.verdict == m.classify(
-                traj, m.find_equilibria(params), acfg, lam)
+                traj, m.find_equilibria(params), lam)
             assert pt.reason is None
 
     def test_points_ordered_by_resistance(self, ref_state, spec):
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
-        pts = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+        icfg = small_icfg()
+        pts = m.sweep(table, spec, icfg, 0.4 * ref_state.r_prog,
                       1.2 * ref_state.r_prog, 4, sigma=0.0)
         rs = [p.r_prog for p in pts]
         assert rs == sorted(rs)
 
     def test_per_point_seeds_recorded(self, ref_state, spec):
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
-        pts = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+        icfg = small_icfg()
+        pts = m.sweep(table, spec, icfg, 0.4 * ref_state.r_prog,
                       1.2 * ref_state.r_prog, 3, sigma=0.1, seed=100)
         assert [p.seed for p in pts] == [100, 101, 102]
 
@@ -657,8 +652,8 @@ class TestSweep:
             r_prog=ref_state.r_prog / 100,
             poly=m.DevicePoly(1e-4, 0, 0, 0, 0, v_min=-1.2, v_max=2.6))
         table = m.StateTable.from_states([linear, ref_state])
-        icfg, acfg = small_cfgs()
-        pts = m.sweep(table, spec, icfg, acfg, linear.r_prog,
+        icfg = small_icfg()
+        pts = m.sweep(table, spec, icfg, linear.r_prog,
                       ref_state.r_prog, 3, mode="redesign", sigma=0.0)
         labels = [p.verdict.label for p in pts]
         assert labels[0] == "inconclusive"
@@ -670,8 +665,8 @@ class TestSweep:
             poly=m.DevicePoly(1e-4, 0, 0, 0, 0, v_min=-1.2, v_max=2.6))
         table = m.StateTable.from_states([linear, ref_state])
         icfg = m.IntegrationConfig(t_end=0.02, t_transient=0.005)
-        pts = m.sweep(table, spec, icfg, m.AnalysisConfig(), linear.r_prog,
-                      ref_state.r_prog, 2, mode="redesign", sigma=0.0)
+        pts = m.sweep(table, spec, icfg, linear.r_prog, ref_state.r_prog, 2,
+                      mode="redesign", sigma=0.0)
         assert pts[0].verdict.label == "inconclusive"
         assert pts[0].reason.startswith("design failure: infeasible-G")
         assert pts[1].verdict.label != "inconclusive"
@@ -685,8 +680,7 @@ class TestSweep:
         icfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
         (pt,) = m.sweep(m.StateTable((state,)),
                         replace(spec, v_eq=1.0, alpha=1.0), icfg,
-                        m.AnalysisConfig(), state.r_prog, state.r_prog, 1,
-                        mode="redesign")
+                        state.r_prog, state.r_prog, 1, mode="redesign")
         assert pt.verdict.label == "inconclusive"
         assert pt.reason == (
             "design failure: component-range: the converter conductance "
@@ -697,16 +691,15 @@ class TestSweep:
         icfg = m.IntegrationConfig(t_end=0.002, t_transient=0.0005)
         tiny_l = replace(designed.params, l=1e-310)
         run = analysis._SweepRun(m.StateTable((ref_state,)), None, icfg,
-                                 m.AnalysisConfig(), "fixed", 0.0,
-                                 (0.1, 0.0, 0.0), tiny_l)
+                                 "fixed", 0.0, (0.1, 0.0, 0.0), tiny_l)
         (pt,) = analysis._sweep_points(run, [(ref_state.r_prog, 7)])
         assert (pt.verdict.label, pt.seed) == ("inconclusive", 7)
         assert pt.reason.startswith("equilibria: the Jacobian at v1=0.0 V")
 
     def test_non_soa_extrema_inside_window(self, ref_state, spec):
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
-        pts = m.sweep(table, spec, icfg, acfg, 0.4 * ref_state.r_prog,
+        icfg = small_icfg()
+        pts = m.sweep(table, spec, icfg, 0.4 * ref_state.r_prog,
                       1.4 * ref_state.r_prog, 5, sigma=0.0)
         for p in pts:
             if not p.soa and p.extrema.size:
@@ -717,8 +710,8 @@ class TestSweep:
 class TestBifurcationCsv:
     def test_format_and_roundtrip(self, tmp_path, ref_state, spec):
         table = m.StateTable((ref_state,))
-        icfg, acfg = small_cfgs()
-        pts = m.sweep(table, spec, icfg, acfg, 0.8 * ref_state.r_prog,
+        icfg = small_icfg()
+        pts = m.sweep(table, spec, icfg, 0.8 * ref_state.r_prog,
                       1.2 * ref_state.r_prog, 2, sigma=0.0)
         path = tmp_path / "bif.csv"
         m.write_bifurcation_csv(path, pts)

@@ -333,13 +333,6 @@ integration:
   abs_tol: 1.0e-10
   rel_tol: 1.0e-8
 initial_state: [0.2, -0.0, 1.0e-6]
-analysis:
-  visit_fraction: 0.25
-  cluster_tol_fraction: 0.02
-  max_periodic_clusters: 6
-  lambda_periodic: 0.02
-  fixed_point_tol: 2.0e-4
-  min_samples: 40
 sweep:
   mode: fixed
   r_lo: 2.0e+5
@@ -411,7 +404,8 @@ class TestYamlLoaders:
         rc = configs[0]
         assert rc.spec.c1 == 2e-8 and rc.integration.soa_policy == "abort"
         assert rc.sweep["r_lo"] == 2e5 and rc.out_dir == "results"
-        assert rc.sweep["mode"] == "fixed" and rc.components["r_n"] == 6856.0
+        assert rc.sweep["mode"] == "fixed"
+        assert rc.components.g_n == 1.0 / 6856.0
         assert rc.sweep["r_hi"] == 1.5 * 3e5
 
 
@@ -740,19 +734,17 @@ NUMERIC_KEYS = (
     + [("design", k) for k in cli.CONFIG_TABLE["design"]]
     + [("integration", k) for k in cli.CONFIG_TABLE["integration"]
        if k not in ("method", "soa_policy")]
-    + [("analysis", k) for k in cli.CONFIG_TABLE["analysis"]]
     + [("sweep", k) for k in cli.CONFIG_TABLE["sweep"] if k != "mode"]
     + [("components", k) for k in COMPONENTS])
-INTEGER_KEYS = {"record_stride", "max_periodic_clusters", "min_samples",
-                "n_points", "seed", "workers"}
+INTEGER_KEYS = {"record_stride", "n_points", "seed", "workers"}
 
 
-def bad_value_error(tmp_path, capsys, overrides):
-    """The stderr lines of `memchua equilibria` on a config with
+def bad_value_error(tmp_path, capsys, overrides, command="equilibria"):
+    """The stderr lines of `memchua <command>` on a config with
     `overrides`, which must exit 2."""
     cfg = write_config(tmp_path / "c.yaml", **overrides)
     out = tmp_path / "out"
-    assert cli.main(["equilibria", "--config", cfg, "--out", str(out)]) == 2
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     return capsys.readouterr().err.splitlines()
 
@@ -826,6 +818,8 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
      "unknown key config.components.foo"),
     # the shadow's offset is kernels.SHADOW_D0, no longer a key
     ({"lyapunov": {"d0": 1e-9}}, "unknown key config.lyapunov"),
+    # the taxonomy's thresholds are constants of memchua.analysis
+    ({"analysis": {"min_samples": 40}}, "unknown key config.analysis"),
     ({"components": {k: v for k, v in COMPONENTS.items() if k != "c2"}},
      "config.components.c2 is required"),
     ({"components": {}}, "config.components.r is required"),
@@ -849,8 +843,6 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
     # the library's own checks name the block they read
     ({"integration": {"dt": -1.0}},
      "config.integration: dt must be positive, got -1.0"),
-    ({"analysis": {"min_samples": 2}},
-     "config.analysis: cluster cap must be >= 1 and min_samples >= 3"),
     ({"design": {"alpha": -1.0}},
      "config.design: v_eq, c1, alpha and beta must all be finite and "
      "positive"),
@@ -878,17 +870,20 @@ def test_zero_component_resistance_is_parse_error(tmp_path, capsys):
 ], ids=["n-fraction", "stride-fraction", "workers-bool", "schema-bool",
         "v_eq-bool", "out_dir-null", "seed-negative", "workers-zero",
         "stride-huge", "n-huge", "n-huger", "schema-2",
-        "method", "components-extra", "lyapunov-d0", "components-missing",
+        "method", "components-extra", "lyapunov-d0", "analysis",
+        "components-missing",
         "components-empty", "v_set-unread", "components-redesign",
         "r_lo_frac-unknown",
         "r_hi_frac-unknown", "coefficients-short", "init-short",
-        "r_lo-zero", "block-list", "integration", "analysis", "design",
+        "r_lo-zero", "block-list", "integration", "design",
         "device", "components", "dt-huge", "dt-past-t_end", "r-nan",
         "r_n-tiny", "v_eq-inf", "c1-inf", "alpha-inf",
         "beta-inf"])
 def test_rejected_config_names_its_key(tmp_path, capsys, overrides, error):
-    assert bad_value_error(tmp_path, capsys, overrides) == [
-        f"input error: {error}"]
+    # design sizes its own circuit, yet checks every key as equilibria does
+    for command in ("equilibria", "design"):
+        assert bad_value_error(tmp_path, capsys, overrides, command) == [
+            f"input error: {error}"]
 
 
 @pytest.mark.parametrize("flags, section, error", [
@@ -937,7 +932,6 @@ def test_defaults_are_the_library_defaults():
     rc = cli.load_config(None)
     assert rc.spec == m.DesignSpec()
     assert rc.integration == m.IntegrationConfig()
-    assert rc.analysis == m.AnalysisConfig()
     device = cli._DEFAULTS["device"]
     assert (device["v_set"], device["v_stop"]) == (
         m.device.REFERENCE_V_SET, m.device.REFERENCE_V_STOP)
@@ -1116,7 +1110,7 @@ class TestRk45Overlap:
         traj = integrate_adaptive(params, rc.initial_state, rc.integration)
         lam = analysis.largest_lyapunov(params, rc.initial_state,
                                         rc.integration)
-        verdict = analysis.classify(traj, eqs, rc.analysis, lam)
+        verdict = analysis.classify(traj, eqs, lam)
         cli._write_json(tmp_path / "serial.json", {
             **verdict.as_dict(), "lambda1_dimensionless": lam.dimensionless,
             "n_events": len(traj.events), "n_samples": len(traj.times)})

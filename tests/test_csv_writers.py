@@ -158,8 +158,8 @@ class TestWritersMatchCsvModule:
 
         points = m.sweep(m.StateTable((ref_state,)), spec,
                          m.IntegrationConfig(t_end=0.02, t_transient=0.005),
-                         m.AnalysisConfig(), 0.5 * ref_state.r_prog,
-                         1.2 * ref_state.r_prog, 3, sigma=0.1, seed=3)
+                         0.5 * ref_state.r_prog, 1.2 * ref_state.r_prog, 3,
+                         sigma=0.1, seed=3)
         assert sum(p.extrema.size for p in points) > 10
         assert same_bytes(tmp_path_factory, m.write_bifurcation_csv,
                           csv_oracle.write_bifurcation_csv, points)
