@@ -10,14 +10,14 @@ from .circuit import (CircuitParams, EquilibriumPoint, StabilityVerdict,
                       nonlinear_slope, vector_field)
 from .design import DesignCheck, DesignReport, DesignSpec, design_circuit
 from .device import (REFERENCE_COEFFICIENTS, DevicePoly, DeviceState,
-                     FitResult, IVSample, StateTable, eval_current,
+                     FitResult, StateTable, eval_current,
                      eval_differential_conductance, fit_poly, load_iv_csv,
                      load_state_table, reference_state, reference_table,
                      resistance_at_low_bias, save_iv_csv, save_state_table,
                      state_at)
 from .errors import (DesignError, FitError, InputFormatError,
                      IntegrationError, LyapunovError, MemChuaError)
-from .integrate import (Event, IntegrationConfig, Trajectory, integrate,
+from .integrate import (IntegrationConfig, Trajectory, integrate,
                         integrate_adaptive, write_events_csv,
                         write_trajectory_csv)
 from .kernels import BACKEND

@@ -363,7 +363,7 @@ def _sweep_point(run: _SweepRun, r, seed_k, params, eqs, call, out):
     """The sweep point at `r` from the kernel's `out` for its `call`."""
     traj = trajectory_of(out)
     lyap, _ = _lyapunov(params, call, out)
-    soa = any(ev.kind in ("soa_low", "soa_high") for ev in traj.events)
+    soa = bool((traj.event_kinds != "diverged").any())
     values = (local_extrema(traj.times, traj.v1)[1] if len(traj.times) >= 3
               else np.empty(0))
     verdict = classify(traj, eqs, lyap, values)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import yaml
 
-from .analysis import (classify, largest_lyapunov, sweep,
+from .analysis import (Label, classify, largest_lyapunov, sweep,
                        trajectory_and_lyapunov, write_bifurcation_csv)
 from .circuit import CircuitParams, find_equilibria
 from .design import DesignSpec, design_circuit
@@ -342,10 +342,10 @@ def cmd_fit(args) -> int:
     if not lo < hi:
         raise InputFormatError(f"--window-lo must be below --window-hi, got "
                                f"{lo!r} and {hi!r}")
-    samples = load_iv_csv(args.iv)
-    if not samples:
+    iv = load_iv_csv(args.iv)
+    if len(iv) == 0:
         raise InputFormatError("I-V file holds no samples", line=2)
-    result = fit_poly(samples, (lo, hi))
+    result = fit_poly(iv, (lo, hi))
     poly = DevicePoly(*result.poly.coefficients, v_min=-v_set, v_max=v_stop)
     state = DeviceState(resistance_at_low_bias(poly), poly)
 
@@ -445,7 +445,7 @@ def cmd_simulate(args) -> int:
     verdict = classify(traj, eqs, lam)
     summary = verdict.as_dict()
     summary["lambda1_dimensionless"] = lam.dimensionless if lam else None
-    summary["n_events"] = len(traj.events)
+    summary["n_events"] = len(traj.event_times)
     summary["n_samples"] = len(traj.times)
     if stiff:
         summary["integration_failure"] = stiff
@@ -455,7 +455,7 @@ def cmd_simulate(args) -> int:
 
     print(f"class={verdict.label} side={verdict.scroll_side} "
           f"lambda1*tau={summary['lambda1_dimensionless'] if lam else 'n/a'} "
-          f"events={len(traj.events)}")
+          f"events={summary['n_events']}")
     if traj.diverged or traj.aborted_on_soa or stiff:
         reason = ("diverged" if traj.diverged else
                   "aborted on window crossing" if traj.aborted_on_soa else stiff)
@@ -476,7 +476,7 @@ def cmd_sweep(args) -> int:
                    init=rc.initial_state, reference=reference,
                    workers=sw["workers"])
 
-    ok_points = [p for p in points if p.verdict.label != "inconclusive"]
+    ok_points = [p for p in points if p.verdict.label != Label.INCONCLUSIVE]
     out = _out_dir(args, rc)
     write_bifurcation_csv(out / "bifurcation.csv", points)
     _write_json(out / "sweep_summary.json", [

@@ -13,9 +13,7 @@ follow the single-reference 1/R scaling law.
 import csv
 import math
 from dataclasses import astuple, dataclass, fields
-from itertools import chain
-from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,13 +26,6 @@ R_PROBE_V = 0.1  # V; a state's r_prog is v/i at this voltage
 # rows formatted per write in write_csv: about 6 MB of strings for four
 # float columns, whatever the row count
 _CSV_CHUNK_ROWS = 16384
-
-
-class IVSample(NamedTuple):
-    """One measured point of the static I-V curve (volts, amps)."""
-
-    v: float
-    i: float
 
 
 @dataclass(frozen=True)
@@ -147,19 +138,23 @@ def eval_differential_conductance(poly: DevicePoly, v):
             + v * (4.0 * poly.p4 + v * 5.0 * poly.p5))))
 
 
-def fit_poly(samples: Sequence[IVSample], window) -> FitResult:
+def fit_poly(iv, window) -> FitResult:
     """Least-squares quintic fit without intercept over the given window.
 
-    Only samples with v inside [window[0], window[1]] participate. Requires
-    at least five distinct nonzero voltages among them; raises FitError
-    otherwise, when the design matrix is numerically rank deficient or
-    past the float range, or when a residual overflows.
+    `iv` is an (n, 2) array of (v, i) rows, as load_iv_csv returns; a
+    non-empty input of any other shape raises ValueError. Only samples
+    with v inside [window[0], window[1]] participate. Requires at least
+    five distinct nonzero voltages among them; raises FitError otherwise
+    (no samples at all included), when the design matrix is numerically
+    rank deficient or past the float range, or when a residual overflows.
     """
     v_lo, v_hi = float(window[0]), float(window[1])
-    arr = np.fromiter(chain.from_iterable(map(itemgetter(0, 1), samples)),
-                      dtype=float, count=2 * len(samples)).reshape(-1, 2)
+    arr = np.asarray(iv, dtype=float)
     if arr.size == 0:
         raise FitError("no samples supplied")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"I-V samples must be (v, i) rows, got shape "
+                         f"{arr.shape}")
     if not np.isfinite(arr).all():
         raise FitError("samples contain non-finite values")
     mask = (arr[:, 0] >= v_lo) & (arr[:, 0] <= v_hi)
@@ -257,10 +252,11 @@ def reference_table() -> StateTable:
 
 def _csv_rows(path, header):
     """(line number, row) for each non-blank row of the UTF-8 CSV at
-    `path`, whose first line must be `header` and whose every row has one
-    cell per header column; anything else raises InputFormatError."""
+    `path`, a leading byte-order mark skipped, whose first line must be
+    `header` and whose every row has one cell per header column; anything
+    else raises InputFormatError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             found = next(reader, None)
             if found is None or [h.strip() for h in found] != header:
@@ -279,15 +275,16 @@ def _csv_rows(path, header):
             f"{path} is not UTF-8 text ({exc.reason})") from exc
 
 
-def load_iv_csv(path) -> list:
-    """Read I-V samples from a `voltage_V,current_A` CSV."""
-    samples = []
+def load_iv_csv(path) -> np.ndarray:
+    """The I-V samples of a `voltage_V,current_A` CSV as an (n, 2) float64
+    array of (v, i) rows; a header-only file gives shape (0, 2)."""
+    rows = []
     for ln, row in _csv_rows(path, IV_HEADER):
         try:
-            samples.append(IVSample(float(row[0]), float(row[1])))
+            rows.append((float(row[0]), float(row[1])))
         except ValueError as exc:
             raise InputFormatError(str(exc), line=ln) from exc
-    return samples
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def write_csv(path, header, columns):
@@ -319,11 +316,11 @@ def write_csv(path, header, columns):
                               for row in zip(*fields)]))
 
 
-def save_iv_csv(path, samples):
-    """Write I-V samples as a `voltage_V,current_A` CSV, in write_csv's
-    bytes, so each value reads back bit for bit."""
-    values = np.array([(s[0], s[1]) for s in samples], dtype=float)
-    write_csv(path, IV_HEADER, values.reshape(-1, 2).T)
+def save_iv_csv(path, iv):
+    """Write an (n, 2) array of (v, i) rows as a `voltage_V,current_A` CSV
+    in write_csv's bytes; rows of another length raise ValueError."""
+    write_csv(path, IV_HEADER,
+              np.asarray(iv, dtype=float).reshape(len(iv), 2).T)
 
 
 def load_state_table(path) -> StateTable:

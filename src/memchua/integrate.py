@@ -11,7 +11,6 @@ crossing. All work is in SI units.
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -20,11 +19,8 @@ from .circuit import CircuitParams
 from .device import write_csv
 from .errors import IntegrationError
 
-_KIND_NAMES = {
-    kernels.KIND_SOA_LOW: "soa_low",
-    kernels.KIND_SOA_HIGH: "soa_high",
-    kernels.KIND_DIVERGED: "diverged",
-}
+# event kind names, indexed by the kernels' KIND_* codes
+EVENT_KINDS = ("soa_low", "soa_high", "diverged")
 
 DIVERGENCE_FACTOR = 1e3
 
@@ -76,24 +72,22 @@ class IntegrationConfig:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: str  # soa_low | soa_high | diverged
-    value: float
-
-
 @dataclass
 class Trajectory:
     """Recorded samples (times strictly increasing) plus the event log.
 
-    events_dropped counts the events past the kernels' buffer cap that
-    are missing from `events`.
+    The events are three columns, one entry per event in the order the
+    kernel met them: event_times (s, float64), event_kinds (a str array of
+    EVENT_KINDS names) and event_values (float64: v1 for a window
+    crossing or a divergence). events_dropped counts the events past the
+    kernels' buffer cap that are missing from the columns.
     """
 
     times: np.ndarray
     states: np.ndarray
-    events: Tuple[Event, ...]
+    event_times: np.ndarray
+    event_kinds: np.ndarray
+    event_values: np.ndarray
     status: int
     events_dropped: int = 0
 
@@ -148,10 +142,10 @@ def _shared_args(params: CircuitParams, init, cfg: IntegrationConfig):
 
 def trajectory_of(out) -> Trajectory:
     """The Trajectory of a kernel's Rk4Out or DopriOut."""
-    events = tuple(Event(float(t), _KIND_NAMES[int(k)], float(v))
-                   for t, k, v in zip(out.ev_t, out.ev_k, out.ev_v))
-    return Trajectory(times=out.times, states=out.states, events=events,
-                      status=out.status,
+    return Trajectory(times=out.times, states=out.states,
+                      event_times=out.ev_t,
+                      event_kinds=np.array(EVENT_KINDS)[out.ev_k],
+                      event_values=out.ev_v, status=out.status,
                       events_dropped=int(out.events_dropped))
 
 
@@ -252,8 +246,7 @@ def write_trajectory_csv(path, traj: Trajectory):
 def write_events_csv(path, traj: Trajectory):
     """One row per event: t_s, kind, value, in device.write_csv's bytes.
     The kind is one of the fixed identifiers soa_low, soa_high and
-    diverged."""
-    evs = traj.events
+    diverged. event_kinds must stay a str array: write_csv writes such a
+    column as it is and formats every other column as floats."""
     write_csv(path, ["t_s", "kind", "value"],
-              [[ev.time for ev in evs], [ev.kind for ev in evs],
-               [ev.value for ev in evs]])
+              [traj.event_times, traj.event_kinds, traj.event_values])

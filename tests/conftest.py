@@ -8,6 +8,10 @@ from memchua import kernels
 
 REF_COEFFS = m.REFERENCE_COEFFICIENTS
 
+# the event columns of a Trajectory without events
+NO_EVENTS = dict(event_times=np.empty(0), event_kinds=np.empty(0, str),
+                 event_values=np.empty(0))
+
 
 @pytest.fixture(params=["default", "pure"])
 def backend(request, monkeypatch):
@@ -83,5 +87,13 @@ def bisect_equilibrium(params, lo, hi, tol=1e-14):
 
 
 def make_samples(coeffs, voltages):
-    return [m.IVSample(float(v), float(eval_current_oracle(coeffs, v)))
-            for v in voltages]
+    """An (n, 2) array of (v, i) rows, i from the term-by-term oracle."""
+    return np.array([(float(v), float(eval_current_oracle(coeffs, v)))
+                     for v in voltages], dtype=float).reshape(-1, 2)
+
+
+def event_rows(traj):
+    """The events of `traj` as (time, kind, value) tuples of Python floats
+    and strings, one per event, in order."""
+    return list(zip(traj.event_times.tolist(), traj.event_kinds.tolist(),
+                    traj.event_values.tolist()))

@@ -110,10 +110,10 @@ def test_criterion_4_double_scroll_property(designed):
         visits[label] = bool(np.any(np.maximum(dv1, np.maximum(dv2, dil))
                                     < radius))
     elapsed = time.perf_counter() - t0
-    ok = (visits["P+"] and visits["P-"] and traj.events == ()
+    ok = (visits["P+"] and visits["P-"] and traj.event_times.size == 0
           and lam.dimensionless > 0.01 and elapsed < 30.0)
     report(4, "double-scroll", ok,
-           f"visits={visits}, events={len(traj.events)}, "
+           f"visits={visits}, events={len(traj.event_times)}, "
            f"lambda1*tau={lam.dimensionless:.3f}, {elapsed:.1f}s")
 
 

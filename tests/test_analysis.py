@@ -15,6 +15,7 @@ from memchua.errors import LyapunovError
 from memchua.integrate import rk4_call
 
 import extrema_oracle as _extrema_oracle
+from conftest import NO_EVENTS, event_rows
 
 
 def extrema_oracle(t, x):
@@ -46,7 +47,7 @@ def synthetic_orbit(designed, amplitude=0.05, periods=3.25, n=2048):
     t = np.linspace(0.0, periods / f, n)
     v1 = 0.9 + amplitude * np.sin(2 * np.pi * f * t)
     states = np.column_stack([v1, np.zeros(n), np.full(n, -g * 0.9)])
-    return m.Trajectory(times=t, states=states, events=(), status=0)
+    return m.Trajectory(times=t, states=states, **NO_EVENTS, status=0)
 
 
 class TestLocalExtrema:
@@ -333,17 +334,18 @@ class TestTrajectoryAndLyapunov:
         n = len(abort.times)
         assert np.array_equal(abort.times, warn.times[:n])
         assert np.array_equal(abort.states, warn.states[:n])
-        assert abort.events == warn.events[:len(abort.events)]
-        crossed = any(ev.kind != "diverged" for ev in warn.events)
+        n_events = len(abort.event_times)
+        assert event_rows(abort) == event_rows(warn)[:n_events]
+        crossed = bool((warn.event_kinds != "diverged").any())
         assert abort.aborted_on_soa == crossed
         if crossed:
-            assert len(abort.events) == 1
+            assert n_events == 1
         assert lam_abort == lam_warn
 
         # the fused pass reproduces the two separate calls bit for bit
         alone = m.integrate(params, init, abort_cfg)
         assert np.array_equal(alone.states, abort.states)
-        assert alone.events == abort.events
+        assert event_rows(alone) == event_rows(abort)
         assert lam_abort == m.largest_lyapunov(params, init, abort_cfg)
 
     def test_diverged_reference_has_no_exponent(self):
@@ -355,7 +357,7 @@ class TestTrajectoryAndLyapunov:
                                                      cfg)
         assert traj.diverged and lam is None
         assert str(error) == "reference trajectory diverged; no exponent"
-        assert traj.events[-1].kind == "diverged"
+        assert traj.event_kinds[-1] == "diverged"
 
     def test_sweep_point_makes_one_kernel_and_one_extrema_call(
             self, ref_state, spec, monkeypatch):
@@ -470,6 +472,18 @@ class TestSweep:
         assert pts[0].verdict.label == direct.label
         values = m.local_extrema(traj.times, traj.v1)[1]
         assert np.array_equal(pts[0].extrema, values)
+
+    def test_soa_marks_a_window_crossing(self, designed, ref_state, spec):
+        # the designed circuit stays inside the reference window, and its
+        # double scroll crosses a +-50 mV one on every swing
+        p = ref_state.poly
+        narrow = m.DeviceState(ref_state.r_prog, m.DevicePoly(
+            p.p1, p.p2, p.p3, p.p4, p.p5, v_min=-0.05, v_max=0.05))
+        r = ref_state.r_prog
+        soa = [m.sweep(m.StateTable((state,)), spec, small_icfg(), r, r, 1,
+                       reference=designed.params)[0].soa
+               for state in (ref_state, narrow)]
+        assert soa == [False, True]
 
     def test_rerun_is_bit_identical(self, ref_state, spec):
         table = m.StateTable((ref_state,))

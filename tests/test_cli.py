@@ -67,6 +67,17 @@ class TestFit:
         assert report["rms_residual_A"] < 1e-15
         assert report["r_prog_ohm"] == pytest.approx(4.701e5, rel=1e-3)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one
+        iv = self.make_iv(tmp_path)
+        iv.write_bytes(b"\xef\xbb\xbf" + iv.read_bytes())
+        out = tmp_path / "out"
+        rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
+                       "--v-stop", "2.6", "--out", str(out)])
+        assert rc == 0
+        got = m.load_state_table(out / "device_card.csv").states[0]
+        assert np.allclose(got.poly.coefficients, REF_COEFFS, rtol=1e-8)
+
     def test_empty_file_is_parse_error(self, tmp_path):
         iv = tmp_path / "iv.csv"
         iv.write_text("voltage_V,current_A\n", encoding="utf-8")
@@ -107,10 +118,10 @@ class TestFit:
 
     def test_overflowing_voltages_are_fit_failure(self, tmp_path, capfd):
         # v**5 overflows: the fit refuses its basis before LAPACK sees it
-        voltages = np.linspace(-1.05e62, 2.55e62, 50)
+        v = np.linspace(-1.05e62, 2.55e62, 50)
+        v = v[v != 0]
         iv = tmp_path / "iv.csv"
-        m.save_iv_csv(iv, [m.IVSample(float(v), 1e-6 * float(v))
-                           for v in voltages if v != 0])
+        m.save_iv_csv(iv, np.column_stack([v, 1e-6 * v]))
         out = tmp_path / "out"
         rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1e62",
                        "--v-stop", "3e62", "--out", str(out)])
@@ -134,9 +145,9 @@ class TestFit:
         # the fit itself is finite, but its squared residuals overflow, so
         # the rms would be written as Infinity, which is not JSON
         iv = tmp_path / "iv.csv"
-        voltages = np.linspace(-1.05, 2.55, 50)
-        m.save_iv_csv(iv, [m.IVSample(float(v), 1e300 * float(v) ** 3)
-                           for v in voltages if v != 0])
+        v = np.linspace(-1.05, 2.55, 50)
+        v = v[v != 0]
+        m.save_iv_csv(iv, np.column_stack([v, 1e300 * v ** 3]))
         out = tmp_path / "out"
         rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
                        "--v-stop", "2.6", "--out", str(out)])
@@ -153,9 +164,8 @@ class TestFit:
         # the fit is finite, but 0.1 V over its probe current overflows, so
         # the card's r_prog_ohm would be inf
         iv = tmp_path / "iv.csv"
-        voltages = np.linspace(-1.05, 2.55, 50)
-        m.save_iv_csv(iv, [m.IVSample(float(v), scale * float(v))
-                           for v in voltages])
+        v = np.linspace(-1.05, 2.55, 50)
+        m.save_iv_csv(iv, np.column_stack([v, scale * v]))
         out = tmp_path / "out"
         rc = cli.main(["fit", "--iv", str(iv), "--v-set", "1.2",
                        "--v-stop", "2.6", "--out", str(out)])
@@ -1113,7 +1123,8 @@ class TestRk45Overlap:
         verdict = analysis.classify(traj, eqs, lam)
         cli._write_json(tmp_path / "serial.json", {
             **verdict.as_dict(), "lambda1_dimensionless": lam.dimensionless,
-            "n_events": len(traj.events), "n_samples": len(traj.times)})
+            "n_events": len(traj.event_times),
+            "n_samples": len(traj.times)})
         write_trajectory_csv(tmp_path / "serial.csv", traj)
         out = tmp_path / "out"
         assert ((out / "classification.json").read_bytes()

@@ -4,6 +4,7 @@ the same bytes for any rows, values and labels the package can write."""
 import math
 import struct
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 
 import memchua as m
 from memchua import analysis, device
-from memchua.integrate import _KIND_NAMES
+from memchua.integrate import EVENT_KINDS
 
 import csv_oracle
+from conftest import NO_EVENTS, event_rows
 
 # where repr switches between fixed and scientific notation (exponents 16
 # and -5), the extremes of the double range, and the values without digits
@@ -50,7 +52,7 @@ def arrays(draw, n=None):
         return np.array(draw(st.lists(int64s, **size)), dtype=np.int64)
     return np.array(draw(st.lists(doubles, **size)), dtype=float)
 
-KINDS = sorted(_KIND_NAMES.values())
+KINDS = sorted(EVENT_KINDS)
 LABELS = [analysis.Label.FIXED_POINT, analysis.Label.PERIODIC,
           analysis.Label.SINGLE_SCROLL, analysis.Label.DOUBLE_SCROLL,
           analysis.Label.DIVERGED, analysis.Label.INCONCLUSIVE]
@@ -71,13 +73,23 @@ def trajectories(draw, max_rows=40):
     events of every kind."""
     n = draw(st.integers(0, max_rows))
     values = draw(arrays(4 * n))
-    events = tuple(
-        m.Event(t, kind, v)
-        for t, kind, v in draw(st.lists(
-            st.tuples(doubles, st.sampled_from(KINDS), doubles),
-            max_size=6)))
-    return m.Trajectory(times=values[:n], states=values[n:].reshape(n, 3),
-                        events=events, status=0)
+    events = draw(st.lists(
+        st.tuples(doubles, st.sampled_from(KINDS), doubles), max_size=6))
+    return m.Trajectory(
+        times=values[:n], states=values[n:].reshape(n, 3),
+        event_times=np.array([t for t, _, _ in events], dtype=float),
+        event_kinds=np.array([k for _, k, _ in events], dtype=str),
+        event_values=np.array([v for _, _, v in events], dtype=float),
+        status=0)
+
+
+def write_events_oracle(path, traj):
+    """csv_oracle.write_events_csv on the event columns of `traj`, handed
+    over as `events` rows of Python floats and strings: the oracle's repr
+    of a numpy scalar would read np.float64(...)."""
+    events = [SimpleNamespace(time=t, kind=kind, value=v)
+              for t, kind, v in event_rows(traj)]
+    csv_oracle.write_events_csv(path, SimpleNamespace(events=events))
 
 
 @st.composite
@@ -120,7 +132,7 @@ class TestWritersMatchCsvModule:
     @given(traj=trajectories(max_rows=0))
     def test_events(self, tmp_path_factory, traj):
         assert same_bytes(tmp_path_factory, m.write_events_csv,
-                          csv_oracle.write_events_csv, traj)
+                          write_events_oracle, traj)
 
     @settings(max_examples=100, deadline=None)
     @given(points=sweep_points())
@@ -131,9 +143,9 @@ class TestWritersMatchCsvModule:
     @settings(max_examples=100, deadline=None)
     @given(samples=st.lists(st.tuples(scalars, scalars), max_size=30))
     def test_iv(self, tmp_path_factory, samples):
-        samples = [m.IVSample(v, i) for v, i in samples]
+        iv = np.array(samples, dtype=float).reshape(-1, 2)
         assert same_bytes(tmp_path_factory, m.save_iv_csv,
-                          csv_oracle.save_iv_csv, samples)
+                          csv_oracle.save_iv_csv, iv)
 
     @settings(max_examples=100, deadline=None)
     @given(states=state_lists())
@@ -150,11 +162,11 @@ class TestWritersMatchCsvModule:
         icfg = m.IntegrationConfig(t_end=0.01, t_transient=0.0,
                                    record_stride=1)
         traj = m.integrate_adaptive(params, (0.1, 0.0, 0.0), icfg)
-        assert len(traj.times) > 100 and traj.events
+        assert len(traj.times) > 100 and len(traj.event_times)
         assert same_bytes(tmp_path_factory, m.write_trajectory_csv,
                           csv_oracle.write_trajectory_csv, traj)
         assert same_bytes(tmp_path_factory, m.write_events_csv,
-                          csv_oracle.write_events_csv, traj)
+                          write_events_oracle, traj)
 
         points = m.sweep(m.StateTable((ref_state,)), spec,
                          m.IntegrationConfig(t_end=0.02, t_transient=0.005),
@@ -171,7 +183,7 @@ def random_trajectory(n, seed=0):
         0, 2**64, size=4 * n, dtype=np.uint64)
     values = bits.view(np.float64)
     return m.Trajectory(times=values[:n], states=values[n:].reshape(n, 3),
-                        events=(), status=0)
+                        **NO_EVENTS, status=0)
 
 
 class TestChunkedWrites:
@@ -215,8 +227,8 @@ class TestChunkedWrites:
 def test_unequal_columns_are_refused(tmp_path):
     # 5 times and 3 state rows once wrote 3 rows and no error
     traj = random_trajectory(5)
-    short = m.Trajectory(times=traj.times, states=traj.states[:3], events=(),
-                         status=0)
+    short = m.Trajectory(times=traj.times, states=traj.states[:3],
+                         **NO_EVENTS, status=0)
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError,
                        match=r"columns differ in length: \[5, 3, 3, 3\]"):

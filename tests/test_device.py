@@ -57,9 +57,10 @@ class TestFitPoly:
         assert result.rms_residual < 1e-18
 
     def test_zero_currents_fit_to_zero(self):
-        voltages = np.linspace(-0.5, 1.5, 20)
-        samples = [m.IVSample(float(v), 0.0) for v in voltages if v != 0]
-        result = m.fit_poly(samples, (-0.5, 1.5))
+        v = np.linspace(-0.5, 1.5, 20)
+        v = v[v != 0]
+        result = m.fit_poly(np.column_stack([v, np.zeros_like(v)]),
+                            (-0.5, 1.5))
         assert np.all(result.poly.coefficients == 0.0)
         assert result.rms_residual == 0.0
 
@@ -72,6 +73,15 @@ class TestFitPoly:
         samples = make_samples(REF_COEFFS, [0.5, 0.5, 0.5, 1.0, 1.5, 2.0])
         with pytest.raises(FitError, match="underdetermined"):
             m.fit_poly(samples, (-1.0, 2.5))
+
+    def test_rows_of_three_are_refused(self, tmp_path):
+        samples = make_samples(REF_COEFFS, np.linspace(0.1, 2.0, 10))
+        rows = np.column_stack([samples, samples[:, 1]])
+        with pytest.raises(ValueError, match=r"got shape \(10, 3\)"):
+            m.fit_poly(rows, (-1.0, 2.5))
+        with pytest.raises(ValueError):
+            m.save_iv_csv(tmp_path / "iv.csv", rows)
+        assert not (tmp_path / "iv.csv").exists()
 
     def test_samples_outside_window_ignored(self):
         voltages = np.concatenate([np.linspace(0.1, 2.0, 10), [5.0, -3.0]])
@@ -147,7 +157,7 @@ class TestCsvIO:
         samples = make_samples(REF_COEFFS, np.linspace(-0.9, 2.5, 12))
         m.save_iv_csv(path, samples)
         back = m.load_iv_csv(path)
-        assert back == samples
+        assert np.array_equal(back, samples)
 
     def test_iv_bad_header_reports_line(self, tmp_path):
         path = tmp_path / "iv.csv"
@@ -163,6 +173,18 @@ class TestCsvIO:
         with pytest.raises(InputFormatError) as err:
             m.load_iv_csv(path)
         assert err.value.line == 3
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, ref_state):
+        # Excel's "CSV UTF-8" export starts the file with one
+        bom = b"\xef\xbb\xbf"
+        iv, states = tmp_path / "iv.csv", tmp_path / "states.csv"
+        samples = make_samples(REF_COEFFS, np.linspace(-0.9, 2.5, 12))
+        m.save_iv_csv(iv, samples)
+        m.save_state_table(states, [ref_state])
+        for path in (iv, states):
+            path.write_bytes(bom + path.read_bytes())
+        assert np.array_equal(m.load_iv_csv(iv), samples)
+        assert m.load_state_table(states).states == (ref_state,)
 
     def test_state_table_roundtrip(self, tmp_path, ref_state):
         path = tmp_path / "states.csv"
@@ -293,11 +315,11 @@ class TestDeviceProperties:
     @given(pairs=st.lists(st.tuples(finite, finite), max_size=30))
     def test_iv_csv_roundtrip_is_bit_exact(self, tmp_path_factory, pairs):
         path = tmp_path_factory.mktemp("iv") / "iv.csv"
-        samples = [m.IVSample(v, i) for v, i in pairs]
+        samples = np.array(pairs, dtype=float).reshape(-1, 2)
         m.save_iv_csv(path, samples)
         back = m.load_iv_csv(path)
-        assert (np.array(back, dtype=float).tobytes()
-                == np.array(samples, dtype=float).tobytes())
+        assert back.dtype == np.float64 and back.shape == (len(pairs), 2)
+        assert back.tobytes() == samples.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(table=state_tables(coeff=finite))

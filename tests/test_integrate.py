@@ -17,7 +17,7 @@ import memchua as m
 from memchua import kernels
 from memchua.errors import IntegrationError
 
-from conftest import lc_period
+from conftest import event_rows, lc_period
 from rk4_oracle import _rk4_trajectory as rk4_oracle
 
 integrate_mod = importlib.import_module("memchua.integrate")
@@ -68,7 +68,7 @@ class TestLcBenchmark:
         T = lc_period(lc_params)
         cfg = m.IntegrationConfig(dt=T / 500, t_end=20 * T, t_transient=0.0)
         traj = m.integrate(lc_params, (0.0, 1.0, 0.0), cfg)
-        assert traj.events == ()
+        assert traj.event_times.size == 0
         assert traj.status == kernels.STATUS_OK
 
 
@@ -76,7 +76,7 @@ class TestIntegrate:
     def test_designed_circuit_bounded_without_events(self, designed):
         cfg = m.IntegrationConfig()  # dt=1us, 0.5s, 0.1s transient
         traj = m.integrate(designed.params, (0.1, 0.0, 0.0), cfg)
-        assert traj.events == ()
+        assert traj.event_times.size == 0
         assert not traj.diverged
         # the attractor stays near +-1.2 V, far from the 2.6 V window top
         assert traj.v1.min() > -1.2
@@ -96,24 +96,22 @@ class TestIntegrate:
                                       record_stride=1)
             traj = m.integrate(designed.params, p0, cfg)
             assert np.all(traj.states == p0)
-            assert traj.events == ()
+            assert traj.event_times.size == 0
 
     def test_runaway_emits_soa_and_abort_truncates(self, designed):
         runaway = replace(designed.params, g_n=designed.params.g_n * 10)
         warn_cfg = m.IntegrationConfig(t_end=0.01, t_transient=0.0,
                                        soa_policy="warn")
         warn_traj = m.integrate(runaway, (0.1, 0.0, 0.0), warn_cfg)
-        assert any(ev.kind in ("soa_low", "soa_high")
-                   for ev in warn_traj.events)
+        assert np.isin(warn_traj.event_kinds, ["soa_low", "soa_high"]).any()
 
         abort_cfg = replace(warn_cfg, soa_policy="abort")
         abort_traj = m.integrate(runaway, (0.1, 0.0, 0.0), abort_cfg)
         assert abort_traj.aborted_on_soa
         assert len(abort_traj.times) < len(warn_traj.times)
-        first = abort_traj.events[0]
-        assert first.kind in ("soa_low", "soa_high")
+        assert abort_traj.event_kinds[0] in ("soa_low", "soa_high")
         window = (designed.params.device.v_min, designed.params.device.v_max)
-        assert not window[0] <= first.value <= window[1]
+        assert not window[0] <= abort_traj.event_values[0] <= window[1]
 
     def test_every_soa_event_value_is_outside_window(self, designed):
         runaway = replace(designed.params, g_n=designed.params.g_n * 10)
@@ -121,13 +119,12 @@ class TestIntegrate:
                                   soa_policy="warn")
         traj = m.integrate(runaway, (0.1, 0.0, 0.0), cfg)
         d = designed.params.device
-        times = [ev.time for ev in traj.events]
-        assert times == sorted(times)
-        for ev in traj.events:
-            if ev.kind == "soa_low":
-                assert ev.value < d.v_min
-            elif ev.kind == "soa_high":
-                assert ev.value > d.v_max
+        assert np.all(np.diff(traj.event_times) >= 0)
+        for kind, value in zip(traj.event_kinds, traj.event_values):
+            if kind == "soa_low":
+                assert value < d.v_min
+            elif kind == "soa_high":
+                assert value > d.v_max
 
     def test_divergence_flagged_and_truncated(self):
         # bare negative resistance with no confining device quintic
@@ -138,7 +135,7 @@ class TestIntegrate:
                                   soa_policy="warn")
         traj = m.integrate(hot, (0.1, 0.0, 0.0), cfg)
         assert traj.diverged
-        assert traj.events[-1].kind == "diverged"
+        assert traj.event_kinds[-1] == "diverged"
 
     def test_divergence_bounds_stay_finite(self):
         # an infinite bound would let an infinite state pass the kernels'
@@ -858,7 +855,7 @@ class TestCsvExport:
         assert len(lines) == len(traj.times) + 1
         elines = epath.read_text(encoding="utf-8").splitlines()
         assert elines[0] == "t_s,kind,value"
-        assert len(elines) == len(traj.events) + 1
+        assert len(elines) == len(traj.event_times) + 1
 
 
 class TestSampleCap:
@@ -955,12 +952,42 @@ class TestDroppedEvents:
             d.p1, d.p2, d.p3, d.p4, d.p5, v_min=-0.05, v_max=0.05))
         cfg = m.IntegrationConfig(t_end=0.02, t_transient=0.0)
         full = m.integrate(params, (0.1, 0.0, 0.0), cfg)
-        assert len(full.events) > 3 and full.events_dropped == 0
+        assert len(full.event_times) > 3 and full.events_dropped == 0
 
         monkeypatch.setattr(kernels, "rk4_trajectories",
                             kernels.PURE_KERNELS["rk4_trajectories"])
         monkeypatch.setattr(kernels, "_EV_CAP", 3)
         capped = m.integrate(params, (0.1, 0.0, 0.0), cfg)
-        assert capped.events == full.events[:3]
-        assert capped.events_dropped == len(full.events) - 3
+        assert event_rows(capped) == event_rows(full)[:3]
+        assert capped.events_dropped == len(full.event_times) - 3
         assert np.array_equal(capped.states, full.states)
+
+
+class TestTrajectoryOf:
+    def test_event_columns_are_the_kernel_arrays(self, designed, backend,
+                                                 monkeypatch):
+        outs = []
+        for name in ("rk4_trajectories", "dopri_trajectory"):
+            def spy(arg, kernel=getattr(kernels, name)):
+                out = kernel(arg)
+                outs.append(out[0] if isinstance(out, list) else out)
+                return out
+            monkeypatch.setattr(kernels, name, spy)
+        # a +-50 mV window that the double scroll crosses on every swing
+        d = designed.params.device
+        params = replace(designed.params, device=m.DevicePoly(
+            d.p1, d.p2, d.p3, d.p4, d.p5, v_min=-0.05, v_max=0.05))
+        cfg = m.IntegrationConfig(t_end=0.02, t_transient=0.0)
+        trajs = [m.integrate(params, (0.1, 0.0, 0.0), cfg),
+                 m.integrate_adaptive(params, (0.1, 0.0, 0.0), cfg)]
+        names = {kernels.KIND_SOA_LOW: "soa_low",
+                 kernels.KIND_SOA_HIGH: "soa_high",
+                 kernels.KIND_DIVERGED: "diverged"}
+        for traj, out in zip(trajs, outs, strict=True):
+            assert len(out.ev_t) > 3
+            assert traj.event_times.dtype == traj.event_values.dtype == float
+            assert traj.event_kinds.dtype.kind == "U"
+            assert traj.event_times.tobytes() == out.ev_t.tobytes()
+            assert traj.event_values.tobytes() == out.ev_v.tobytes()
+            assert traj.event_kinds.tolist() == [names[k] for k in out.ev_k]
+            assert set(traj.event_kinds) == {"soa_low", "soa_high"}
