@@ -28,13 +28,14 @@ from .integrate import IntegrationConfig, Trajectory, rk4_call, trajectory_of
 
 # The taxonomy's thresholds. A run of fewer than MIN_SAMPLES samples is
 # inconclusive. It rests at a fixed point when its last sample lies within
-# FIXED_POINT_TOL (volts, currents weighted by the iL = -g*v1 scale) of an
-# equilibrium, no farther than at the start of its last tenth. It visits an
-# off-origin equilibrium when it comes within VISIT_FRACTION of the largest
-# |v1| among them. Its v1 extrema split into clusters at gaps wider than
-# CLUSTER_TOL_FRACTION of its v1 span, and it is periodic when they form at
-# most MAX_PERIODIC_CLUSTERS clusters and, when an exponent is given, the
-# dimensionless lambda1 * time_unit stays below LAMBDA_PERIODIC.
+# FIXED_POINT_TOL (volts, currents weighted by the iL = -g*v1 scale) of its
+# nearest equilibrium, and that equilibrium is stable or the run was no
+# nearer at the start of its last tenth. It visits an off-origin
+# equilibrium when it comes within VISIT_FRACTION of the largest |v1| among
+# them. It is periodic when, with an exponent given, the dimensionless
+# lambda1 * time_unit is below LAMBDA_PERIODIC, or, without one, its v1
+# extrema form at most MAX_PERIODIC_CLUSTERS clusters; the extrema split
+# into clusters at gaps wider than CLUSTER_TOL_FRACTION of its v1 span.
 VISIT_FRACTION = 0.3
 CLUSTER_TOL_FRACTION = 0.01
 MAX_PERIODIC_CLUSTERS = 8
@@ -55,6 +56,11 @@ class Side:
     NEGATIVE = "negative"
     BOTH = "both"
     NONE = "none"
+
+# the scroll side from the set of signs (v1 > 0) of the visited equilibria
+_SIDES = {frozenset(): Side.NONE, frozenset({True}): Side.POSITIVE,
+          frozenset({False}): Side.NEGATIVE,
+          frozenset({True, False}): Side.BOTH}
 
 @dataclass(frozen=True)
 class TrajectoryClass:
@@ -159,20 +165,23 @@ def classify(traj: Trajectory, equilibria,
              extrema=None) -> TrajectoryClass:
     """Sort a (transient-free) trajectory into the five-way taxonomy.
 
-    Decision order: diverged; fixed point (terminal state inside
-    FIXED_POINT_TOL of an equilibrium, distance not growing); periodic
-    (few extrema clusters and small dimensionless exponent); otherwise
-    chaotic, double- or single-scroll by which off-origin neighborhoods
-    were visited. Distances mix units as volts via the iL = -g*v1 scale.
-
-    When lyapunov is None the exponent condition is skipped (only the
-    cluster count decides periodicity); when given, its dimensionless
-    exponent decides, and its lambda1 is the verdict's. A run that diverged
-    is labelled so however few samples it kept; others with fewer than
-    MIN_SAMPLES samples, or too few extrema to characterize, come back
-    inconclusive. `extrema`, when given, must be the array of extremum
-    values of traj.v1, local_extrema(traj.times, traj.v1)[1]; it saves
-    computing them again.
+    A run that diverged is labelled so however few samples it kept; others
+    with fewer than MIN_SAMPLES samples come back inconclusive, as do runs
+    not at rest with fewer than two v1 extrema. One rule decides each
+    verdict:
+    - rest: the tail's last state lies within FIXED_POINT_TOL of its
+      nearest equilibrium, which is stable or no nearer at the start of
+      the tail (the last tenth): a fixed point;
+    - sides: the signs of the off-origin equilibria that the run comes
+      within VISIT_FRACTION * (their largest |v1|) of;
+    - periodic: lambda1 * time_unit below LAMBDA_PERIODIC when an exponent
+      is given, else at most MAX_PERIODIC_CLUSTERS extrema clusters;
+      otherwise chaotic, double-scroll when both sides were visited and
+      single-scroll when not.
+    Distances mix units as volts via the iL = -g*v1 scale. The verdict
+    carries the exponent's lambda1, or None. `extrema`, when given, must be
+    the array of extremum values of traj.v1, local_extrema(traj.times,
+    traj.v1)[1]; it saves computing them again.
     """
     lambda1 = lyapunov.lambda1 if lyapunov is not None else None
     if traj.diverged:
@@ -184,33 +193,22 @@ def classify(traj: Trajectory, equilibria,
 
     w = _current_weight(equilibria)
 
-    tail = max(2, n // 10)
-    best = None
+    tail = traj.states[-max(2, n // 10):]
+    end = start = np.inf
+    stable = False
     for eq in equilibria:
-        dist = _distances(traj.states[-tail:], eq.state, w)
-        if best is None or dist[-1] < best[0]:
-            best = (float(dist[-1]), float(dist[0]))
-    if best is not None and best[0] < FIXED_POINT_TOL and best[0] <= best[1]:
+        dist = _distances(tail, eq.state, w)
+        if dist[-1] < end:
+            end, start, stable = dist[-1], dist[0], eq.stable
+    if end < FIXED_POINT_TOL and (stable or end <= start):
         return TrajectoryClass(Label.FIXED_POINT, Side.NONE, lambda1, 0)
 
     off = [eq for eq in equilibria if eq.label != "P0"]
     r_vis = VISIT_FRACTION * max((abs(eq.state.v1) for eq in off),
                                  default=0.0)
-    visited_pos = visited_neg = False
-    for eq in off:
-        if r_vis > 0 and bool(np.any(_distances(traj.states, eq.state, w) < r_vis)):
-            if eq.state.v1 > 0:
-                visited_pos = True
-            else:
-                visited_neg = True
-    if visited_pos and visited_neg:
-        side = Side.BOTH
-    elif visited_pos:
-        side = Side.POSITIVE
-    elif visited_neg:
-        side = Side.NEGATIVE
-    else:
-        side = Side.NONE
+    side = _SIDES[frozenset(
+        bool(eq.state.v1 > 0) for eq in off
+        if _distances(traj.states, eq.state, w).min() < r_vis)]
 
     values = (local_extrema(traj.times, traj.v1)[1] if extrema is None
               else extrema)
@@ -219,10 +217,9 @@ def classify(traj: Trajectory, equilibria,
     span = float(np.max(traj.v1) - np.min(traj.v1))
     ncl = cluster_count(values, CLUSTER_TOL_FRACTION * max(span, 1e-30))
 
-    lam_ok = lyapunov is None or lyapunov.dimensionless < LAMBDA_PERIODIC
-    if ncl <= MAX_PERIODIC_CLUSTERS and lam_ok:
+    if (lyapunov.dimensionless < LAMBDA_PERIODIC if lyapunov is not None
+            else ncl <= MAX_PERIODIC_CLUSTERS):
         return TrajectoryClass(Label.PERIODIC, side, lambda1, ncl)
-
     label = Label.DOUBLE_SCROLL if side == Side.BOTH else Label.SINGLE_SCROLL
     return TrajectoryClass(label, side, lambda1, ncl)
 

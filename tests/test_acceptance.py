@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion. Criterion 5 exercises the bundled 1/R state family with the
 default cycle-to-cycle variability model (sigma=0.1, default seed) that
 the sweep configuration documents; without programming variability the low
-end of this family stays weakly chaotic rather than periodic.
+end of this family is chaotic rather than periodic.
 """
 
 import math

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import memchua as m
@@ -14,6 +14,7 @@ from memchua import analysis, kernels
 from memchua.errors import LyapunovError
 from memchua.integrate import rk4_call
 
+import classify_oracle
 import extrema_oracle as _extrema_oracle
 from conftest import NO_EVENTS, event_rows
 
@@ -48,6 +49,29 @@ def synthetic_orbit(designed, amplitude=0.05, periods=3.25, n=2048):
     v1 = 0.9 + amplitude * np.sin(2 * np.pi * f * t)
     states = np.column_stack([v1, np.zeros(n), np.full(n, -g * 0.9)])
     return m.Trajectory(times=t, states=states, **NO_EVENTS, status=0)
+
+
+def multi_level_orbit(designed, levels=10, n=4096):
+    """Oscillation around the positive equilibrium whose cycles cycle
+    through `levels` amplitudes, so its extrema form 2 * levels clusters."""
+    g = designed.params.g
+    f = 1300.0
+    t = np.linspace(0.0, (3 * levels + 0.25) / f, n)
+    amplitude = np.linspace(0.02, 0.05, levels)[
+        np.floor(f * t).astype(int) % levels]
+    v1 = 0.9 + amplitude * np.sin(2 * np.pi * f * t)
+    states = np.column_stack([v1, np.zeros(n), np.full(n, -g * 0.9)])
+    return m.Trajectory(times=t, states=states, **NO_EVENTS, status=0)
+
+
+@pytest.fixture(scope="module")
+def rest_circuit(spec):
+    """The reference design with its device programmed to 69,155 ohm,
+    where P+ and P- are stable and the origin is not."""
+    table = m.reference_table()
+    reference = m.design_circuit(table.states[-1], spec).params
+    params = replace(reference, device=m.state_at(table, 69155.0).poly)
+    return params, m.find_equilibria(params)
 
 
 class TestLocalExtrema:
@@ -256,6 +280,169 @@ class TestClassify:
         values = m.local_extrema(traj.times, traj.v1)[1]
         r_vis = 0.3 * 0.9
         assert (values > r_vis).any() and (values < -r_vis).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), grow=st.booleans(),
+           n=st.integers(analysis.MIN_SAMPLES, 400))
+    def test_rest_in_rounding_noise_at_a_stable_point(self, rest_circuit,
+                                                      seed, grow, n):
+        # a run that has converged sits at rounding noise, where its
+        # distance may as well grow as shrink over the tail
+        params, eqs = rest_circuit
+        (eq,) = [e for e in eqs if e.label == "P+"]
+        assert eq.stable
+        noise = np.random.default_rng(seed).uniform(-1e-14, 1e-14, (n, 3))
+        if grow:
+            noise *= np.linspace(0.01, 1.0, n)[:, None]
+            noise[-1] = 1e-14
+        states = np.array([eq.state]) + noise * [1.0, 1.0, params.g]
+        traj = m.Trajectory(times=np.linspace(0.0, 0.1, n), states=states,
+                            **NO_EVENTS, status=0)
+        assert m.classify(traj, eqs).label == "fixed_point"
+
+    def test_leaving_an_unstable_point_is_not_a_fixed_point(self, designed):
+        # the tail ends within FIXED_POINT_TOL of the unstable origin, but
+        # farther than it began
+        eqs = m.find_equilibria(designed.params)
+        (p0,) = [e for e in eqs if e.label == "P0"]
+        assert not p0.stable
+        n = 400
+        t = np.linspace(0.0, 0.01, n)
+        v1 = 1e-9 * np.exp(1e3 * t) * np.cos(2 * np.pi * 300.0 * t)
+        states = np.column_stack([v1, np.zeros(n), np.zeros(n)])
+        traj = m.Trajectory(times=t, states=states, **NO_EVENTS, status=0)
+        assert abs(v1[-1]) < analysis.FIXED_POINT_TOL
+        verdict = m.classify(traj, eqs)
+        assert verdict.label != "fixed_point"
+
+    def test_exponent_alone_decides_periodic(self, designed):
+        # ten amplitude levels give twenty extremum clusters, past the cap
+        traj = multi_level_orbit(designed)
+        eqs = m.find_equilibria(designed.params)
+        tau = designed.params.time_unit
+        below = m.LyapunovResult(0.5 * analysis.LAMBDA_PERIODIC / tau, tau, 50)
+        verdict = m.classify(traj, eqs, below)
+        assert verdict == m.TrajectoryClass("periodic", "positive",
+                                            below.lambda1, 20)
+        above = m.LyapunovResult(2.0 * analysis.LAMBDA_PERIODIC / tau, tau, 50)
+        few = synthetic_orbit(designed)
+        assert m.classify(few, eqs, above).label == "single_scroll"
+
+    def test_cluster_cap_decides_without_an_exponent(self, designed):
+        # the orbit of test_exponent_alone_decides_periodic; below the cap,
+        # test_synthetic_limit_cycle_is_periodic_positive
+        verdict = m.classify(multi_level_orbit(designed),
+                             m.find_equilibria(designed.params))
+        assert (verdict.label, verdict.n_extrema_clusters) == (
+            "single_scroll", 20)
+
+
+@pytest.fixture(scope="module")
+def oracle_circuits(spec):
+    """The reference design at four programmed resistances, with the
+    equilibria that find_equilibria gives: P0 alone and stable; P+ and P-
+    stable around an unstable P0; and, twice, all three unstable."""
+    table = m.reference_table()
+    reference = m.design_circuit(table.states[-1], spec).params
+    circuits = []
+    for r in (50e3, 69155.0, 100e3, table.states[-1].r_prog):
+        params = replace(reference, device=m.state_at(table, r).poly)
+        circuits.append((params, m.find_equilibria(params)))
+    return circuits
+
+
+def draw_run(data, params, eqs):
+    """A finite trajectory of one of three kinds: at rest near an
+    equilibrium in noise that shrinks or grows, leaving one in a growing
+    spiral, or orbiting one or the origin with a few amplitude levels."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    # from the generator, as Hypothesis draws mostly short runs
+    n = int(rng.integers(16, 401))
+    t = np.linspace(0.0, data.draw(st.floats(1e-3, 0.1), "t_end"), n)
+    s = np.linspace(0.0, 1.0, n)[:, None]
+    # a distance of one volt on every axis, iL weighted as classify weighs it
+    unit = np.array([1.0, 1.0, params.g])
+    kind = data.draw(st.sampled_from(["rest", "leave", "orbit"]), "kind")
+    if kind == "orbit" and data.draw(st.booleans(), "about the origin"):
+        center = np.zeros(3)
+    else:
+        center = np.array(data.draw(st.sampled_from(eqs), "eq").state)
+    if kind == "rest":
+        scale = 10.0 ** data.draw(st.floats(-16.0, -3.0), "log10 scale")
+        rate = data.draw(st.floats(-5.0, 5.0), "log growth")
+        offset = rng.uniform(-1.0, 1.0, (n, 3)) * scale * np.exp(rate * s)
+    elif kind == "leave":
+        d0 = 10.0 ** data.draw(st.floats(-9.0, -4.0), "log10 d0")
+        rate = data.draw(st.floats(1.0, 25.0), "log growth")
+        phase = 2 * np.pi * data.draw(st.floats(0.5, 40.0), "turns") * s
+        u, v = rng.standard_normal((2, 3))
+        offset = d0 * np.exp(rate * s) * (np.cos(phase) * u + np.sin(phase) * v)
+    else:
+        levels = rng.uniform(1e-3, 1.5, data.draw(st.integers(1, 12), "levels"))
+        cycles = data.draw(st.floats(1.0, 60.0), "cycles")
+        amplitude = levels[np.floor(cycles * s[:, 0]).astype(int) % levels.size]
+        phase = 2 * np.pi * cycles * s[:, 0]
+        offset = amplitude[:, None] * np.column_stack(
+            [np.sin(phase), 0.1 * np.cos(phase), -np.sin(phase + 0.1)])
+    # one run in twenty diverged, whatever it holds
+    status = kernels.STATUS_DIVERGED if rng.random() < 0.05 else 0
+    return m.Trajectory(times=t, states=center + offset * unit, **NO_EVENTS,
+                        status=status)
+
+
+class TestClassifyOracle:
+    """classify against tests/classify_oracle.py, the function as it stood
+    before each verdict became one rule."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_oracle(self, oracle_circuits, data):
+        params, eqs = data.draw(st.sampled_from(oracle_circuits), "circuit")
+        traj = draw_run(data, params, eqs)
+        assert np.isfinite(traj.states).all()
+        extrema = (m.local_extrema(traj.times, traj.v1)[1]
+                   if data.draw(st.booleans(), "pass extrema") else None)
+        offset = data.draw(st.one_of(st.none(), st.floats(
+            -analysis.LAMBDA_PERIODIC, analysis.LAMBDA_PERIODIC)), "offset")
+        tau = params.time_unit
+        lyap = (None if offset is None else m.LyapunovResult(
+            (analysis.LAMBDA_PERIODIC + offset) / tau, tau, 100))
+        want = classify_oracle.classify(traj, eqs, lyap, extrema)
+        event(f"{want.label}, {want.scroll_side}")
+        assert m.classify(traj, eqs, lyap, extrema) == want
+
+
+MIRROR_SIDE = {"positive": "negative", "negative": "positive",
+               "both": "both", "none": "none"}
+
+
+class TestMirror:
+    @settings(max_examples=25, deadline=None)
+    @given(frac=st.floats(0.1, 1.5),
+           x0=st.tuples(st.floats(-1.0, 1.0), st.floats(-0.3, 0.3),
+                        st.floats(-1e-4, 1e-4)))
+    def test_odd_device_mirrors_the_run(self, spec, frac, x0):
+        """With p2 = p4 = 0 and a symmetric window the circuit is odd: the
+        run from -x0 is the run from x0 negated, and reads the same label
+        and cluster count with the sides swapped."""
+        table = m.reference_table()
+        top = table.states[-1]
+        poly = m.state_at(table, frac * top.r_prog).poly
+        p1, _, p3, _, p5 = poly.coefficients
+        v_lim = max(-poly.v_min, poly.v_max)
+        odd = m.DevicePoly(p1, 0.0, p3, 0.0, p5, v_min=-v_lim, v_max=v_lim)
+        params = replace(m.design_circuit(top, spec).params, device=odd)
+        eqs = m.find_equilibria(params)
+        cfg = m.IntegrationConfig(t_end=0.1, t_transient=0.02)
+        run, lyap, _ = m.trajectory_and_lyapunov(params, x0, cfg)
+        mirror = m.integrate(params, tuple(-np.array(x0)), cfg)
+        assert np.array_equal(mirror.times, run.times)
+        assert np.array_equal(mirror.states, -run.states)
+        a = m.classify(run, eqs, lyap)
+        b = m.classify(mirror, eqs, lyap)
+        assert (b.label, b.n_extrema_clusters) == (a.label,
+                                                   a.n_extrema_clusters)
+        assert b.scroll_side == MIRROR_SIDE[a.scroll_side]
 
 
 class TestLargestLyapunov:
@@ -472,6 +659,16 @@ class TestSweep:
         assert pts[0].verdict.label == direct.label
         values = m.local_extrema(traj.times, traj.v1)[1]
         assert np.array_equal(pts[0].extrema, values)
+
+    def test_stable_cycle_with_nine_levels_is_periodic(self, spec):
+        # point 18 of the default fixed sweep, sigma 0.1: a cycle whose
+        # extrema form nine clusters, one past the cap, at lambda1 * tau
+        # of 0.0024
+        r = 359080.31212487456
+        (point,) = m.sweep(m.reference_table(), spec, m.IntegrationConfig(),
+                           r, r, 1, sigma=0.1, seed=20220944)
+        assert (point.verdict.label, point.verdict.n_extrema_clusters) == (
+            "periodic", 9)
 
     def test_soa_marks_a_window_crossing(self, designed, ref_state, spec):
         # the designed circuit stays inside the reference window, and its

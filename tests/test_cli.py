@@ -591,6 +591,17 @@ class TestSweep:
         assert (point["label"], point["lambda1_per_s"]) == (
             simulated["label"], simulated["lambda1_per_s"])
 
+    def test_run_at_rest_is_a_fixed_point(self, tmp_path, capsys):
+        # at 69,155 ohm the default run settles on P+, which is stable
+        # there; its tail sits at rounding noise, which may grow
+        cfg = write_config(tmp_path / "c.yaml", sweep={
+            "r_lo": 69155.0, "r_hi": 69155.0, "n_points": 1, "sigma": 0.0})
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        (point,) = read_json(out / "sweep_summary.json")
+        assert point["label"] == "fixed_point"
+        assert "{'fixed_point': 1}" in capsys.readouterr().out
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml",
                            integration=SHORT_INTEGRATION, sweep=SMALL_SWEEP)
